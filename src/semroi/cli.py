@@ -25,18 +25,6 @@ from .sampler import FIXED_GRID, RoIBox, dynamic_grid_size
 from .synthetic import TransformRanges, generate_dataset
 from .train import compare_extractors, train_toy
 
-SUBCOMMANDS = (
-    "gradcheck",
-    "oracles",
-    "ablate-sampler",
-    "ablate-descriptor",
-    "ablate-embedding",
-    "train-toy",
-    "invariance",
-    "diversity",
-    "bench",
-)
-
 # flat dotted-key configuration; the sra.* defaults are the reference
 # operating point, the desk-scale keys below size the synthetic harness
 COMMON_DEFAULTS: dict[str, object] = {
@@ -74,7 +62,7 @@ SUBCOMMAND_DEFAULTS: dict[str, dict[str, object]] = {
     "train-toy": {},
     "invariance": {"invariance.families": "rotation,reflection,scale_pan"},
     "diversity": {"diversity.threshold": 0.3},
-    "bench": {"bench.grid": "8x8", "bench.timing_rois": 50},
+    "bench": {"bench.timing_rois": 50},
 }
 
 
@@ -167,10 +155,11 @@ def _dataset(config: dict, seed: int, n_per_class: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (exit_code, metrics)
+# subcommand bodies: each takes (config, seed, out_dir) and returns
+# (exit_code, metrics)
 
 
-def cmd_gradcheck(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_gradcheck(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     tol = config["gradcheck.tolerance"]
     per_seed = []
     worst = 0.0
@@ -187,7 +176,7 @@ def cmd_gradcheck(config: dict, seed: int) -> tuple[int, dict]:
     }
 
 
-def cmd_oracles(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_oracles(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     results = run_all(seed)
     entries = [
         {"name": r.name, "passed": r.passed, "max_err": r.max_err, "detail": r.detail}
@@ -197,7 +186,7 @@ def cmd_oracles(config: dict, seed: int) -> tuple[int, dict]:
     return (0 if ok else 1), {"passed": ok, "checks": entries}
 
 
-def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     mode = config["sampler.mode"]
     if mode not in ("fixed", "dynamic"):
         raise UsageError(f"sampler.mode must be fixed or dynamic, got {mode!r}")
@@ -246,7 +235,7 @@ def _ablation_runs(config: dict, seed: int, variants: list[tuple[str, SraConfig]
     return out
 
 
-def cmd_ablate_descriptor(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_ablate_descriptor(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     base = sra_config_from(config)
     variants = [
         ("average", replace(base, descriptor_mode="average")),
@@ -257,7 +246,7 @@ def cmd_ablate_descriptor(config: dict, seed: int) -> tuple[int, dict]:
     return 0, {"modes": _ablation_runs(config, seed, variants)}
 
 
-def cmd_ablate_embedding(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_ablate_embedding(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     base = sra_config_from(config)
     variants = [
         ("none", replace(base, embedding_mode="none")),
@@ -309,11 +298,11 @@ def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     return 0, metrics
 
 
-def _trained_states(config: dict, seed: int):
+def _trained_states(config: dict, seed: int, kinds: tuple[str, ...]):
     cfg = sra_config_from(config)
     dataset = _dataset(config, seed)
     states = {}
-    for kind in ("sra", "roi_align"):
+    for kind in kinds:
         state, _ = train_toy(
             kind,
             cfg,
@@ -328,9 +317,9 @@ def _trained_states(config: dict, seed: int):
     return cfg, dataset, states
 
 
-def cmd_invariance(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     families = [f.strip() for f in str(config["invariance.families"]).split(",") if f.strip()]
-    _, dataset, states = _trained_states(config, seed)
+    _, dataset, states = _trained_states(config, seed, ("sra", "roi_align"))
     ranges = ranges_from(config)
     per_extractor: dict = {}
     for kind, state in states.items():
@@ -345,8 +334,8 @@ def cmd_invariance(config: dict, seed: int) -> tuple[int, dict]:
     return 0, {"families": families, "mean_cosine": per_extractor}
 
 
-def cmd_diversity(config: dict, seed: int) -> tuple[int, dict]:
-    cfg, dataset, states = _trained_states(config, seed)
+def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+    cfg, dataset, states = _trained_states(config, seed, ("sra",))
     report = mask_diversity(
         states["sra"].params,
         cfg,
@@ -365,11 +354,9 @@ def cmd_diversity(config: dict, seed: int) -> tuple[int, dict]:
     }
 
 
-def cmd_bench(config: dict, seed: int) -> tuple[int, dict]:
+def cmd_bench(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     cfg = sra_config_from(config)
     channels = config["data.channels"]
-    grid = _parse_grid(config["bench.grid"])
-    est = flops_estimate(cfg, channels, grid)
     rng = stream_rng(seed, "bench")
     params = init_params(cfg, channels, rng)
     fmap = rng.standard_normal((channels, 64, 64))
@@ -378,22 +365,40 @@ def cmd_bench(config: dict, seed: int) -> tuple[int, dict]:
         x0, y0 = rng.uniform(0, 30, 2)
         boxes.append(RoIBox(x0, y0, x0 + rng.uniform(4, 30), y0 + rng.uniform(4, 30)))
     start = time.perf_counter()
-    for box in boxes:
-        sra_extract(fmap, box, params, cfg)
+    grids = [sra_extract(fmap, box, params, cfg).grid for box in boxes]
     elapsed = time.perf_counter() - start
+    # count the work that was clocked: each timed RoI at its own grid
+    estimates = [flops_estimate(cfg, channels, grid) for grid in grids]
+    per_roi = float(np.mean([est.per_roi for est in estimates]))
     return 0, {
-        "grid": list(grid),
         "channels": channels,
         "parameter_count": parameter_count(cfg, channels),
-        "multiply_adds_per_roi": est.per_roi,
-        "multiply_adds_per_300_rois": est.per_300_rois,
-        "breakdown": est.breakdown,
+        "multiply_adds_per_roi": per_roi,
+        "multiply_adds_per_300_rois": 300 * per_roi,
+        "breakdown": {
+            key: float(np.mean([est.breakdown[key] for est in estimates]))
+            for key in estimates[0].breakdown
+        },
         "wall_ms_per_roi": elapsed / len(boxes) * 1e3,
         "note": (
-            "analytic count covers this extractor only; end-to-end detector "
+            "analytic count is the mean over the timed RoIs, each at its own "
+            "grid, and covers this extractor only; end-to-end detector "
             "budgets also include the backbone and heads and are out of scope"
         ),
     }
+
+
+COMMANDS = {
+    "gradcheck": cmd_gradcheck,
+    "oracles": cmd_oracles,
+    "ablate-sampler": cmd_ablate_sampler,
+    "ablate-descriptor": cmd_ablate_descriptor,
+    "ablate-embedding": cmd_ablate_embedding,
+    "train-toy": cmd_train_toy,
+    "invariance": cmd_invariance,
+    "diversity": cmd_diversity,
+    "bench": cmd_bench,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +408,7 @@ def cmd_bench(config: dict, seed: int) -> tuple[int, dict]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semroi", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -427,24 +432,7 @@ def run(argv: list[str] | None = None) -> int:
             config["sampler.mode"] = args.mode
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "gradcheck":
-            code, metrics = cmd_gradcheck(config, args.seed)
-        elif args.subcommand == "oracles":
-            code, metrics = cmd_oracles(config, args.seed)
-        elif args.subcommand == "ablate-sampler":
-            code, metrics = cmd_ablate_sampler(config, args.seed)
-        elif args.subcommand == "ablate-descriptor":
-            code, metrics = cmd_ablate_descriptor(config, args.seed)
-        elif args.subcommand == "ablate-embedding":
-            code, metrics = cmd_ablate_embedding(config, args.seed)
-        elif args.subcommand == "train-toy":
-            code, metrics = cmd_train_toy(config, args.seed, out_dir)
-        elif args.subcommand == "invariance":
-            code, metrics = cmd_invariance(config, args.seed)
-        elif args.subcommand == "diversity":
-            code, metrics = cmd_diversity(config, args.seed)
-        else:
-            code, metrics = cmd_bench(config, args.seed)
+        code, metrics = COMMANDS[args.subcommand](config, args.seed, out_dir)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ reverse-mode gradients for all parameters and the input feature map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,7 +47,8 @@ class SraConfig:
     128, descriptor dim 256, amplification 50.  ``fixed_grid`` bypasses the
     dynamic sampler (required for the concatenation descriptor, whose input
     size must be static).  ``independent_heads`` switches the mask regressors
-    from one shared trunk with an N-way output to N disjoint two-block MLPs.
+    from one shared trunk with an N-way output to N disjoint two-block MLPs
+    (see ``mask_heads``).
     """
 
     n_masks: int = 49
@@ -95,10 +96,24 @@ class SraConfig:
         p = self.embed_channels if self.embedding_mode != "none" else 0
         return 2 * self.descriptor_dim + p
 
+    @property
+    def mask_heads(self) -> tuple[int, int]:
+        """(heads G, outputs per head) of the mask-regressor bank: one
+        shared trunk with N outputs, or N independent one-output heads."""
+        if self.independent_heads:
+            return self.n_masks, 1
+        return 1, self.n_masks
+
 
 @dataclass
 class MaskMlpParams:
-    """One two-block (Norm-ReLU-Linear twice) mask regressor."""
+    """The bank of N mask regressors as G stacked two-block
+    (Norm-ReLU-Linear twice) MLPs; every tensor has a leading heads axis.
+
+    With D = trunk_in_dim, H = hidden and (G, O) = ``SraConfig.mask_heads``:
+    trunk_norm (G, D), trunk_linear (G, H, D), head_norm (G, H),
+    head_linear (G, O, H).  Mask g*O + o is output o of head g.
+    """
 
     trunk_norm: LayerNormParams
     trunk_linear: LinearParams
@@ -108,21 +123,12 @@ class MaskMlpParams:
 
 @dataclass
 class SraParams:
-    """All learnable tensors of the extractor.
-
-    In shared-trunk mode the four trunk/head fields realize the N mask
-    regressors as output channels of ``head_linear``; in independent-heads
-    mode they are None and ``mask_mlps`` holds N disjoint regressors.
-    """
+    """All learnable tensors of the extractor."""
 
     psi: LinearParams
     semantic_conv: LinearParams
     embed_proj: LinearParams | None
-    trunk_norm: LayerNormParams | None
-    trunk_linear: LinearParams | None
-    head_norm: LayerNormParams | None
-    head_linear: LinearParams | None
-    mask_mlps: list[MaskMlpParams] | None = None
+    mask_mlp: MaskMlpParams
 
 
 class ExtractResult(NamedTuple):
@@ -131,10 +137,8 @@ class ExtractResult(NamedTuple):
     grid: GridSize
 
 
-class SraTape(NamedTuple):
-    """Saved forward state consumed by ``sra_backward``."""
-
-    backward: Callable[[Array], tuple["SraParams", Array]]
+# maps a feature cotangent to (parameter grads, grad wrt the input map)
+SraTape = Callable[[Array], tuple[SraParams, Array]]
 
 
 def descriptor_in_dim(config: SraConfig, channels: int) -> int:
@@ -154,37 +158,25 @@ def init_params(
     embed_proj = None
     if config.embedding_mode != "none":
         embed_proj = init_linear(rng, config.embed_raw_dim, config.embed_channels)
-    d_in = config.trunk_in_dim
+    d_in, hid = config.trunk_in_dim, config.hidden
+    heads, n_out = config.mask_heads
+    # head by head, trunk weights before head weights
+    layers = [
+        (init_linear(rng, d_in, hid), init_linear(rng, hid, n_out)) for _ in range(heads)
+    ]
 
-    def one_mlp(out_dim: int) -> MaskMlpParams:
-        return MaskMlpParams(
-            trunk_norm=init_layer_norm(d_in),
-            trunk_linear=init_linear(rng, d_in, config.hidden),
-            head_norm=init_layer_norm(config.hidden),
-            head_linear=init_linear(rng, config.hidden, out_dim),
+    def stack(linears: list[LinearParams]) -> LinearParams:
+        return LinearParams(
+            np.stack([q.weight for q in linears]), np.stack([q.bias for q in linears])
         )
 
-    if config.independent_heads:
-        return SraParams(
-            psi=psi,
-            semantic_conv=semantic_conv,
-            embed_proj=embed_proj,
-            trunk_norm=None,
-            trunk_linear=None,
-            head_norm=None,
-            head_linear=None,
-            mask_mlps=[one_mlp(1) for _ in range(config.n_masks)],
-        )
-    shared = one_mlp(config.n_masks)
-    return SraParams(
-        psi=psi,
-        semantic_conv=semantic_conv,
-        embed_proj=embed_proj,
-        trunk_norm=shared.trunk_norm,
-        trunk_linear=shared.trunk_linear,
-        head_norm=shared.head_norm,
-        head_linear=shared.head_linear,
+    mask_mlp = MaskMlpParams(
+        trunk_norm=init_layer_norm((heads, d_in)),
+        trunk_linear=stack([trunk for trunk, _ in layers]),
+        head_norm=init_layer_norm((heads, hid)),
+        head_linear=stack([head for _, head in layers]),
     )
+    return SraParams(psi=psi, semantic_conv=semantic_conv, embed_proj=embed_proj, mask_mlp=mask_mlp)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +193,6 @@ def param_leaves(obj, prefix: str = "") -> list[tuple[str, Array]]:
         return [(f"{prefix}.weight", obj.weight), (f"{prefix}.bias", obj.bias)]
     if isinstance(obj, LayerNormParams):
         return [(f"{prefix}.gain", obj.gain), (f"{prefix}.shift", obj.shift)]
-    if isinstance(obj, (list, tuple)):
-        out = []
-        for i, item in enumerate(obj):
-            out.extend(param_leaves(item, f"{prefix}[{i}]"))
-        return out
     if hasattr(obj, "__dataclass_fields__"):
         out = []
         for f in fields(obj):
@@ -224,29 +211,20 @@ def parameter_count(config: SraConfig, channels: int) -> int:
         psi:            K * C_d + K
         semantic_conv:  K * C + K
         embed_proj:     P * D_raw + P          (if an embedding is used)
-        per regressor:  2D + (H*D + H) + 2H + (out*H + out)
+        per head:       2D + (H*D + H) + 2H + (O*H + O)
 
-    where the shared trunk has one regressor with out = N and the
-    independent variant has N regressors with out = 1.
+    over the G heads of (G, O) = ``config.mask_heads``.
     """
     k = config.descriptor_dim
     c_d = descriptor_in_dim(config, channels)
     total = k * c_d + k  # psi
     total += k * channels + k  # semantic_conv
-    p = 0
     if config.embedding_mode != "none":
         p = config.embed_channels
         total += p * config.embed_raw_dim + p
-    d_in = 2 * k + p
-    hid = config.hidden
-
-    def mlp(out_dim: int) -> int:
-        return 2 * d_in + (hid * d_in + hid) + 2 * hid + (out_dim * hid + out_dim)
-
-    if config.independent_heads:
-        total += config.n_masks * mlp(1)
-    else:
-        total += mlp(config.n_masks)
+    d_in, hid = config.trunk_in_dim, config.hidden
+    heads, n_out = config.mask_heads
+    total += heads * (2 * d_in + (hid * d_in + hid) + 2 * hid + (n_out * hid + n_out))
     return total
 
 
@@ -290,43 +268,9 @@ def roi_descriptor(f: Array, mode: str, psi: LinearParams) -> Array:
     return roi_descriptor_vjp(f, mode, psi)[0]
 
 
-def semantic_feature_map_vjp(f: Array, conv: LinearParams) -> tuple[Array, VjpRecord]:
-    """Per-position projection of the pooled grid to descriptor space."""
-    return conv1x1_vjp(f, conv)
-
-
 def semantic_feature_map(f: Array, conv: LinearParams) -> Array:
+    """Per-position projection of the pooled grid to descriptor space."""
     return conv1x1_vjp(f, conv)[0]
-
-
-def _mlp_chain_vjp(
-    z: Array, mlp: MaskMlpParams
-) -> tuple[Array, Callable[[Array], tuple]]:
-    """Norm-ReLU-Linear twice over row batch z; backward yields
-    (gz, MaskMlpParams-shaped grads)."""
-    a1, r1 = layer_norm_vjp(z, mlp.trunk_norm)
-    a2, r2 = relu_vjp(a1)
-    a3, r3 = linear_vjp(a2, mlp.trunk_linear)
-    a4, r4 = layer_norm_vjp(a3, mlp.head_norm)
-    a5, r5 = relu_vjp(a4)
-    out, r6 = linear_vjp(a5, mlp.head_linear)
-
-    def backward(gout: Array) -> tuple[Array, MaskMlpParams]:
-        g5, g_hl_w, g_hl_b = r6.backward(gout)
-        g4 = r5.backward(g5)[0]
-        g3, g_hn_g, g_hn_s = r4.backward(g4)
-        g2, g_tl_w, g_tl_b = r3.backward(g3)
-        g1 = r2.backward(g2)[0]
-        gz, g_tn_g, g_tn_s = r1.backward(g1)
-        grads = MaskMlpParams(
-            trunk_norm=LayerNormParams(g_tn_g, g_tn_s, mlp.trunk_norm.epsilon),
-            trunk_linear=LinearParams(g_tl_w, g_tl_b),
-            head_norm=LayerNormParams(g_hn_g, g_hn_s, mlp.head_norm.epsilon),
-            head_linear=LinearParams(g_hl_w, g_hl_b),
-        )
-        return gz, grads
-
-    return out, backward
 
 
 def mask_logits_vjp(
@@ -334,10 +278,10 @@ def mask_logits_vjp(
 ) -> tuple[Array, VjpRecord]:
     """Pre-softmax mask scores (N, h, w).
 
-    Every position (j, k) feeds the same regressor(s) with
-    [d, s(:,j,k), p(:,j,k)]; positions are batched as rows.  Backward returns
-    (gd, gs, gp, mlp_grads) where mlp_grads mirrors the trunk/head fields (a
-    MaskMlpParams for the shared trunk, a list of them per independent head).
+    Every position (j, k) feeds every head of the regressor bank with
+    [d, s(:,j,k), p(:,j,k)]; positions are batched as rows and heads run
+    along the parameters' leading axis.  Backward returns (gd, gs, gp,
+    mlp_grads) with mlp_grads a MaskMlpParams of the bank's shape.
     """
     k, h, w = s.shape
     if d.shape[0] != k:
@@ -352,64 +296,39 @@ def mask_logits_vjp(
         cols.append(p.reshape(p_dim, hw).T)
     z = np.concatenate(cols, axis=1)
 
-    if params.mask_mlps is None:
-        out, chain_back = _mlp_chain_vjp(z, _shared_mlp(params))
-        n = out.shape[1]
-        logits = out.T.reshape(n, h, w)
+    mlp = params.mask_mlp
+    a1, r1 = layer_norm_vjp(z, mlp.trunk_norm)
+    a2, r2 = relu_vjp(a1)
+    a3, r3 = linear_vjp(a2, mlp.trunk_linear)
+    a4, r4 = layer_norm_vjp(a3, mlp.head_norm)
+    a5, r5 = relu_vjp(a4)
+    out, r6 = linear_vjp(a5, mlp.head_linear)  # (G, hw, O)
+    heads, _, n_out = out.shape
+    logits = np.swapaxes(out, 1, 2).reshape(heads * n_out, h, w)
 
-        def backward(gy: Array):
-            gz, grads = chain_back(gy.reshape(n, hw).T)
-            return _split_z_grad(gz, k, p_dim, h, w) + (grads,)
+    def backward(gy: Array):
+        g5, g_hl_w, g_hl_b = r6.backward(np.swapaxes(gy.reshape(heads, n_out, hw), 1, 2))
+        (g4,) = r5.backward(g5)
+        g3, g_hn_g, g_hn_s = r4.backward(g4)
+        g2, g_tl_w, g_tl_b = r3.backward(g3)
+        (g1,) = r2.backward(g2)
+        gz, g_tn_g, g_tn_s = r1.backward(g1)
+        grads = MaskMlpParams(
+            trunk_norm=LayerNormParams(g_tn_g, g_tn_s, mlp.trunk_norm.epsilon),
+            trunk_linear=LinearParams(g_tl_w, g_tl_b),
+            head_norm=LayerNormParams(g_hn_g, g_hn_s, mlp.head_norm.epsilon),
+            head_linear=LinearParams(g_hl_w, g_hl_b),
+        )
+        gd = gz[:, :k].sum(axis=0)
+        gs = gz[:, k : 2 * k].T.reshape(k, h, w)
+        gp = gz[:, 2 * k :].T.reshape(p_dim, h, w) if p_dim else None
+        return gd, gs, gp, grads
 
-        return logits, VjpRecord("mask_logits", backward)
-
-    outs = []
-    backs = []
-    for mlp in params.mask_mlps:
-        o, b = _mlp_chain_vjp(z, mlp)
-        outs.append(o[:, 0])
-        backs.append(b)
-    logits = np.stack(outs).reshape(len(outs), h, w)
-
-    def backward_ind(gy: Array):
-        gz = np.zeros_like(z)
-        grads = []
-        for i, b in enumerate(backs):
-            gz_i, g_i = b(gy[i].reshape(hw, 1))
-            gz += gz_i
-            grads.append(g_i)
-        return _split_z_grad(gz, k, p_dim, h, w) + (grads,)
-
-    return logits, VjpRecord("mask_logits", backward_ind)
-
-
-def _shared_mlp(params: SraParams) -> MaskMlpParams:
-    return MaskMlpParams(
-        trunk_norm=params.trunk_norm,
-        trunk_linear=params.trunk_linear,
-        head_norm=params.head_norm,
-        head_linear=params.head_linear,
-    )
-
-
-def _split_z_grad(gz: Array, k: int, p_dim: int, h: int, w: int):
-    gd = gz[:, :k].sum(axis=0)
-    gs = gz[:, k : 2 * k].T.reshape(k, h, w)
-    gp = gz[:, 2 * k :].T.reshape(p_dim, h, w) if p_dim else None
-    return gd, gs, gp
+    return logits, VjpRecord("mask_logits", backward)
 
 
 def mask_logits(d: Array, s: Array, p: Array | None, params: SraParams) -> Array:
     return mask_logits_vjp(d, s, p, params)[0]
-
-
-def masks_from_logits_vjp(logits: Array, gamma: float) -> tuple[Array, VjpRecord]:
-    """Amplified spatial softmax: each mask slice is nonnegative, sums to 1."""
-    return softmax_spatial_vjp(logits, gamma)
-
-
-def masks_from_logits(logits: Array, gamma: float) -> Array:
-    return softmax_spatial_vjp(logits, gamma)[0]
 
 
 def sample_roi_feature_vjp(f: Array, masks: Array) -> tuple[Array, VjpRecord]:
@@ -456,7 +375,7 @@ def choose_grid(box: RoIBox, config: SraConfig) -> GridSize:
 
 def extract_on_grid_recorded(
     f: Array, params: SraParams, config: SraConfig
-) -> tuple[Array, Array, Callable[[Array], tuple[SraParams, Array]]]:
+) -> tuple[Array, Array, SraTape]:
     """Post-pooling pipeline on an already-sampled (C, h, w) grid.
 
     Returns (feature, masks, backward) with backward mapping a feature
@@ -484,27 +403,12 @@ def extract_on_grid_recorded(
         if rec_embed is not None:
             _, g_emb_w, g_emb_b = rec_embed.backward(gp)
             g_embed = LinearParams(g_emb_w, g_emb_b)
-        if isinstance(mlp_grads, list):
-            grads = SraParams(
-                psi=LinearParams(g_psi_w, g_psi_b),
-                semantic_conv=LinearParams(g_sem_w, g_sem_b),
-                embed_proj=g_embed,
-                trunk_norm=None,
-                trunk_linear=None,
-                head_norm=None,
-                head_linear=None,
-                mask_mlps=mlp_grads,
-            )
-        else:
-            grads = SraParams(
-                psi=LinearParams(g_psi_w, g_psi_b),
-                semantic_conv=LinearParams(g_sem_w, g_sem_b),
-                embed_proj=g_embed,
-                trunk_norm=mlp_grads.trunk_norm,
-                trunk_linear=mlp_grads.trunk_linear,
-                head_norm=mlp_grads.head_norm,
-                head_linear=mlp_grads.head_linear,
-            )
+        grads = SraParams(
+            psi=LinearParams(g_psi_w, g_psi_b),
+            semantic_conv=LinearParams(g_sem_w, g_sem_b),
+            embed_proj=g_embed,
+            mask_mlp=mlp_grads,
+        )
         gf = gf_samp + gf_sem + gf_desc
         return grads, gf
 
@@ -531,7 +435,7 @@ def sra_extract_recorded(
         (gmap,) = rec_pool.backward(gf)
         return grads, gmap
 
-    return ExtractResult(y, masks, grid), SraTape(backward)
+    return ExtractResult(y, masks, grid), backward
 
 
 def sra_extract(
@@ -545,9 +449,4 @@ def sra_backward(cotangent: Array, tape: SraTape | None) -> tuple[SraParams, Arr
     """Gradients of a scalar with given feature cotangent: (param grads, dF)."""
     if tape is None:
         raise ValueError("sra_backward: no saved forward state (run the recorded forward first)")
-    return tape.backward(cotangent)
-
-
-def scaled_config(config: SraConfig, **overrides) -> SraConfig:
-    """Convenience: a copy of ``config`` with fields replaced."""
-    return replace(config, **overrides)
+    return tape(cotangent)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Array, ConfigError, LinearParams, VjpRecord, conv1x1_vjp
+from .numerics import Array, ConfigError, LinearParams, conv1x1_vjp
 from .sampler import GridSize
 
 
@@ -71,10 +71,6 @@ def area_embedding_raw(grid: GridSize, m_axis: int) -> Array:
     return out
 
 
-def project_embedding_vjp(raw: Array, proj: LinearParams) -> tuple[Array, VjpRecord]:
-    """Map a (D_raw, h, w) raw embedding to (P, h, w) per position."""
-    return conv1x1_vjp(raw, proj)
-
-
 def project_embedding(raw: Array, proj: LinearParams) -> Array:
+    """Map a (D_raw, h, w) raw embedding to (P, h, w) per position."""
     return conv1x1_vjp(raw, proj)[0]

@@ -159,7 +159,8 @@ def flops_estimate(config: SraConfig, channels: int, grid: tuple[int, int]) -> F
     n = config.n_masks
     hid = config.hidden
     p = config.embed_channels if config.embedding_mode != "none" else 0
-    d_in = 2 * k + p
+    d_in = config.trunk_in_dim
+    heads, n_out = config.mask_heads
 
     def lin(rows: int, in_dim: int, out_dim: int) -> int:
         return rows * (out_dim * in_dim + out_dim)
@@ -170,7 +171,14 @@ def flops_estimate(config: SraConfig, channels: int, grid: tuple[int, int]) -> F
         "descriptor_psi": lin(1, channels * hw if config.descriptor_mode == "concatenation" else channels, k),
         "semantic_conv": lin(hw, channels, k),
         "embedding": 0,
-        "mask_mlp": 0,
+        "mask_mlp": heads * (
+            5 * hw * d_in  # trunk norm
+            + hw * d_in  # relu
+            + lin(hw, d_in, hid)
+            + 5 * hw * hid  # head norm
+            + hw * hid  # relu
+            + lin(hw, hid, n_out)
+        ),
         "softmax": n * hw * 4,
         "weighted_sum": n * channels * hw,
     }
@@ -179,21 +187,6 @@ def flops_estimate(config: SraConfig, channels: int, grid: tuple[int, int]) -> F
     elif config.embedding_mode == "area":
         d_raw = config.embed_raw_dim
         breakdown["embedding"] = 2 * d_raw * hw + lin(hw, d_raw, p)
-
-    def mlp_cost(out_dim: int) -> int:
-        return (
-            5 * hw * d_in  # trunk norm
-            + hw * d_in  # relu
-            + lin(hw, d_in, hid)
-            + 5 * hw * hid  # head norm
-            + hw * hid  # relu
-            + lin(hw, hid, out_dim)
-        )
-
-    if config.independent_heads:
-        breakdown["mask_mlp"] = n * mlp_cost(1)
-    else:
-        breakdown["mask_mlp"] = mlp_cost(n)
 
     per_roi = int(sum(breakdown.values()))
     return FlopsEstimate(per_roi=per_roi, per_300_rois=per_roi * 300, breakdown=breakdown)

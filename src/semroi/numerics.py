@@ -12,7 +12,7 @@ format (see :mod:`semroi.reporting`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,26 +30,31 @@ class ConfigError(ValueError):
 
 @dataclass
 class LinearParams:
-    """Affine map parameters: ``y = weight @ x + bias``."""
+    """Affine map parameters: ``y = weight @ x + bias``.
 
-    weight: Array  # (out_dim, in_dim)
-    bias: Array  # (out_dim,)
+    A leading heads axis stacks G independent maps; ``linear_vjp`` applies
+    each to its own row batch, or all to one shared row batch.
+    """
+
+    weight: Array  # (out_dim, in_dim) or (heads, out_dim, in_dim)
+    bias: Array  # (out_dim,) or (heads, out_dim)
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 @dataclass
 class LayerNormParams:
-    """Per-feature normalization parameters (population variance)."""
+    """Per-feature normalization parameters (population variance); a
+    leading heads axis stacks G gain/shift pairs, as for ``LinearParams``."""
 
-    gain: Array  # (dim,)
-    shift: Array  # (dim,)
+    gain: Array  # (dim,) or (heads, dim)
+    shift: Array  # (dim,) or (heads, dim)
     epsilon: float = 1e-5
 
 
@@ -59,13 +64,11 @@ class VjpRecord:
 
     ``backward`` maps the output cotangent to a tuple of cotangents, one per
     differentiable input of the forward call (inputs first, then parameters);
-    the forward activations it needs are captured in its closure.  ``saved``
-    is a scratch slot for diagnostics, empty by default.
+    the forward activations it needs are captured in its closure.
     """
 
     op: str
     backward: Callable[[Array], tuple]
-    saved: dict = field(default_factory=dict)
 
 
 def init_linear(rng: np.random.Generator, in_dim: int, out_dim: int) -> LinearParams:
@@ -75,7 +78,8 @@ def init_linear(rng: np.random.Generator, in_dim: int, out_dim: int) -> LinearPa
     return LinearParams(weight=weight, bias=np.zeros(out_dim))
 
 
-def init_layer_norm(dim: int, epsilon: float = 1e-5) -> LayerNormParams:
+def init_layer_norm(dim: int | tuple[int, int], epsilon: float = 1e-5) -> LayerNormParams:
+    """Unit gains, zero shifts; ``dim=(heads, dim)`` stacks heads."""
     return LayerNormParams(gain=np.ones(dim), shift=np.zeros(dim), epsilon=epsilon)
 
 
@@ -84,21 +88,29 @@ def init_layer_norm(dim: int, epsilon: float = 1e-5) -> LayerNormParams:
 
 
 def linear_vjp(x: Array, p: LinearParams) -> tuple[Array, VjpRecord]:
-    """``y = W x + b`` for a vector ``(in,)`` or row batch ``(B, in)``."""
-    if x.shape[-1] != p.in_dim:
+    """``y = W x + b`` for a vector ``(in,)`` or row batch ``(B, in)``.
+
+    With stacked parameters ``(G, out, in)`` the input is a row batch
+    ``(B, in)`` shared by all heads or ``(G, B, in)``, one per head, and the
+    output is ``(G, B, out)``.
+    """
+    stacked = p.weight.ndim == 3
+    if x.shape[-1] != p.in_dim or (stacked and x.ndim == 1):
         raise ShapeError(
-            f"linear: input dim {x.shape[-1]} does not match weight in_dim {p.in_dim}"
+            f"linear: input shape {x.shape} does not match weight shape {p.weight.shape}"
         )
-    y = x @ p.weight.T + p.bias
+    y = x @ np.swapaxes(p.weight, -1, -2) + (p.bias[:, None, :] if stacked else p.bias)
 
     def backward(gy: Array) -> tuple[Array, Array, Array]:
         gx = gy @ p.weight
+        if gx.ndim > x.ndim:  # one input row batch fed every head
+            gx = gx.sum(axis=0)
         if x.ndim == 1:
             gw = np.outer(gy, x)
             gb = gy.copy()
         else:
-            gw = gy.T @ x
-            gb = gy.sum(axis=0)
+            gw = np.swapaxes(gy, -1, -2) @ x
+            gb = gy.sum(axis=-2)
         return gx, gw, gb
 
     return y, VjpRecord("linear", backward)
@@ -134,31 +146,39 @@ def conv1x1(x: Array, p: LinearParams) -> Array:
 
 
 def layer_norm_vjp(x: Array, p: LayerNormParams) -> tuple[Array, VjpRecord]:
-    """Normalize the last axis to zero mean / unit population variance."""
+    """Normalize the last axis to zero mean / unit population variance.
+
+    Stacked parameters ``(G, dim)`` take a row batch shared by all heads or
+    one per head, as in ``linear_vjp``.
+    """
     dim = x.shape[-1]
-    if p.gain.shape[0] != dim:
+    stacked = p.gain.ndim == 2
+    if p.gain.shape[-1] != dim or (stacked and x.ndim == 1):
         raise ShapeError(
-            f"layer_norm: input dim {dim} does not match gain dim {p.gain.shape[0]}"
+            f"layer_norm: input shape {x.shape} does not match gain shape {p.gain.shape}"
         )
+    gain = p.gain[:, None, :] if stacked else p.gain
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + p.epsilon)
     xhat = xc * inv
-    y = p.gain * xhat + p.shift
+    y = gain * xhat + (p.shift[:, None, :] if stacked else p.shift)
 
     def backward(gy: Array) -> tuple[Array, Array, Array]:
-        gxhat = gy * p.gain
+        gxhat = gy * gain
         # d/dx of (x - mu) * inv with mu, inv functions of x
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gxhat - m1 - xhat * m2)
+        if gx.ndim > x.ndim:  # one input row batch fed every head
+            gx = gx.sum(axis=0)
         if x.ndim == 1:
             ggain = gy * xhat
             gshift = gy.copy()
         else:
-            ggain = (gy * xhat).sum(axis=0)
-            gshift = gy.sum(axis=0)
+            ggain = (gy * xhat).sum(axis=-2)
+            gshift = gy.sum(axis=-2)
         return gx, ggain, gshift
 
     return y, VjpRecord("layer_norm", backward)

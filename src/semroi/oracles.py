@@ -81,29 +81,27 @@ def conv1x1_loop(x: Array, weight: Array, bias: Array) -> Array:
 
 
 def mask_logits_loop(d: Array, s: Array, p: Array | None, params) -> Array:
-    """Position-by-position two-block MLP, no batching."""
+    """Head-by-head, position-by-position two-block MLP, no batching."""
     _, h, w = s.shape
-    mlps = params.mask_mlps
-    if mlps is None:
-        from .core import _shared_mlp
-
-        mlps = [_shared_mlp(params)]
-    outs = []
-    for mlp in mlps:
-        n_out = mlp.head_linear.out_dim
-        block = np.empty((n_out, h, w))
+    mlp = params.mask_mlp
+    heads, n_out, _ = mlp.head_linear.weight.shape
+    out = np.empty((heads, n_out, h, w))
+    for g in range(heads):
+        trunk_norm = LayerNormParams(mlp.trunk_norm.gain[g], mlp.trunk_norm.shift[g], mlp.trunk_norm.epsilon)
+        trunk_linear = LinearParams(mlp.trunk_linear.weight[g], mlp.trunk_linear.bias[g])
+        head_norm = LayerNormParams(mlp.head_norm.gain[g], mlp.head_norm.shift[g], mlp.head_norm.epsilon)
+        head_linear = LinearParams(mlp.head_linear.weight[g], mlp.head_linear.bias[g])
         for j in range(h):
             for k in range(w):
                 z = [d, s[:, j, k]]
                 if p is not None:
                     z.append(p[:, j, k])
                 z = np.concatenate(z)
-                a = np.maximum(layer_norm(z, mlp.trunk_norm), 0.0)
-                a = linear(a, mlp.trunk_linear)
-                a = np.maximum(layer_norm(a, mlp.head_norm), 0.0)
-                block[:, j, k] = linear(a, mlp.head_linear)
-        outs.append(block)
-    return np.concatenate(outs, axis=0)
+                a = np.maximum(layer_norm(z, trunk_norm), 0.0)
+                a = linear(a, trunk_linear)
+                a = np.maximum(layer_norm(a, head_norm), 0.0)
+                out[g, :, j, k] = linear(a, head_linear)
+    return out.reshape(heads * n_out, h, w)
 
 
 def sample_roi_feature_loop(f: Array, masks: Array) -> Array:
@@ -161,7 +159,7 @@ def full_pipeline_gradcheck(seed: int, config: SraConfig | None = None, channels
     box = RoIBox(1.3, 2.1, 6.2, 6.9)
 
     def safe(name: str) -> str:
-        return name.replace(".", "_").replace("[", "_").replace("]", "")
+        return name.replace(".", "_")
 
     names = [n for n, _ in param_leaves(params)]
 
@@ -172,7 +170,7 @@ def full_pipeline_gradcheck(seed: int, config: SraConfig | None = None, channels
         result, tape = sra_extract_recorded(fmap, box, p, config)
 
         def vjp(cot):
-            grads, gmap = tape.backward(cot)
+            grads, gmap = tape(cot)
             out = {"fmap": gmap}
             for name, arr in param_leaves(grads):
                 out[safe(name)] = arr

@@ -20,7 +20,7 @@ import numpy as np
 from .numerics import Array
 
 REPORT_SCHEMA = "semroi-report/1"
-CHECKPOINT_FORMAT = "semroi-params/1"
+CHECKPOINT_FORMAT = "semroi-params/2"
 
 
 def tensor_to_tjson(arr: Array) -> dict:

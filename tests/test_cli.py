@@ -153,6 +153,30 @@ def test_bench_reports_cost_model(tmp_path, capsys):
     assert metrics["parameter_count"] > 0
 
 
+def test_bench_counts_the_timed_grids(tmp_path, capsys, monkeypatch):
+    from semroi import cli
+    from semroi.evaluate import flops_estimate
+
+    timed = cli.sra_extract
+    grids = []
+
+    def recorded(*args):
+        result = timed(*args)
+        grids.append(result.grid)
+        return result
+
+    monkeypatch.setattr(cli, "sra_extract", recorded)
+    code = run(["bench", "--out", str(tmp_path), "--set", "bench.timing_rois=6",
+                "--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(grids) == 6 and len(set(grids)) > 1
+    doc = load_report(tmp_path, "bench")
+    cfg = sra_config_from(doc["config"])
+    want = [flops_estimate(cfg, doc["metrics"]["channels"], g).per_roi for g in grids]
+    assert doc["metrics"]["multiply_adds_per_roi"] == pytest.approx(sum(want) / len(want), rel=1e-12)
+
+
 def test_csv_format_report(tmp_path, capsys):
     code = run(["ablate-sampler", "--mode", "fixed", "--out", str(tmp_path),
                 "--format", "csv", "--set", "sampler.n_boxes=10"])

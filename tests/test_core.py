@@ -9,7 +9,6 @@ from semroi.core import (
     extract_on_grid_recorded,
     init_params,
     mask_logits,
-    masks_from_logits,
     param_leaves,
     parameter_count,
     roi_descriptor,
@@ -21,7 +20,7 @@ from semroi.core import (
     sra_extract,
     sra_extract_recorded,
 )
-from semroi.numerics import ConfigError, LinearParams, ShapeError
+from semroi.numerics import ConfigError, LinearParams, ShapeError, softmax_spatial
 from semroi.oracles import (
     full_pipeline_gradcheck,
     mask_logits_loop,
@@ -146,10 +145,8 @@ def test_semantic_shape_error():
 
 def test_mask_logits_zero_params_zero_output():
     params = tiny_params()
-    for leaf in ("trunk_norm", "trunk_linear", "head_norm", "head_linear"):
-        obj = getattr(params, leaf)
-        for _, arr in param_leaves(obj, leaf):
-            arr[...] = 0.0
+    for _, arr in param_leaves(params.mask_mlp):
+        arr[...] = 0.0
     rng = np.random.default_rng(7)
     out = mask_logits(rng.standard_normal(5), rng.standard_normal((5, 2, 3)),
                       rng.standard_normal((3, 2, 3)), params)
@@ -187,7 +184,7 @@ def test_mask_logits_independent_heads_match_loop():
         independent_heads=True,
     )
     params = init_params(cfg, 4, np.random.default_rng(10))
-    assert params.trunk_linear is None and len(params.mask_mlps) == 3
+    assert params.mask_mlp.head_linear.weight.shape == (3, 1, 6)
     rng = np.random.default_rng(10)
     d = rng.standard_normal(5)
     s = rng.standard_normal((5, 2, 2))
@@ -198,27 +195,27 @@ def test_mask_logits_independent_heads_match_loop():
 
 
 def test_masks_zero_logits_uniform():
-    out = masks_from_logits(np.zeros((2, 3, 4)), gamma=50.0)
+    out = softmax_spatial(np.zeros((2, 3, 4)), gamma=50.0)
     np.testing.assert_allclose(out, 1.0 / 12.0, atol=1e-12)
 
 
 def test_masks_vanishing_gamma_uniform():
     logits = np.random.default_rng(11).standard_normal((3, 4, 4))
-    out = masks_from_logits(logits, gamma=1e-9)
+    out = softmax_spatial(logits, gamma=1e-9)
     assert np.abs(out - 1.0 / 16.0).max() < 1e-6
 
 
 def test_masks_dominant_logit_saturates():
     logits = np.zeros((1, 3, 3))
     logits[0, 1, 2] = 0.5  # margin 0.5 over every other cell
-    out = masks_from_logits(logits, gamma=50.0)
+    out = softmax_spatial(logits, gamma=50.0)
     assert out[0, 1, 2] > 0.999
 
 
 def test_masks_gamma_logit_product_invariance():
     logits = np.random.default_rng(12).standard_normal((2, 3, 3))
-    a = masks_from_logits(logits, gamma=50.0)
-    b = masks_from_logits(logits / 10.0, gamma=500.0)
+    a = softmax_spatial(logits, gamma=50.0)
+    b = softmax_spatial(logits / 10.0, gamma=500.0)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -280,9 +277,8 @@ def test_sampling_shape_error():
 def test_extract_zero_regressor_gives_uniform_masks_and_mean_rows():
     cfg = TINY
     params = tiny_params(17, cfg)
-    for leaf in ("trunk_norm", "trunk_linear", "head_norm", "head_linear"):
-        for _, arr in param_leaves(getattr(params, leaf), leaf):
-            arr[...] = 0.0
+    for _, arr in param_leaves(params.mask_mlp):
+        arr[...] = 0.0
     rng = np.random.default_rng(17)
     fmap = rng.standard_normal((4, 12, 12))
     box = RoIBox(1.0, 2.0, 9.5, 8.0)

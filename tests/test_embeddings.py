@@ -5,10 +5,9 @@ from semroi.embeddings import (
     area_embedding_raw,
     position_embedding_raw,
     project_embedding,
-    project_embedding_vjp,
     upsample_matrix,
 )
-from semroi.numerics import ConfigError, LinearParams, check_vjp
+from semroi.numerics import ConfigError, LinearParams, check_vjp, conv1x1_vjp
 from semroi.sampler import GridSize
 
 
@@ -115,7 +114,7 @@ def test_project_gradient():
     }
 
     def fn(raw, weight, bias):
-        y, rec = project_embedding_vjp(raw, LinearParams(weight, bias))
+        y, rec = conv1x1_vjp(raw, LinearParams(weight, bias))
         return y, lambda g: dict(zip(("raw", "weight", "bias"), rec.backward(g)))
 
     assert check_vjp(fn, args, seed=3).passed

@@ -77,9 +77,8 @@ def test_pairwise_cosines_orthogonal_deltas():
 
 def test_mask_diversity_uniform_masks_fraction_zero():
     params = init_params(CFG, 16, np.random.default_rng(6))
-    for leaf in ("trunk_norm", "trunk_linear", "head_norm", "head_linear"):
-        for _, arr in param_leaves(getattr(params, leaf), leaf):
-            arr[...] = 0.0  # zero regressor -> uniform masks -> all cosines 1
+    for _, arr in param_leaves(params.mask_mlp):
+        arr[...] = 0.0  # zero regressor -> uniform masks -> all cosines 1
     report = mask_diversity(params, CFG, dataset(), 4, np.random.default_rng(7))
     np.testing.assert_allclose(report.mean_matrix, 1.0, atol=1e-12)
     assert report.fraction_below == 0.0

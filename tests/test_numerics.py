@@ -203,6 +203,37 @@ def _layer_norm_case(seed):
     return fn, args
 
 
+def _linear_heads_case(seed):
+    # G=3 stacked maps; odd seeds feed one row batch to every head
+    rng = np.random.default_rng(seed)
+    args = {
+        "x": rng.standard_normal((4, 3) if seed % 2 else (3, 4, 3)),
+        "weight": rng.standard_normal((3, 2, 3)),
+        "bias": rng.standard_normal((3, 2)),
+    }
+
+    def fn(x, weight, bias):
+        y, rec = linear_vjp(x, LinearParams(weight, bias))
+        return y, lambda g: dict(zip(("x", "weight", "bias"), rec.backward(g)))
+
+    return fn, args
+
+
+def _layer_norm_heads_case(seed):
+    rng = np.random.default_rng(seed)
+    args = {
+        "x": rng.standard_normal((2, 4) if seed % 2 else (3, 2, 4)),
+        "gain": rng.standard_normal((3, 4)),
+        "shift": rng.standard_normal((3, 4)),
+    }
+
+    def fn(x, gain, shift):
+        y, rec = layer_norm_vjp(x, LayerNormParams(gain, shift))
+        return y, lambda g: dict(zip(("x", "gain", "shift"), rec.backward(g)))
+
+    return fn, args
+
+
 def _relu_case(seed):
     rng = np.random.default_rng(seed)
     args = {"x": rng.standard_normal(10)}
@@ -255,7 +286,9 @@ def _bilinear_case(seed):
 
 OP_CASES = {
     "linear": _linear_case,
+    "linear_heads": _linear_heads_case,
     "layer_norm": _layer_norm_case,
+    "layer_norm_heads": _layer_norm_heads_case,
     "relu": _relu_case,
     "softmax_spatial": _softmax_case,
     "conv1x1": _conv1x1_case,
