@@ -424,9 +424,13 @@ def sra_extract_recorded(
     fmap: Array, box: RoIBox, params: SraParams, config: SraConfig
 ) -> tuple[ExtractResult, SraTape]:
     """Forward pass with gradient recording; pair with ``sra_backward``."""
+    channels = params.semantic_conv.in_dim
+    if fmap.ndim == 3 and fmap.shape[0] != channels:
+        raise ShapeError(
+            f"sra_extract: feature map has {fmap.shape[0]} channels, "
+            f"parameters expect {channels}"
+        )
     grid = choose_grid(box, config)
-    if config.descriptor_mode == "concatenation" and config.fixed_grid is None:
-        raise ConfigError("concatenation descriptor requires a fixed grid")
     f, rec_pool = block_average_pool_vjp(fmap, box, grid)
     y, masks, grid_backward = extract_on_grid_recorded(f, params, config)
 

@@ -6,8 +6,9 @@ returns a :class:`VjpRecord` whose ``backward`` maps an output cotangent to
 input and parameter cotangents.  ``check_vjp`` validates any such operation
 against central finite differences.
 
-All arrays are numpy ndarrays in float64; tensors on disk use the tjson
-format (see :mod:`semroi.reporting`).
+All arrays are numpy ndarrays in float64, except that ``check_vjp`` runs
+forward passes in ``np.longdouble``; tensors on disk use the tjson format
+(see :mod:`semroi.reporting`).
 """
 
 from __future__ import annotations
@@ -312,47 +313,56 @@ def check_vjp(
     args: dict[str, Array],
     seed: int,
     tolerance: float = 1e-4,
-    step: float = 1e-5,
+    step: float = 1e-6,
 ) -> GradCheckReport:
     """Compare VJP gradients of a random scalar projection against central
     finite differences.
 
     ``fn(**args)`` must return ``(output, vjp)`` with ``vjp(cotangent)`` a
-    dict of gradients keyed like ``args``.  Uses double precision throughout;
-    the relative error floor 1e-6 absorbs finite-difference roundoff on
-    near-zero gradients.
+    dict of gradients keyed like ``args``.  The VJP runs in double
+    precision; the finite differences evaluate ``fn`` on ``np.longdouble``
+    copies of the arguments, and ``fn`` must carry that precision through to
+    its output (``TypeError`` otherwise): a silent float64 downcast would
+    make the difference quotient roundoff-bound at this step.  With x86
+    80-bit extended precision, roundoff and truncation both stay well under
+    the relative error floor 1e-6 that guards near-zero gradients.
     """
     rng = np.random.default_rng(seed)
-    # fresh contiguous copies: perturbation below writes through ravel() views
     base = {k: np.array(v, dtype=float) for k, v in args.items()}
     out, vjp = fn(**base)
     proj = rng.standard_normal(out.shape)
     grads = vjp(proj)
+    # contiguous copies: perturbation below writes through reshape(-1) views
+    wide = {k: v.astype(np.longdouble) for k, v in base.items()}
 
-    def loss(current: dict[str, Array]) -> float:
-        value, _ = fn(**current)
-        return float((value * proj).sum())
+    def loss() -> np.longdouble:
+        value, _ = fn(**wide)
+        if value.dtype != np.longdouble:
+            raise TypeError(
+                f"check_vjp: fn returned {value.dtype} for np.longdouble arguments"
+            )
+        return (value * proj).sum()
 
     max_rel = 0.0
     worst = "<none>"
     n_coords = 0
-    for name, arr in base.items():
+    for name, arr in wide.items():
         got = np.asarray(grads[name], dtype=float)
         if got.shape != arr.shape:
             raise ShapeError(
                 f"check_vjp: gradient shape {got.shape} for '{name}' does not "
                 f"match input shape {arr.shape}"
             )
-        flat = arr.ravel()
+        flat = arr.reshape(-1)
         for idx in range(flat.size):
             n_coords += 1
             orig = flat[idx]
             flat[idx] = orig + step
-            fplus = loss(base)
+            fplus = loss()
             flat[idx] = orig - step
-            fminus = loss(base)
+            fminus = loss()
             flat[idx] = orig
-            fd = (fplus - fminus) / (2.0 * step)
+            fd = float((fplus - fminus) / (2 * np.longdouble(step)))
             g = got.ravel()[idx]
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
             if rel > max_rel:

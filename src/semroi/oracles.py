@@ -11,6 +11,7 @@ hand-derived literals.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,12 +36,20 @@ from .numerics import (
     Array,
     LayerNormParams,
     LinearParams,
+    VjpRecord,
+    bilinear_sample_many_vjp,
     check_vjp,
     layer_norm,
     linear,
     softmax_spatial,
 )
-from .sampler import GridSize, RoIBox, block_average_pool, dynamic_grid_size
+from .sampler import (
+    GridSize,
+    RoIBox,
+    block_average_pool,
+    block_average_pool_vjp,
+    dynamic_grid_size,
+)
 
 
 @dataclass
@@ -68,6 +77,40 @@ def grid_size_exhaustive(box: RoIBox, budget: int) -> GridSize:
     diffs = np.abs(hs / ws - ratio)
     order = np.lexsort((-hs, -(hs * ws), diffs))
     return GridSize(int(hs[order[0]]), int(ws[order[0]]))
+
+
+def _block_sample_points(box: RoIBox, grid: GridSize) -> tuple[Array, Array]:
+    """Continuous (y, x) coordinates of the 4 quarter-point samples per block,
+    ordered (block_row, block_col, sample)."""
+    h, w = grid
+    bh = box.height / h
+    bw = box.width / w
+    off = np.array([0.25, 0.75])
+    ys = box.y0 + (np.arange(h)[:, None] + off[None, :]) * bh  # (h, 2)
+    xs = box.x0 + (np.arange(w)[:, None] + off[None, :]) * bw  # (w, 2)
+    # (h, w, 2, 2) -> sample index s = 2*sy + sx
+    yy = np.broadcast_to(ys[:, None, :, None], (h, w, 2, 2))
+    xx = np.broadcast_to(xs[None, :, None, :], (h, w, 2, 2))
+    return yy.ravel(), xx.ravel()
+
+
+def block_average_pool_points(
+    fmap: Array, box: RoIBox, grid: GridSize
+) -> tuple[Array, VjpRecord]:
+    """Point form of the block-average pool: gather the 4 bilinear samples
+    of every block and average them; the backward scatters through
+    ``bilinear_sample_many_vjp``."""
+    h, w = grid
+    ys, xs = _block_sample_points(box, grid)
+    vals, rec = bilinear_sample_many_vjp(fmap, ys, xs)
+    C = fmap.shape[0]
+    out = vals.reshape(C, h, w, 4).mean(axis=3)
+
+    def backward(gy: Array) -> tuple[Array]:
+        gs = np.repeat(gy[..., None] / 4.0, 4, axis=3).reshape(C, -1)
+        return rec.backward(gs)
+
+    return out, VjpRecord("block_average_pool_points", backward)
 
 
 def conv1x1_loop(x: Array, weight: Array, bias: Array) -> Array:
@@ -164,9 +207,12 @@ def full_pipeline_gradcheck(seed: int, config: SraConfig | None = None, channels
     names = [n for n, _ in param_leaves(params)]
 
     def fn(fmap, **leafed):
+        # rebind the leaves rather than copy into them, so that extended-
+        # precision arguments keep their dtype
         p = copy.deepcopy(params)
-        for name, arr in param_leaves(p):
-            arr[...] = leafed[safe(name)]
+        for name in names:
+            *path, leaf = name.split(".")
+            setattr(functools.reduce(getattr, path, p), leaf, leafed[safe(name)])
         result, tape = sra_extract_recorded(fmap, box, p, config)
 
         def vjp(cot):
@@ -213,6 +259,33 @@ def check_pool_bilinear_hand(seed: int = 0) -> OracleResult:
     fmap = np.array([[[0.0, 1.0], [2.0, 3.0]]])
     got = block_average_pool(fmap, RoIBox(0, 0, 1, 1), GridSize(1, 1))
     return _result("pool_bilinear_hand", abs(float(got[0, 0, 0]) - 1.5), 1e-12)
+
+
+def check_pool_operator_vs_points(seed: int = 0) -> OracleResult:
+    """Separable pool against the point form, forward and backward, on mixed
+    grids, boxes hanging off the map (clamping) and sub-pixel boxes."""
+    rng = np.random.default_rng(seed)
+    fmap = rng.standard_normal((3, 9, 11))
+    boxes = [
+        RoIBox(1.3, 2.1, 6.2, 6.9),
+        RoIBox(-2.5, 5.0, 4.0, 12.5),  # off the top-left and bottom edges
+        RoIBox(8.2, -3.0, 14.0, 2.0),  # off the right and top edges
+        RoIBox(-9.0, -9.0, -1.0, -2.0),  # wholly outside: clamps to a corner
+        RoIBox(4.4, 3.6, 4.7, 3.8),  # smaller than one pixel
+        RoIBox(10.0 - 1e-9, 8.0 - 1e-9, 10.0, 8.0),  # on the last pixel
+    ]
+    err = 0.0
+    for box in boxes:
+        for grid in (GridSize(1, 1), GridSize(2, 5), GridSize(7, 3), dynamic_grid_size(box, 64)):
+            got, rec = block_average_pool_vjp(fmap, box, grid)
+            want, rec_points = block_average_pool_points(fmap, box, grid)
+            g = rng.standard_normal(want.shape)
+            err = max(
+                err,
+                float(np.abs(got - want).max()),
+                float(np.abs(rec.backward(g)[0] - rec_points.backward(g)[0]).max()),
+            )
+    return _result("pool_operator_vs_points", err, 1e-12, f"{len(boxes)} boxes x 4 grids")
 
 
 def check_area_embedding_hand(seed: int = 0) -> OracleResult:
@@ -350,6 +423,7 @@ def check_flops_golden(seed: int = 0) -> OracleResult:
 ALL_CHECKS: list[Callable[[int], OracleResult]] = [
     check_grid_vs_exhaustive,
     check_pool_bilinear_hand,
+    check_pool_operator_vs_points,
     check_area_embedding_hand,
     check_conv1x1_vs_loop,
     check_descriptor_vs_loop,

@@ -3,7 +3,12 @@
 ``dynamic_grid_size`` picks the integer grid whose row/column ratio best
 matches the box's height/width ratio under an area budget; ``block_average_pool``
 cuts the box into that many equal blocks and averages 2x2 bilinear samples
-per block.
+per block.  The 2x2 samples are an outer product of two rows and two
+columns and a bilinear weight is a row weight times a column weight, so the
+pool is separable: ``out[c] = Ry @ F[c, window] @ Rx.T`` with two small
+interpolation matrices over the box's pixel window, and its backward is
+``Ry.T @ G @ Rx`` written into that window.  The point-sampling form it
+replaces is the reference in :mod:`semroi.oracles`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Array, VjpRecord, bilinear_sample_many_vjp
+from .numerics import Array, ShapeError, VjpRecord
 
 # fixed-size mode used by the fixed-vs-dynamic sampler ablation
 FIXED_GRID = (8, 8)
@@ -84,19 +89,24 @@ def dynamic_grid_size(box: RoIBox, budget: int) -> GridSize:
     return best_hw
 
 
-def _block_sample_points(box: RoIBox, grid: GridSize) -> tuple[Array, Array]:
-    """Continuous (y, x) coordinates of the 4 quarter-point samples per block,
-    ordered (block_row, block_col, sample)."""
-    h, w = grid
-    bh = box.height / h
-    bw = box.width / w
-    off = np.array([0.25, 0.75])
-    ys = box.y0 + (np.arange(h)[:, None] + off[None, :]) * bh  # (h, 2)
-    xs = box.x0 + (np.arange(w)[:, None] + off[None, :]) * bw  # (w, 2)
-    # (h, w, 2, 2) -> sample index s = 2*sy + sx
-    yy = np.broadcast_to(ys[:, None, :, None], (h, w, 2, 2))
-    xx = np.broadcast_to(xs[None, :, None, :], (h, w, 2, 2))
-    return yy.ravel(), xx.ravel()
+# fractions of a block at which its two samples per axis sit
+SAMPLE_OFFSETS = np.array([0.25, 0.75])
+
+
+def _block_interp(start: float, length: float, blocks: int, size: int) -> tuple[int, Array]:
+    """First pixel of the window and the ``(blocks, window)`` matrix whose
+    row i is the mean of the linear-interpolation weights of block i's two
+    samples along one axis of ``size`` pixels.
+
+    Samples clamp to ``[0, size - 1]``; pixel p then weighs ``1 - |t - p|``
+    for a sample at t, or nothing when that is negative.
+    """
+    t = start + (np.arange(blocks)[:, None] + SAMPLE_OFFSETS) * (length / blocks)
+    t = np.clip(t, 0.0, size - 1.0)  # (blocks, 2)
+    first = int(np.floor(t.min()))
+    pixels = np.arange(first, int(np.ceil(t.max())) + 1)
+    weights = np.maximum(1.0 - np.abs(t[..., None] - pixels), 0.0)
+    return first, weights.mean(axis=1)
 
 
 def block_average_pool_vjp(
@@ -106,16 +116,23 @@ def block_average_pool_vjp(
 
     Each output value is the mean of 4 bilinear samples at the (1/4, 3/4)
     fractions of its block; samples outside the map clamp to the border.
+    Computed as ``Ry @ F[c, window] @ Rx.T``; the backward writes
+    ``Ry.T @ G @ Rx`` into the window of a zero map.
     """
+    if fmap.ndim != 3:
+        raise ShapeError(f"block_average_pool: expected fmap (C, H, W), got {fmap.shape}")
+    C, H, W = fmap.shape
     h, w = grid
-    ys, xs = _block_sample_points(box, grid)
-    vals, rec = bilinear_sample_many_vjp(fmap, ys, xs)
-    C = fmap.shape[0]
-    out = vals.reshape(C, h, w, 4).mean(axis=3)
+    y0, ry = _block_interp(box.y0, box.height, h, H)
+    x0, rx = _block_interp(box.x0, box.width, w, W)
+    rows, cols = ry.shape[1], rx.shape[1]
+    window = fmap[:, y0 : y0 + rows, x0 : x0 + cols]
+    out = ry @ window @ rx.T
 
     def backward(gy: Array) -> tuple[Array]:
-        gs = np.repeat(gy[..., None] / 4.0, 4, axis=3).reshape(C, -1)
-        return rec.backward(gs)
+        gmap = np.zeros((C, H, W))
+        gmap[:, y0 : y0 + rows, x0 : x0 + cols] = ry.T @ gy @ rx
+        return (gmap,)
 
     return out, VjpRecord("block_average_pool", backward)
 

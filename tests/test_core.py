@@ -292,6 +292,12 @@ def test_extract_zero_regressor_gives_uniform_masks_and_mean_rows():
         np.testing.assert_allclose(result.feature[n], f.mean(axis=(1, 2)), atol=1e-10)
 
 
+def test_extract_channel_mismatch_names_both_counts():
+    params = tiny_params(17, TINY)  # 4 channels
+    with pytest.raises(ShapeError, match="5 channels.*expect 4"):
+        sra_extract(np.zeros((5, 12, 12)), RoIBox(1.0, 2.0, 9.5, 8.0), params, TINY)
+
+
 def test_extract_permutation_invariance_without_embedding():
     cfg = SraConfig(
         n_masks=4, budget=16, descriptor_dim=5, embed_channels=3, hidden=6,

@@ -18,6 +18,7 @@ from semroi.numerics import (
     softmax_spatial,
     softmax_spatial_vjp,
 )
+from semroi.sampler import GridSize, RoIBox, block_average_pool_vjp
 
 
 def test_linear_identity():
@@ -284,6 +285,18 @@ def _bilinear_case(seed):
     return fn, args
 
 
+def _block_average_pool_case(seed):
+    rng = np.random.default_rng(seed)
+    box = RoIBox(-1.4, 2.3, 3.1, 6.8)  # crosses the left and bottom borders
+    args = {"fmap": rng.standard_normal((2, 5, 4))}
+
+    def fn(fmap):
+        y, rec = block_average_pool_vjp(fmap, box, GridSize(3, 2))
+        return y, lambda g: {"fmap": rec.backward(g)[0]}
+
+    return fn, args
+
+
 OP_CASES = {
     "linear": _linear_case,
     "linear_heads": _linear_heads_case,
@@ -293,6 +306,7 @@ OP_CASES = {
     "softmax_spatial": _softmax_case,
     "conv1x1": _conv1x1_case,
     "bilinear_sample_many": _bilinear_case,
+    "block_average_pool": _block_average_pool_case,
 }
 
 
@@ -327,3 +341,14 @@ def test_check_vjp_catches_sign_flip():
     report = check_vjp(corrupted, args, seed=0)
     assert not report.passed
     assert report.worst.startswith("x[")
+
+
+def test_check_vjp_rejects_a_float64_downcast():
+    args = {"x": np.random.default_rng(0).standard_normal(3)}
+
+    def downcast(x):
+        y, rec = relu_vjp(x.astype(float))
+        return y, lambda g: {"x": rec.backward(g)[0]}
+
+    with pytest.raises(TypeError, match="float64"):
+        check_vjp(downcast, args, seed=0)

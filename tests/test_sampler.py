@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semroi.numerics import check_vjp
-from semroi.oracles import grid_size_exhaustive
+from semroi.numerics import ShapeError, check_vjp
+from semroi.oracles import check_pool_operator_vs_points, grid_size_exhaustive
 from semroi.sampler import (
     FIXED_GRID,
     GridSize,
@@ -140,3 +140,34 @@ def test_pool_gradient():
         worst = max(worst, report.max_rel_err)
         assert report.passed, report
     assert worst < 1e-4
+
+
+def test_pool_rejects_map_that_is_not_3d():
+    with pytest.raises(ShapeError, match="C, H, W"):
+        block_average_pool_vjp(np.zeros((10, 10)), RoIBox(1, 1, 5, 5), GridSize(2, 2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pool_operator_matches_point_form(seed):
+    result = check_pool_operator_vs_points(seed)
+    assert result.passed, result
+
+
+def test_pool_backward_is_adjoint():
+    # <A u, v> = <u, A^T v> for the pool A and its backward A^T, on a box
+    # inside the map, boxes hanging off its edges and a sub-pixel box
+    rng = np.random.default_rng(21)
+    boxes = [
+        RoIBox(0.6, 1.1, 7.7, 5.9),
+        RoIBox(-3.0, 4.5, 5.0, 11.0),
+        RoIBox(6.5, -2.0, 12.0, 3.0),
+        RoIBox(2.2, 3.3, 2.5, 3.4),
+    ]
+    for box in boxes:
+        for grid in (GridSize(1, 1), GridSize(3, 4), dynamic_grid_size(box, 32)):
+            u = rng.standard_normal((3, 8, 9))
+            au, rec = block_average_pool_vjp(u, box, grid)
+            v = rng.standard_normal(au.shape)
+            (atv,) = rec.backward(v)
+            lhs, rhs = float((au * v).sum()), float((u * atv).sum())
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (box, grid)
