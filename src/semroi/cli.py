@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,24 +20,26 @@ import numpy as np
 from .core import SraConfig, init_params, param_leaves, parameter_count, sra_extract
 from .evaluate import flops_estimate, invariance_eval, make_feature_fn, mask_diversity
 from .oracles import full_pipeline_gradcheck, run_all
-from .reporting import save_checkpoint, stream_rng, write_report
+from .reporting import derive_seed, save_checkpoint, stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox, dynamic_grid_size
 from .synthetic import TransformRanges, generate_dataset
 from .train import compare_extractors, train_toy
 
-# flat dotted-key configuration; the sra.* defaults are the reference
-# operating point, the desk-scale keys below size the synthetic harness
+
+def _section_defaults(prefix: str, cls: type) -> dict[str, object]:
+    """``prefix.<field>`` keys with the dataclass's own defaults."""
+    return {f"{prefix}.{f.name}": f.default for f in fields(cls)}
+
+
+def _section(config: dict, prefix: str, cls: type) -> dict[str, object]:
+    return {f.name: config[f"{prefix}.{f.name}"] for f in fields(cls)}
+
+
+# flat dotted-key configuration; the sra.* and transform.* keys mirror
+# SraConfig (the reference operating point) and TransformRanges field by
+# field, the desk-scale keys between them size the synthetic harness
 COMMON_DEFAULTS: dict[str, object] = {
-    "sra.n_masks": 49,
-    "sra.budget": 128,
-    "sra.descriptor_dim": 256,
-    "sra.embed_channels": 32,
-    "sra.gamma": 50.0,
-    "sra.hidden": 128,
-    "sra.descriptor_mode": "average",
-    "sra.embedding_mode": "area",
-    "sra.fixed_grid": "none",
-    "sra.independent_heads": False,
+    **_section_defaults("sra", SraConfig),
     "data.n_classes": 4,
     "data.n_per_class": 200,
     "data.channels": 16,
@@ -47,10 +49,7 @@ COMMON_DEFAULTS: dict[str, object] = {
     "train.kind": "both",
     "eval.invariance_samples": 60,
     "eval.diversity_samples": 40,
-    "transform.rotation_max_deg": 45.0,
-    "transform.scale_lo": 0.8,
-    "transform.scale_hi": 1.25,
-    "transform.pan_frac": 0.1,
+    **_section_defaults("transform", TransformRanges),
 }
 
 SUBCOMMAND_DEFAULTS: dict[str, dict[str, object]] = {
@@ -119,27 +118,13 @@ def resolve_config(subcommand: str, config_file: str | None, overrides: list[str
 
 
 def sra_config_from(config: dict) -> SraConfig:
-    return SraConfig(
-        n_masks=config["sra.n_masks"],
-        budget=config["sra.budget"],
-        descriptor_dim=config["sra.descriptor_dim"],
-        embed_channels=config["sra.embed_channels"],
-        gamma=config["sra.gamma"],
-        hidden=config["sra.hidden"],
-        descriptor_mode=config["sra.descriptor_mode"],
-        embedding_mode=config["sra.embedding_mode"],
-        fixed_grid=_parse_grid(config["sra.fixed_grid"]),
-        independent_heads=config["sra.independent_heads"],
-    )
+    values = _section(config, "sra", SraConfig)
+    values["fixed_grid"] = _parse_grid(values["fixed_grid"])
+    return SraConfig(**values)
 
 
 def ranges_from(config: dict) -> TransformRanges:
-    return TransformRanges(
-        rotation_max_deg=config["transform.rotation_max_deg"],
-        scale_lo=config["transform.scale_lo"],
-        scale_hi=config["transform.scale_hi"],
-        pan_frac=config["transform.pan_frac"],
-    )
+    return TransformRanges(**_section(config, "transform", TransformRanges))
 
 
 def _dataset(config: dict, seed: int, n_per_class: int | None = None):
@@ -148,7 +133,7 @@ def _dataset(config: dict, seed: int, n_per_class: int | None = None):
     return generate_dataset(
         n_classes,
         n_classes * per_class,
-        seed,
+        derive_seed(seed, "data"),
         ranges_from(config),
         channels=config["data.channels"],
     )

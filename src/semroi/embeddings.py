@@ -3,7 +3,9 @@
 Two raw variants: a 2-channel center-position embedding (each grid cell's
 normalized row/column coordinate) and an area embedding that represents the
 full sampled interval per axis as a linearly upsampled one-hot vector of a
-fixed length.  Either is mapped to P channels by a per-position projection.
+fixed length; the upsampling matrix is the pool's interpolation hat
+(``sampler.interp_weights``) evaluated at the clamped target centers.
+Either is mapped to P channels by a per-position projection.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import Array, ConfigError, LinearParams, conv1x1_vjp
-from .sampler import GridSize
+from .sampler import GridSize, interp_weights
 
 
 def position_embedding_raw(grid: GridSize) -> Array:
@@ -34,21 +36,14 @@ def position_embedding_raw(grid: GridSize) -> Array:
 def upsample_matrix(src_len: int, dst_len: int) -> Array:
     """(dst_len, src_len) linear-interpolation weights between cell centers.
 
-    Target cell t at center (t+0.5)/dst_len interpolates between the two
-    source centers (b+0.5)/src_len that bracket it; targets outside the
-    source centers clamp to the nearest edge cell.
+    Target cell t sits at source coordinate (t+0.5)*src_len/dst_len - 0.5,
+    clamped to the source centers [0, src_len - 1], and weighs each source
+    cell by the hat of :func:`semroi.sampler.interp_weights`.
     """
-    # multiply before dividing: keeps pos exact (so alpha == 0) when the
-    # lengths match, making same-length upsampling a true identity
+    # multiply before dividing: keeps pos integral when the lengths match,
+    # making same-length upsampling a true identity
     pos = (np.arange(dst_len) + 0.5) * src_len / dst_len - 0.5
-    b0 = np.clip(np.floor(pos), 0, src_len - 1).astype(np.int64)
-    b1 = np.minimum(b0 + 1, src_len - 1)
-    alpha = np.clip(pos - b0, 0.0, 1.0)
-    mat = np.zeros((dst_len, src_len))
-    t = np.arange(dst_len)
-    np.add.at(mat, (t, b0), 1.0 - alpha)
-    np.add.at(mat, (t, b1), alpha)
-    return mat
+    return interp_weights(np.clip(pos, 0.0, src_len - 1.0), np.arange(src_len))
 
 
 def area_embedding_raw(grid: GridSize, m_axis: int) -> Array:

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import roi_align, roi_pool
+from .baselines import DEFAULT_OUT, roi_align, roi_pool
 from .core import SraConfig, SraParams, sra_extract
 from .numerics import Array
 from .synthetic import Pose, SyntheticInstance, TransformRanges, apply_transform
@@ -21,7 +21,7 @@ def make_feature_fn(
     kind: str,
     params: SraParams | None = None,
     config: SraConfig | None = None,
-    out: tuple[int, int] = (7, 7),
+    out: tuple[int, int] = DEFAULT_OUT,
 ) -> FeatureFn:
     """Flattened-RoI-feature closure for an extractor kind."""
     if kind == "sra":

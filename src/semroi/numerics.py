@@ -367,7 +367,8 @@ def check_vjp(
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
             if rel > max_rel:
                 max_rel = rel
-                worst = f"{name}[{np.unravel_index(idx, arr.shape)}]"
+                where = tuple(int(i) for i in np.unravel_index(idx, arr.shape))
+                worst = f"{name}[{where}]"
     return GradCheckReport(
         passed=max_rel < tolerance, max_rel_err=max_rel, worst=worst, n_coords=n_coords
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import roi_align
+from .baselines import DEFAULT_OUT, roi_align
 from .core import (
     SraConfig,
     SraParams,
@@ -17,18 +17,15 @@ from .core import (
     sra_backward,
     sra_extract_recorded,
 )
-from .evaluate import invariance_eval, make_feature_fn, mask_diversity
+from .evaluate import invariance_eval, make_feature_fn, mask_diversity, random_delta
 from .numerics import Array, LinearParams, init_linear
 from .reporting import derive_seed, stream_rng
 from .synthetic import (
-    Pose,
     SyntheticInstance,
     TransformRanges,
     apply_transform,
     generate_dataset,
 )
-
-BASELINE_OUT = (7, 7)
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,7 +40,6 @@ class TrainState:
     classifier: LinearParams
     momenta: dict[str, Array] = field(default_factory=dict)
     step: int = 0
-    seed: int = 0
 
     def leaves(self) -> list[tuple[str, Array]]:
         out = param_leaves(self.classifier, "classifier")
@@ -70,11 +66,11 @@ def init_train_state(
         feat_dim = config.n_masks * channels
     elif kind == "roi_align":
         params = None
-        feat_dim = BASELINE_OUT[0] * BASELINE_OUT[1] * channels
+        feat_dim = DEFAULT_OUT[0] * DEFAULT_OUT[1] * channels
     else:
         raise ValueError(f"unknown extractor kind {kind!r}")
     classifier = init_linear(stream_rng(seed, "classifier"), feat_dim, n_classes)
-    state = TrainState(kind=kind, config=config, params=params, classifier=classifier, seed=seed)
+    state = TrainState(kind=kind, config=config, params=params, classifier=classifier)
     state.momenta = {name: np.zeros_like(arr) for name, arr in state.leaves()}
     return state
 
@@ -101,7 +97,7 @@ def train_step(
         )
         feat = result.feature.ravel()
     else:
-        feat = roi_align(inst.feature_map, inst.box, BASELINE_OUT).ravel()
+        feat = roi_align(inst.feature_map, inst.box).ravel()
     logits = state.classifier.weight @ feat + state.classifier.bias
     loss, dlogits = softmax_cross_entropy(logits, inst.label)
     if not np.isfinite(loss):
@@ -123,7 +119,7 @@ def train_step(
 
 
 def predict(state: TrainState, inst: SyntheticInstance) -> int:
-    feature_fn = make_feature_fn(state.kind, state.params, state.config, BASELINE_OUT)
+    feature_fn = make_feature_fn(state.kind, state.params, state.config)
     logits = state.classifier.weight @ feature_fn(inst) + state.classifier.bias
     return int(np.argmax(logits))
 
@@ -159,11 +155,7 @@ def augment_rotation(
 ) -> list[SyntheticInstance]:
     """Compose a fresh random rotation onto each instance (re-rendered)."""
     rng = stream_rng(seed, "test-augment")
-    out = []
-    for inst in instances:
-        delta = Pose(rotation_deg=float(rng.uniform(-ranges.rotation_max_deg, ranges.rotation_max_deg)))
-        out.append(apply_transform(inst, delta))
-    return out
+    return [apply_transform(inst, random_delta("rotation", rng, ranges)) for inst in instances]
 
 
 def train_toy(
@@ -242,7 +234,7 @@ def compare_extractors(
                 "test_curve": [h["test_accuracy"] for h in history],
             }
             rot = invariance_eval(
-                make_feature_fn(kind, state.params, state.config, BASELINE_OUT),
+                make_feature_fn(kind, state.params, state.config),
                 dataset,
                 "rotation",
                 invariance_samples,

@@ -1,8 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from semroi.cli import resolve_config, run, sra_config_from, UsageError
+from semroi.cli import ranges_from, resolve_config, run, sra_config_from, UsageError
+from semroi.core import SraConfig
+from semroi.synthetic import TransformRanges
 
 TINY_TRAIN = [
     "--set", "sra.n_masks=4",
@@ -25,6 +28,15 @@ def test_defaults_reproduce_reference_settings():
     config = resolve_config("train-toy", None, [])
     cfg = sra_config_from(config)
     assert (cfg.n_masks, cfg.budget, cfg.descriptor_dim, cfg.gamma) == (49, 128, 256, 50.0)
+    # the sra.* and transform.* keys are exactly the dataclass fields
+    assert cfg == SraConfig()
+    assert ranges_from(config) == TransformRanges()
+    for prefix, cls in (("sra", SraConfig), ("transform", TransformRanges)):
+        assert {k for k in config if k.startswith(prefix + ".")} == {
+            f"{prefix}.{f.name}" for f in fields(cls)
+        }
+    pinned = resolve_config("train-toy", None, ["sra.fixed_grid=6x5"])
+    assert sra_config_from(pinned).fixed_grid == (6, 5)
 
 
 def test_unknown_config_key_rejected():
@@ -119,6 +131,17 @@ def test_train_toy_single_kind_saves_checkpoint(tmp_path, capsys):
     ckpt = json.loads((tmp_path / "trained_sra_seed0.tjson").read_text())
     assert ckpt["format"].startswith("semroi-params/")
     assert "psi.weight" in ckpt["tensors"]
+
+
+def test_train_toy_single_kind_trains_on_the_both_dataset(tmp_path, capsys):
+    # one seed, one dataset: train.kind=sra reproduces the sra half of both
+    tiny = [*TINY_TRAIN, "--set", "train.epochs=2"]
+    assert run(["train-toy", "--out", str(tmp_path / "sra"), "--set", "train.kind=sra", *tiny]) == 0
+    assert run(["train-toy", "--out", str(tmp_path / "both"), *tiny]) == 0
+    capsys.readouterr()
+    single = load_report(tmp_path / "sra", "train-toy")["metrics"]["history"]
+    both = load_report(tmp_path / "both", "train-toy")["metrics"]["runs"][0]["sra"]
+    assert [h["train_loss"] for h in single] == both["loss_curve"]
 
 
 def test_invariance_report_structure(tmp_path, capsys):

@@ -372,6 +372,11 @@ def test_full_pipeline_gradcheck_single_seed():
     assert report.passed, report
 
 
+def test_full_pipeline_gradcheck_worst_index_is_plain_ints():
+    # numpy 2 reprs np.unravel_index's scalars as np.int64(1)
+    assert full_pipeline_gradcheck(1).worst == "semantic_conv_bias[(1,)]"
+
+
 def test_full_pipeline_gradcheck_independent_heads():
     cfg = SraConfig(
         n_masks=2, budget=4, descriptor_dim=4, embed_channels=3, hidden=5,

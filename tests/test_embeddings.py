@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,31 @@ def test_area_embedding_mass_preservation_divisor_grids():
         np.testing.assert_allclose(sums[1:-1], m_axis / h, atol=1e-9)
         assert sums[0] >= m_axis / h - 1e-9
         assert sums[-1] >= m_axis / h - 1e-9
+
+
+def _upsample_loop(src_len, dst_len):
+    # per target: bracket the source coordinate between two source centers,
+    # or clamp it to an edge center
+    mat = np.zeros((dst_len, src_len))
+    for t in range(dst_len):
+        pos = (t + 0.5) * src_len / dst_len - 0.5
+        if pos <= 0.0:
+            mat[t, 0] = 1.0
+        elif pos >= src_len - 1:
+            mat[t, src_len - 1] = 1.0
+        else:
+            b = math.floor(pos)
+            mat[t, b] = 1.0 - (pos - b)
+            mat[t, b + 1] = pos - b
+    return mat
+
+
+@pytest.mark.parametrize("dst_len", [1, 4, 32, 128])
+def test_upsample_matrix_equals_bracketing_loop(dst_len):
+    for src_len in range(1, dst_len + 1):
+        np.testing.assert_array_equal(
+            upsample_matrix(src_len, dst_len), _upsample_loop(src_len, dst_len)
+        )
 
 
 def test_area_embedding_rejects_oversized_grid():
