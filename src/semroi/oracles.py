@@ -50,6 +50,14 @@ from .sampler import (
     block_average_pool_vjp,
     dynamic_grid_size,
 )
+from .synthetic import (
+    Pose,
+    RenderContext,
+    apply_stem,
+    make_render_context,
+    part_layout,
+    render_instance,
+)
 
 
 @dataclass
@@ -185,6 +193,31 @@ def roi_pool_loop(fmap: Array, box: RoIBox, out: tuple[int, int]) -> Array:
     return result
 
 
+def apply_stem_einsum(fmap: Array, stem: Array) -> Array:
+    """The 3x3 stem as one einsum over the nine shifted views, no BLAS."""
+    c, height, width = fmap.shape
+    padded = np.pad(fmap, ((0, 0), (1, 1), (1, 1)))
+    stack = np.stack(
+        [padded[:, dy : dy + height, dx : dx + width] for dy in range(3) for dx in range(3)]
+    )  # (9, C, H, W)
+    return np.einsum("cko,okhw->chw", stem.reshape(c, c, 9), stack)
+
+
+def render_map_loop(ctx: RenderContext, label: int, pose: Pose, seed: int) -> Array:
+    """The rendered map from the same noise draw, one 2-D Gaussian per part
+    added in turn, and the einsum stem."""
+    rng = np.random.default_rng(seed)
+    size = ctx.map_size
+    fmap = rng.normal(0.0, ctx.noise_amp, size=(ctx.channels, size, size))
+    centers, sigmas, signatures = part_layout(ctx, label, pose)
+    yy = np.arange(size)[:, None]
+    xx = np.arange(size)[None, :]
+    for (cy, cx), sigma, signature in zip(centers, sigmas, signatures):
+        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma**2))
+        fmap += ctx.blob_amp * signature[:, None, None] * blob
+    return apply_stem_einsum(fmap, ctx.stem)
+
+
 def full_pipeline_gradcheck(seed: int, config: SraConfig | None = None, channels: int = 4):
     """Finite-difference check across the input map and every parameter."""
     if config is None:
@@ -286,6 +319,35 @@ def check_pool_operator_vs_points(seed: int = 0) -> OracleResult:
                 float(np.abs(rec.backward(g)[0] - rec_points.backward(g)[0]).max()),
             )
     return _result("pool_operator_vs_points", err, 1e-12, f"{len(boxes)} boxes x 4 grids")
+
+
+def _rel_err(got: Array, want: Array) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def check_render_vs_loop(seed: int = 0) -> OracleResult:
+    """BLAS stem and matmul part blobs against the einsum stem and the
+    per-part loop: the stem on non-square maps at several channel counts,
+    the full render at identity, rotated and reflected poses."""
+    rng = np.random.default_rng(seed)
+    err = 0.0
+    for c in (1, 3, 16):
+        fmap = rng.standard_normal((c, 7, 12))
+        stem = rng.standard_normal((c, c, 3, 3))
+        err = max(err, _rel_err(apply_stem(fmap, stem), apply_stem_einsum(fmap, stem)))
+    ctx = make_render_context(3, seed, channels=8, map_size=24, box_size=10.0, layout_radius=5.0)
+    poses = [
+        Pose(),
+        Pose(rotation_deg=30.0),
+        Pose(reflected=True),
+        Pose(rotation_deg=-117.5, reflected=True, scale=1.2, pan_x=0.1),
+    ]
+    for label in range(3):
+        for k, pose in enumerate(poses):
+            inst_seed = seed * 100 + label * 10 + k
+            got = render_instance(ctx, label, pose, inst_seed).feature_map
+            err = max(err, _rel_err(got, render_map_loop(ctx, label, pose, inst_seed)))
+    return _result("render_vs_loop", err, 1e-12, f"3 stems, 3 classes x {len(poses)} poses")
 
 
 def check_area_embedding_hand(seed: int = 0) -> OracleResult:
@@ -424,6 +486,7 @@ ALL_CHECKS: list[Callable[[int], OracleResult]] = [
     check_grid_vs_exhaustive,
     check_pool_bilinear_hand,
     check_pool_operator_vs_points,
+    check_render_vs_loop,
     check_area_embedding_hand,
     check_conv1x1_vs_loop,
     check_descriptor_vs_loop,

@@ -2,7 +2,9 @@
 
 tjson is the on-disk tensor format used everywhere: a JSON document
 ``{"dims": [...], "data": [...]}`` with row-major flattening.  Parameter
-checkpoints are a single JSON manifest of named tjson tensors.  All
+checkpoints are a single JSON manifest of named tjson tensors.  Every
+document is written as strict JSON: a NaN or infinite value raises
+``ValueError`` rather than writing a bare ``NaN``, which is not JSON.  All
 randomness flows from one master seed through named streams so subsystems
 are independently reproducible.
 """
@@ -41,7 +43,7 @@ def tensor_from_tjson(doc: dict) -> Array:
 
 
 def save_tjson(path: str | Path, arr: Array) -> None:
-    Path(path).write_text(json.dumps(tensor_to_tjson(arr)))
+    Path(path).write_text(json.dumps(tensor_to_tjson(arr), allow_nan=False))
 
 
 def load_tjson(path: str | Path) -> Array:
@@ -93,9 +95,11 @@ def write_report(path: str | Path, payload: dict, fmt: str = "json") -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        path.write_text(json.dumps(payload, indent=2, default=_jsonable))
+        path.write_text(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
     elif fmt == "csv":
-        path.write_text(report_to_csv(json.loads(json.dumps(payload, default=_jsonable))))
+        path.write_text(
+            report_to_csv(json.loads(json.dumps(payload, default=_jsonable, allow_nan=False)))
+        )
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return path
@@ -123,7 +127,7 @@ def save_checkpoint(path: str | Path, named_tensors: list[tuple[str, Array]], me
         "meta": meta or {},
         "tensors": {name: tensor_to_tjson(arr) for name, arr in named_tensors},
     }
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc, allow_nan=False))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:

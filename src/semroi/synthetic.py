@@ -121,13 +121,25 @@ def _rotate_reflect(offsets: Array, pose: Pose) -> Array:
 
 
 def apply_stem(fmap: Array, stem: Array) -> Array:
-    """3x3 channel-mixing convolution, zero padded."""
+    """3x3 channel-mixing convolution, zero padded, as one matmul over the
+    (C, 9, H, W) stack of shifted views."""
     c, height, width = fmap.shape
     padded = np.pad(fmap, ((0, 0), (1, 1), (1, 1)))
-    stack = np.stack(
-        [padded[:, dy : dy + height, dx : dx + width] for dy in range(3) for dx in range(3)]
-    )  # (9, C, H, W)
-    return np.einsum("cko,okhw->chw", stem.reshape(c, c, 9), stack)
+    cols = np.stack(
+        [padded[:, dy : dy + height, dx : dx + width] for dy in range(3) for dx in range(3)],
+        axis=1,
+    )
+    return (stem.reshape(c, 9 * c) @ cols.reshape(9 * c, height * width)).reshape(c, height, width)
+
+
+def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Array, Array]:
+    """(y, x) centers (n, 2), Gaussian widths sigma (n,) and signatures
+    (n, C) of the class's n parts at ``pose``."""
+    parts = ctx.classes[label].parts
+    offsets = np.array([[p.offset_y, p.offset_x] for p in parts])
+    centers = ctx.map_size / 2.0 + _rotate_reflect(offsets, pose)
+    sigmas = np.array([p.sigma for p in parts])
+    return centers, sigmas, np.array([p.signature for p in parts])
 
 
 def render_instance(
@@ -137,18 +149,17 @@ def render_instance(
     rng = np.random.default_rng(seed)
     size = ctx.map_size
     fmap = rng.normal(0.0, ctx.noise_amp, size=(ctx.channels, size, size))
-    spec = ctx.classes[label]
-    center = size / 2.0
-    offsets = np.array([[p.offset_y, p.offset_x] for p in spec.parts])
-    moved = _rotate_reflect(offsets, pose)
-    yy = np.arange(size)[:, None]
-    xx = np.arange(size)[None, :]
-    for part, (oy, ox) in zip(spec.parts, moved):
-        cy, cx = center + oy, center + ox
-        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * part.sigma**2))
-        fmap += ctx.blob_amp * part.signature[:, None, None] * blob
+    centers, sigmas, signatures = part_layout(ctx, label, pose)
+    # each blob is separable: a row profile times a column profile
+    pix = np.arange(size)
+    two_var = (2.0 * sigmas**2)[:, None]
+    ey = np.exp(-((pix - centers[:, :1]) ** 2) / two_var)  # (n, H)
+    ex = np.exp(-((pix - centers[:, 1:]) ** 2) / two_var)  # (n, W)
+    blobs = (ey[:, :, None] * ex[:, None, :]).reshape(len(sigmas), size * size)
+    fmap += (ctx.blob_amp * (signatures.T @ blobs)).reshape(fmap.shape)
     fmap = apply_stem(fmap, ctx.stem)
 
+    center = size / 2.0
     half = ctx.box_size * pose.scale / 2.0
     bx = center + pose.pan_x * ctx.box_size
     by = center + pose.pan_y * ctx.box_size
@@ -368,7 +379,7 @@ def save_dataset(directory: str | Path, instances: list[SyntheticInstance], seed
         "context": _ctx_doc(instances[0].ctx) if instances else None,
         "instances": entries,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest))
+    (directory / "manifest.json").write_text(json.dumps(manifest, allow_nan=False))
 
 
 def load_dataset(directory: str | Path) -> list[SyntheticInstance]:

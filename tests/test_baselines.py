@@ -81,3 +81,34 @@ def test_roi_align_gradient():
         worst = max(worst, report.max_rel_err)
         assert report.passed, report
     assert worst < 1e-4
+
+
+def test_roi_pool_bins_empty_along_one_axis_take_the_center_pixel():
+    # thin boxes: every column bin (or row bin) holds no integer pixel while
+    # the other axis does; such a bin is the pixel nearest its center, not a
+    # max along the non-empty axis
+    rng = np.random.default_rng(4)
+    fmap = rng.standard_normal((3, 9, 10))
+    cases = [
+        (RoIBox(3.2, 0.5, 3.6, 7.5), (3, 2)),  # columns empty, rows not
+        (RoIBox(0.4, 5.1, 8.8, 5.3), (2, 4)),  # rows empty, columns not
+        (RoIBox(1.5, 2.5, 3.0, 8.0), (4, 3)),  # some column bins empty
+        (RoIBox(-3.0, 7.6, 4.0, 7.9), (1, 5)),  # off the map, rows empty
+    ]
+    for box, out in cases:
+        got = roi_pool(fmap, box, out)
+        np.testing.assert_array_equal(got, roi_pool_loop(fmap, box, out))
+    got = roi_pool(fmap, RoIBox(3.2, 0.5, 3.6, 7.5), (3, 2))
+    # row bin 1 covers rows 3..5 and is centered on 4; column bin 0 centers
+    # on x = 3.3 -> pixel 3
+    np.testing.assert_array_equal(got[1, 0], fmap[:, 4, 3])
+
+
+def test_roi_pool_matches_membership_oracle_on_mixed_outputs():
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        fmap = rng.standard_normal((2, 7, 9))
+        x0, y0 = rng.uniform(-3, 9, 2)
+        box = RoIBox(x0, y0, x0 + rng.uniform(0.05, 8), y0 + rng.uniform(0.05, 8))
+        out = [(7, 7), (3, 5), (1, 1), (9, 2)][i % 4]
+        np.testing.assert_array_equal(roi_pool(fmap, box, out), roi_pool_loop(fmap, box, out))

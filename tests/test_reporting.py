@@ -7,6 +7,7 @@ from semroi.reporting import (
     derive_seed,
     load_tjson,
     report_to_csv,
+    save_checkpoint,
     save_tjson,
     stream_rng,
     tensor_from_tjson,
@@ -69,3 +70,23 @@ def test_report_csv_flattens_dotted_keys():
 def test_write_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         write_report(tmp_path / "r.xml", {}, fmt="xml")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_report_refuses_nan(tmp_path, fmt):
+    with pytest.raises(ValueError):
+        write_report(tmp_path / f"r.{fmt}", {"metrics": {"loss": float("nan")}}, fmt=fmt)
+    assert not (tmp_path / f"r.{fmt}").exists()
+
+
+def test_save_checkpoint_refuses_nan(tmp_path):
+    weight = np.ones((2, 2))
+    weight[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        save_checkpoint(tmp_path / "p.tjson", [("w", weight)])
+    assert not (tmp_path / "p.tjson").exists()
+
+
+def test_save_tjson_refuses_infinity(tmp_path):
+    with pytest.raises(ValueError):
+        save_tjson(tmp_path / "t.tjson", np.array([1.0, np.inf]))
