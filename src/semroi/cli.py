@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import SraConfig, init_params, param_leaves, parameter_count, sra_extract
-from .evaluate import flops_estimate, invariance_eval, make_feature_fn, mask_diversity
+from .evaluate import flops_estimate, mask_diversity
+from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
-from .reporting import derive_seed, save_checkpoint, stream_rng, write_report
+from .reporting import save_checkpoint, stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox, dynamic_grid_size
-from .synthetic import TransformRanges, generate_dataset
-from .train import compare_extractors, train_toy
+from .synthetic import TransformRanges
+from .train import EXTRACTORS, compare_extractors, harness_dataset, train_toy
 
 
 def _section_defaults(prefix: str, cls: type) -> dict[str, object]:
@@ -89,10 +90,13 @@ def _coerce(key: str, raw: object, default: object) -> object:
             if raw.lower() in ("0", "false", "no"):
                 return False
             raise UsageError(f"{key}: expected a boolean, got {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        try:
+            if isinstance(default, int):
+                return int(raw)
+            if isinstance(default, float):
+                return float(raw)
+        except ValueError as exc:
+            raise UsageError(f"{key}: expected {type(default).__name__}, got {raw!r}") from exc
     return raw
 
 
@@ -127,15 +131,32 @@ def ranges_from(config: dict) -> TransformRanges:
     return TransformRanges(**_section(config, "transform", TransformRanges))
 
 
-def _dataset(config: dict, seed: int, n_per_class: int | None = None):
-    n_classes = config["data.n_classes"]
-    per_class = n_per_class if n_per_class is not None else config["data.n_per_class"]
-    return generate_dataset(
-        n_classes,
-        n_classes * per_class,
-        derive_seed(seed, "data"),
-        ranges_from(config),
-        channels=config["data.channels"],
+def _dataset(config: dict, seed: int, per_class_key: str = "data.n_per_class"):
+    n_classes, channels = config["data.n_classes"], config["data.channels"]
+    return harness_dataset(seed, n_classes, config[per_class_key], channels, ranges_from(config))
+
+
+def _train(config: dict, seed: int, kind: str):
+    """Train one extractor as ``train-toy`` does: (dataset, state, history)."""
+    dataset = _dataset(config, seed)
+    state, history = train_toy(
+        kind, sra_config_from(config), dataset, epochs=config["train.epochs"],
+        lr=config["train.lr"], momentum=config["train.momentum"], seed=seed,
+        ranges=ranges_from(config),
+    )
+    return dataset, state, history
+
+
+def _compare(config: dict, seed: int, families: tuple[str, ...] = ("rotation",)) -> dict:
+    """The one ``compare_extractors`` run that ``train-toy both`` and
+    ``invariance`` both report."""
+    return compare_extractors(
+        sra_config_from(config), [seed],
+        n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
+        epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
+        invariance_samples=config["eval.invariance_samples"],
+        diversity_samples=config["eval.diversity_samples"],
+        ranges=ranges_from(config), channels=config["data.channels"], families=families,
     )
 
 
@@ -175,7 +196,7 @@ def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dic
     mode = config["sampler.mode"]
     if mode not in ("fixed", "dynamic"):
         raise UsageError(f"sampler.mode must be fixed or dynamic, got {mode!r}")
-    budget = config["sra.budget"]
+    budget = sra_config_from(config).budget
     rng = stream_rng(seed, "sampler-ablation")
     areas = []
     grids: dict[str, int] = {}
@@ -191,7 +212,7 @@ def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dic
         "budget": budget,
         "mean_grid_area": float(np.mean(areas)),
         "max_grid_area": int(np.max(areas)),
-        "budget_respected": mode == "fixed" or int(np.max(areas)) <= budget,
+        "budget_respected": int(np.max(areas)) <= budget,
         "distinct_grids": len(grids),
         "top_grids": sorted(grids.items(), key=lambda kv: -kv[1])[:8],
     }
@@ -199,7 +220,7 @@ def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dic
 
 
 def _ablation_runs(config: dict, seed: int, variants: list[tuple[str, SraConfig]]) -> dict:
-    dataset = _dataset(config, seed, n_per_class=config["ablate.n_per_class"])
+    dataset = _dataset(config, seed, "ablate.n_per_class")
     out = {}
     for name, cfg in variants:
         _, history = train_toy(
@@ -244,33 +265,10 @@ def cmd_ablate_embedding(config: dict, seed: int, out_dir: Path) -> tuple[int, d
 def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     kind = config["train.kind"]
     if kind == "both":
-        result = compare_extractors(
-            sra_config_from(config),
-            seeds=[seed],
-            n_classes=config["data.n_classes"],
-            n_per_class=config["data.n_per_class"],
-            epochs=config["train.epochs"],
-            lr=config["train.lr"],
-            momentum=config["train.momentum"],
-            invariance_samples=config["eval.invariance_samples"],
-            diversity_samples=config["eval.diversity_samples"],
-            ranges=ranges_from(config),
-            channels=config["data.channels"],
-        )
-        return 0, result
-    if kind not in ("sra", "roi_align"):
+        return 0, _compare(config, seed)
+    if kind not in EXTRACTORS:
         raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
-    dataset = _dataset(config, seed)
-    state, history = train_toy(
-        kind,
-        sra_config_from(config),
-        dataset,
-        epochs=config["train.epochs"],
-        lr=config["train.lr"],
-        momentum=config["train.momentum"],
-        seed=seed,
-        ranges=ranges_from(config),
-    )
+    _, state, history = _train(config, seed, kind)
     metrics: dict = {"kind": kind, "history": history}
     if state.params is not None:
         ckpt = out_dir / f"trained_{kind}_seed{seed}.tjson"
@@ -283,47 +281,20 @@ def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     return 0, metrics
 
 
-def _trained_states(config: dict, seed: int, kinds: tuple[str, ...]):
-    cfg = sra_config_from(config)
-    dataset = _dataset(config, seed)
-    states = {}
-    for kind in kinds:
-        state, _ = train_toy(
-            kind,
-            cfg,
-            dataset,
-            epochs=config["train.epochs"],
-            lr=config["train.lr"],
-            momentum=config["train.momentum"],
-            seed=seed,
-            ranges=ranges_from(config),
-        )
-        states[kind] = state
-    return cfg, dataset, states
-
-
 def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    families = [f.strip() for f in str(config["invariance.families"]).split(",") if f.strip()]
-    _, dataset, states = _trained_states(config, seed, ("sra", "roi_align"))
-    ranges = ranges_from(config)
-    per_extractor: dict = {}
-    for kind, state in states.items():
-        fn = make_feature_fn(kind, state.params, state.config)
-        per_extractor[kind] = {
-            family: invariance_eval(
-                fn, dataset, family, config["eval.invariance_samples"],
-                stream_rng(seed, f"invariance/{kind}/{family}"), ranges,
-            ).mean_cosine
-            for family in families
-        }
-    return 0, {"families": families, "mean_cosine": per_extractor}
+    families = tuple(f.strip() for f in str(config["invariance.families"]).split(",") if f.strip())
+    run = _compare(config, seed, families)["runs"][0]
+    return 0, {
+        "families": list(families),
+        "mean_cosine": {kind: run[kind]["invariance"] for kind in EXTRACTORS},
+    }
 
 
 def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    cfg, dataset, states = _trained_states(config, seed, ("sra",))
+    dataset, state, _ = _train(config, seed, "sra")
     report = mask_diversity(
-        states["sra"].params,
-        cfg,
+        state.params,
+        state.config,
         dataset,
         config["eval.diversity_samples"],
         stream_rng(seed, "diversity"),
@@ -334,7 +305,7 @@ def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
         "fraction_below": report.fraction_below,
         "n_samples": report.n_samples,
         "mean_offdiagonal_cosine": float(
-            report.mean_matrix[~np.eye(cfg.n_masks, dtype=bool)].mean()
+            report.mean_matrix[~np.eye(state.config.n_masks, dtype=bool)].mean()
         ),
     }
 
@@ -418,7 +389,7 @@ def run(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code, metrics = COMMANDS[args.subcommand](config, args.seed, out_dir)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     payload = {

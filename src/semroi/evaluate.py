@@ -76,7 +76,12 @@ def invariance_eval(
     rng: np.random.Generator,
     ranges: TransformRanges = TransformRanges(),
 ) -> InvarianceReport:
-    """Mean cosine between features before and after a random transform."""
+    """Mean cosine between features before and after a random transform.
+
+    Pairing contract: the draws (all instance picks, then one delta per pick)
+    depend on ``rng`` and never on ``feature_fn``, and rendering is pure, so
+    generators in the same state give every extractor the same instances
+    under the same deltas."""
     if not dataset:
         raise ValueError("invariance_eval: empty dataset")
     picks = rng.integers(0, len(dataset), size=n_samples)

@@ -17,8 +17,14 @@ from .core import (
     sra_backward,
     sra_extract_recorded,
 )
-from .evaluate import invariance_eval, make_feature_fn, mask_diversity, random_delta
-from .numerics import Array, LinearParams, init_linear
+from .evaluate import (
+    TRANSFORM_FAMILIES,
+    invariance_eval,
+    make_feature_fn,
+    mask_diversity,
+    random_delta,
+)
+from .numerics import Array, ConfigError, LinearParams, init_linear
 from .reporting import derive_seed, stream_rng
 from .synthetic import (
     SyntheticInstance,
@@ -199,6 +205,24 @@ def train_toy(
     return state, history
 
 
+def harness_dataset(
+    seed: int,
+    n_classes: int = 4,
+    n_per_class: int = 200,
+    channels: int = 16,
+    ranges: TransformRanges = TransformRanges(),
+) -> list[SyntheticInstance]:
+    """The synthetic dataset every harness run at this seed trains on:
+    ``n_per_class`` instances of each class, drawn from ``derive_seed(seed,
+    "data")``."""
+    return generate_dataset(
+        n_classes, n_classes * n_per_class, derive_seed(seed, "data"), ranges, channels=channels
+    )
+
+
+EXTRACTORS = {"sra": "sra", "roi_align": "align"}  # kind -> summary label
+
+
 def compare_extractors(
     config: SraConfig,
     seeds: list[int],
@@ -211,68 +235,61 @@ def compare_extractors(
     diversity_samples: int = 40,
     ranges: TransformRanges = TransformRanges(),
     channels: int = 16,
+    families: tuple[str, ...] = ("rotation",),
 ) -> dict:
     """Full head-to-head harness run: train both extractors on the same data
-    per seed, then measure rotation-augmented test accuracy, rotation
-    invariance, and mask diversity of the trained models."""
+    per seed, then measure rotation-augmented test accuracy, invariance under
+    each transform family, and mask diversity of the trained models.
+
+    The invariance protocol is paired: for each family every extractor reads
+    a fresh generator on the one stream ``invariance/{family}``, so all of
+    them are scored on the same (instance, transform) draws."""
+    unknown = [f for f in families if f not in TRANSFORM_FAMILIES]
+    if unknown:
+        raise ConfigError(
+            f"unknown transform families {unknown} (choose from {TRANSFORM_FAMILIES})"
+        )
     runs = []
     for seed in seeds:
-        dataset = generate_dataset(
-            n_classes, n_classes * n_per_class, derive_seed(seed, "data"), ranges, channels=channels
-        )
-        per_kind = {}
+        dataset = harness_dataset(seed, n_classes, n_per_class, channels, ranges)
+        run: dict = {"seed": seed}
         states: dict[str, TrainState] = {}
-        for kind in ("sra", "roi_align"):
+        for kind in EXTRACTORS:
             state, history = train_toy(
                 kind, config, dataset, epochs, lr=lr, momentum=momentum, seed=seed, ranges=ranges
             )
             states[kind] = state
-            per_kind[kind] = {
+            feature_fn = make_feature_fn(kind, state.params, state.config)
+            run[kind] = {
                 "final_test_accuracy": history[-1]["test_accuracy"],
                 "final_train_accuracy": history[-1]["train_accuracy"],
                 "loss_curve": [h["train_loss"] for h in history],
                 "test_curve": [h["test_accuracy"] for h in history],
+                "invariance": {
+                    family: invariance_eval(
+                        feature_fn, dataset, family, invariance_samples,
+                        stream_rng(seed, f"invariance/{family}"), ranges,
+                    ).mean_cosine
+                    for family in families
+                },
             }
-            rot = invariance_eval(
-                make_feature_fn(kind, state.params, state.config),
-                dataset,
-                "rotation",
-                invariance_samples,
-                stream_rng(seed, f"invariance/{kind}"),
-                ranges,
-            )
-            per_kind[kind]["rotation_cosine"] = rot.mean_cosine
-        diversity = mask_diversity(
-            states["sra"].params,
-            config,
-            dataset,
-            diversity_samples,
-            stream_rng(seed, "diversity"),
-        )
-        runs.append(
-            {
-                "seed": seed,
-                "sra": per_kind["sra"],
-                "roi_align": per_kind["roi_align"],
-                "mask_diversity_fraction": diversity.fraction_below,
-            }
-        )
-    def mean(key_path):
-        vals = []
-        for run in runs:
-            node = run
-            for key in key_path:
-                node = node[key]
-            vals.append(node)
-        return float(np.mean(vals))
+        run["mask_diversity_fraction"] = mask_diversity(
+            states["sra"].params, config, dataset, diversity_samples, stream_rng(seed, "diversity")
+        ).fraction_below
+        runs.append(run)
 
-    summary = {
-        "mean_sra_test_accuracy": mean(("sra", "final_test_accuracy")),
-        "mean_align_test_accuracy": mean(("roi_align", "final_test_accuracy")),
-        "mean_sra_rotation_cosine": mean(("sra", "rotation_cosine")),
-        "mean_align_rotation_cosine": mean(("roi_align", "rotation_cosine")),
-        "mean_mask_diversity_fraction": mean(("mask_diversity_fraction",)),
-    }
+    summary = {}
+    for kind, label in EXTRACTORS.items():
+        per_run = [run[kind] for run in runs]
+        summary[f"mean_{label}_test_accuracy"] = float(
+            np.mean([r["final_test_accuracy"] for r in per_run])
+        )
+        for family in families:
+            values = [r["invariance"][family] for r in per_run]
+            summary[f"mean_{label}_{family}_cosine"] = float(np.mean(values))
+    summary["mean_mask_diversity_fraction"] = float(
+        np.mean([run["mask_diversity_fraction"] for run in runs])
+    )
     summary["accuracy_margin"] = (
         summary["mean_sra_test_accuracy"] - summary["mean_align_test_accuracy"]
     )

@@ -54,6 +54,27 @@ def test_bad_set_value_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_non_numeric_value_exits_2(capsys):
+    assert run(["gradcheck", "--set", "gradcheck.seeds=abc"]) == 2
+    assert "gradcheck.seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["ablate-sampler", "bench"])
+def test_invalid_sra_config_exits_2(subcommand, tmp_path, capsys):
+    assert run([subcommand, "--out", str(tmp_path), "--set", "sra.budget=0"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_unknown_invariance_family_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    from semroi import train
+
+    monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
+    code = run(["invariance", "--out", str(tmp_path),
+                "--set", "invariance.families=rotation,shear", *TINY_TRAIN])
+    assert code == 2
+    assert "shear" in capsys.readouterr().err
+
+
 def test_gradcheck_writes_passing_report(tmp_path, capsys):
     code = run(["gradcheck", "--seed", "7", "--set", "gradcheck.seeds=2",
                 "--out", str(tmp_path)])
@@ -100,6 +121,15 @@ def test_ablate_sampler_modes(tmp_path, capsys):
     assert dyn["budget_respected"] is True
     assert dyn["max_grid_area"] <= dyn["budget"]
     assert dyn["distinct_grids"] > 1
+
+
+def test_fixed_grid_over_budget_is_reported(tmp_path, capsys):
+    assert run(["ablate-sampler", "--mode", "fixed", "--out", str(tmp_path),
+                "--set", "sampler.n_boxes=10", "--set", "sra.budget=16"]) == 0
+    capsys.readouterr()
+    metrics = load_report(tmp_path, "ablate-sampler")["metrics"]
+    assert metrics["max_grid_area"] == 64
+    assert metrics["budget_respected"] is False
 
 
 TINY_ABLATE = TINY_TRAIN[:10] + ["--set", "ablate.epochs=1", "--set", "ablate.n_per_class=6"]
@@ -153,6 +183,19 @@ def test_invariance_report_structure(tmp_path, capsys):
     assert set(doc["metrics"]["mean_cosine"]) == {"sra", "roi_align"}
     val = doc["metrics"]["mean_cosine"]["sra"]["rotation"]
     assert -1.0 <= val <= 1.0
+
+
+@pytest.mark.parametrize("families", ["rotation", "reflection,rotation"])
+def test_invariance_reproduces_train_toy_both(families, tmp_path, capsys):
+    assert run(["invariance", "--out", str(tmp_path / "inv"), "--seed", "2",
+                "--set", f"invariance.families={families}", *TINY_TRAIN]) == 0
+    assert run(["train-toy", "--out", str(tmp_path / "both"), "--seed", "2", *TINY_TRAIN]) == 0
+    capsys.readouterr()
+    inv = load_report(tmp_path / "inv", "invariance")["metrics"]["mean_cosine"]
+    both = load_report(tmp_path / "both", "train-toy")["metrics"]["runs"][0]
+    for kind in ("sra", "roi_align"):
+        assert set(inv[kind]) == set(families.split(","))
+        assert inv[kind]["rotation"] == both[kind]["invariance"]["rotation"]
 
 
 def test_diversity_report_structure(tmp_path, capsys):

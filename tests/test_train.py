@@ -130,3 +130,41 @@ def test_loss_decreases_over_first_epochs_smoke():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         init_train_state("deformable", CFG, 16, 4, seed=0)
+
+
+def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
+    from semroi import evaluate, train
+
+    events = []
+    fit = train.train_toy
+    transform = evaluate.apply_transform
+
+    def fit_marked(kind, *args, **kwargs):
+        events.append(kind)
+        return fit(kind, *args, **kwargs)
+
+    def transform_recorded(inst, delta):
+        events.append((inst.seed, delta))
+        return transform(inst, delta)
+
+    monkeypatch.setattr(train, "train_toy", fit_marked)
+    monkeypatch.setattr(evaluate, "apply_transform", transform_recorded)
+    result = train.compare_extractors(
+        CFG, seeds=[3], n_classes=3, n_per_class=4, epochs=1,
+        invariance_samples=5, diversity_samples=2,
+    )
+    assert events[0] == "sra" and events.count("roi_align") == 1
+    split = events.index("roi_align")
+    sra_draws, align_draws = events[1:split], events[split + 1:]
+    assert len(sra_draws) == 5
+    assert sra_draws == align_draws
+    assert {"mean_sra_rotation_cosine", "mean_align_rotation_cosine"} <= set(result["summary"])
+
+
+def test_compare_extractors_rejects_unknown_family_before_training(monkeypatch):
+    from semroi import train
+    from semroi.numerics import ConfigError
+
+    monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match="shear"):
+        train.compare_extractors(CFG, seeds=[0], families=("rotation", "shear"))
