@@ -1,8 +1,10 @@
 """Batch command-line entry point.
 
 Subcommands: gradcheck, oracles, ablate-sampler, ablate-descriptor,
-ablate-embedding, train-toy, invariance, diversity, bench.  Every run writes
-a machine-readable report embedding the resolved configuration and seed.
+ablate-embedding, train-toy, invariance, diversity, bench.  ``COMMANDS``
+maps each to its handler and the config keys it reads, which are the only
+keys it accepts.  Every run writes a machine-readable report embedding those
+keys, resolved and typed, and the seed.
 Exit codes: 0 success, 1 acceptance failure, 2 usage error.
 """
 
@@ -10,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,33 +40,16 @@ def _section(config: dict, prefix: str, cls: type) -> dict[str, object]:
     return {f.name: config[f"{prefix}.{f.name}"] for f in fields(cls)}
 
 
-# flat dotted-key configuration; the sra.* and transform.* keys mirror
-# SraConfig (the reference operating point) and TransformRanges field by
-# field, the desk-scale keys between them size the synthetic harness
-COMMON_DEFAULTS: dict[str, object] = {
-    **_section_defaults("sra", SraConfig),
-    "data.n_classes": 4,
-    "data.n_per_class": 200,
-    "data.channels": 16,
-    "train.epochs": 30,
-    "train.lr": 0.02,
-    "train.momentum": 0.9,
-    "train.kind": "both",
-    "eval.invariance_samples": 60,
-    "eval.diversity_samples": 40,
-    **_section_defaults("transform", TransformRanges),
-}
-
-SUBCOMMAND_DEFAULTS: dict[str, dict[str, object]] = {
-    "gradcheck": {"gradcheck.seeds": 20, "gradcheck.tolerance": 1e-4},
-    "oracles": {},
-    "ablate-sampler": {"sampler.mode": "dynamic", "sampler.n_boxes": 200},
-    "ablate-descriptor": {"ablate.epochs": 10, "ablate.n_per_class": 75},
-    "ablate-embedding": {"ablate.epochs": 10, "ablate.n_per_class": 75},
-    "train-toy": {},
-    "invariance": {"invariance.families": "rotation,reflection,scale_pan"},
-    "diversity": {"diversity.threshold": 0.3},
-    "bench": {"bench.timing_rois": 50},
+# flat dotted-key configuration, grouped in the sections a command may read;
+# the sra.* and transform.* keys mirror SraConfig (the reference operating
+# point) and TransformRanges field by field, the desk-scale keys between
+# them size the synthetic harness
+SECTIONS: dict[str, dict[str, object]] = {
+    "sra": _section_defaults("sra", SraConfig),
+    "data": {"data.n_classes": 4, "data.n_per_class": 200, "data.channels": 16},
+    "train": {"train.epochs": 30, "train.lr": 0.02, "train.momentum": 0.9},
+    "eval": {"eval.invariance_samples": 60, "eval.diversity_samples": 40},
+    "transform": _section_defaults("transform", TransformRanges),
 }
 
 
@@ -70,81 +57,103 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_grid(value: object) -> tuple[int, int] | None:
-    if value in (None, "none", "None", ""):
+def _parse_grid(key: str, value: object) -> tuple[int, int] | None:
+    if value is None or str(value).lower() in ("none", ""):
         return None
-    if isinstance(value, (list, tuple)):
-        return int(value[0]), int(value[1])
     try:
-        h, w = str(value).lower().split("x")
-        return int(h), int(w)
-    except ValueError as exc:
-        raise UsageError(f"grid must look like '8x8' or 'none', got {value!r}") from exc
+        h, w = str(value).lower().split("x") if isinstance(value, str) else value
+        grid = int(h), int(w)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{key}: grid must look like '8x8' or 'none', got {value!r}") from exc
+    if min(grid) < 1:
+        raise UsageError(f"{key}: grid sides must be at least 1, got {value!r}")
+    return grid
 
 
-def _coerce(key: str, raw: object, default: object) -> object:
-    if isinstance(raw, str):
-        if isinstance(default, bool):
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise UsageError(f"{key}: expected a boolean, got {raw!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _coerce(key: str, value: object, default: object, text: bool) -> object:
+    """``value`` typed by ``default``: a ``--set`` string (``text``) is parsed
+    by that type, a config-file value must already have it (an int may stand
+    for a float).  Every int key is a count, so it is at least 1; every float
+    is finite."""
+    if default is None:  # sra.fixed_grid
+        return _parse_grid(key, value)
+    kind = type(default)
+    expected = f"{key}: expected {kind.__name__}, got {value!r}"
+    if text and kind is not str:
         try:
-            if isinstance(default, int):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
-        except ValueError as exc:
-            raise UsageError(f"{key}: expected {type(default).__name__}, got {raw!r}") from exc
-    return raw
+            value = _BOOLS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError) as exc:
+            raise UsageError(expected) from exc
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise UsageError(expected)
+    if kind is int and value < 1:
+        raise UsageError(f"{key}: expected a count of at least 1, got {value}")
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"{key}: expected a finite number, got {value}")
+    return value
+
+
+def _read_config_file(config_file: str | None) -> dict:
+    if not config_file:
+        return {}
+    try:
+        loaded = json.loads(Path(config_file).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {config_file}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config file {config_file} must hold a JSON object")
+    return loaded
 
 
 def resolve_config(subcommand: str, config_file: str | None, overrides: list[str]) -> dict:
-    config = dict(COMMON_DEFAULTS)
-    config.update(SUBCOMMAND_DEFAULTS[subcommand])
-    merged: dict[str, object] = {}
-    if config_file:
-        try:
-            merged.update(json.loads(Path(config_file).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_file}: {exc}") from exc
+    """The command's sections and own keys, with the file's values and then
+    the ``--set`` overrides applied; a key the command does not read is
+    rejected like an unknown one."""
+    row = COMMANDS[subcommand]
+    defaults = {key: value for name in row.sections for key, value in SECTIONS[name].items()}
+    defaults.update(row.own)
+    given = [(key, value, False) for key, value in _read_config_file(config_file).items()]
     for item in overrides:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        merged[key.strip()] = value
-    for key, value in merged.items():
-        if key not in config:
+        given.append((key.strip(), value, True))
+    config = dict(defaults)
+    for key, value, text in given:
+        if key not in defaults:
             raise UsageError(f"unknown config key {key!r} for {subcommand}")
-        config[key] = _coerce(key, value, config[key])
+        config[key] = _coerce(key, value, defaults[key], text)
     return config
 
 
 def sra_config_from(config: dict) -> SraConfig:
-    values = _section(config, "sra", SraConfig)
-    values["fixed_grid"] = _parse_grid(values["fixed_grid"])
-    return SraConfig(**values)
+    return SraConfig(**_section(config, "sra", SraConfig))
 
 
 def ranges_from(config: dict) -> TransformRanges:
     return TransformRanges(**_section(config, "transform", TransformRanges))
 
 
-def _dataset(config: dict, seed: int, per_class_key: str = "data.n_per_class"):
-    n_classes, channels = config["data.n_classes"], config["data.channels"]
-    return harness_dataset(seed, n_classes, config[per_class_key], channels, ranges_from(config))
+def _dataset(config: dict, seed: int):
+    return harness_dataset(
+        seed, config["data.n_classes"], config["data.n_per_class"], config["data.channels"],
+        ranges_from(config),
+    )
 
 
-def _train(config: dict, seed: int, kind: str):
-    """Train one extractor as ``train-toy`` does: (dataset, state, history)."""
-    dataset = _dataset(config, seed)
-    state, history = train_toy(
-        kind, sra_config_from(config), dataset, epochs=config["train.epochs"],
+def _train(config: dict, seed: int, kind: str, dataset, cfg: SraConfig | None = None):
+    """``train_toy`` on ``dataset`` with the train and transform sections:
+    (state, history)."""
+    return train_toy(
+        kind, cfg or sra_config_from(config), dataset, epochs=config["train.epochs"],
         lr=config["train.lr"], momentum=config["train.momentum"], seed=seed,
         ranges=ranges_from(config),
     )
-    return dataset, state, history
 
 
 def _compare(config: dict, seed: int, families: tuple[str, ...] = ("rotation",)) -> dict:
@@ -207,7 +216,7 @@ def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dic
         areas.append(grid[0] * grid[1])
         key = f"{grid[0]}x{grid[1]}"
         grids[key] = grids.get(key, 0) + 1
-    metrics = {
+    return 0, {
         "mode": mode,
         "budget": budget,
         "mean_grid_area": float(np.mean(areas)),
@@ -216,50 +225,32 @@ def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dic
         "distinct_grids": len(grids),
         "top_grids": sorted(grids.items(), key=lambda kv: -kv[1])[:8],
     }
-    return 0, metrics
 
 
-def _ablation_runs(config: dict, seed: int, variants: list[tuple[str, SraConfig]]) -> dict:
-    dataset = _dataset(config, seed, "ablate.n_per_class")
+def _ablation(config: dict, seed: int, field: str, modes: tuple[str, ...]) -> tuple[int, dict]:
+    """Train sra once per value of the SraConfig ``field``, all on one dataset."""
+    base = sra_config_from(config)
+    # concatenation cannot follow a dynamic grid; pin the fixed size
+    pins = {"concatenation": {"fixed_grid": FIXED_GRID}}
+    variants = {mode: replace(base, **{field: mode}, **pins.get(mode, {})) for mode in modes}
+    dataset = _dataset(config, seed)
     out = {}
-    for name, cfg in variants:
-        _, history = train_toy(
-            "sra",
-            cfg,
-            dataset,
-            epochs=config["ablate.epochs"],
-            lr=config["train.lr"],
-            momentum=config["train.momentum"],
-            seed=seed,
-            ranges=ranges_from(config),
-        )
-        out[name] = {
+    for mode, cfg in variants.items():
+        _, history = _train(config, seed, "sra", dataset, cfg)
+        out[mode] = {
             "final_test_accuracy": history[-1]["test_accuracy"],
             "final_train_accuracy": history[-1]["train_accuracy"],
             "final_train_loss": history[-1]["train_loss"],
         }
-    return out
+    return 0, {"modes": out}
 
 
 def cmd_ablate_descriptor(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    base = sra_config_from(config)
-    variants = [
-        ("average", replace(base, descriptor_mode="average")),
-        ("maximum", replace(base, descriptor_mode="maximum")),
-        # concatenation cannot follow a dynamic grid; pin the fixed size
-        ("concatenation", replace(base, descriptor_mode="concatenation", fixed_grid=FIXED_GRID)),
-    ]
-    return 0, {"modes": _ablation_runs(config, seed, variants)}
+    return _ablation(config, seed, "descriptor_mode", ("average", "maximum", "concatenation"))
 
 
 def cmd_ablate_embedding(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    base = sra_config_from(config)
-    variants = [
-        ("none", replace(base, embedding_mode="none")),
-        ("position", replace(base, embedding_mode="position")),
-        ("area", replace(base, embedding_mode="area")),
-    ]
-    return 0, {"modes": _ablation_runs(config, seed, variants)}
+    return _ablation(config, seed, "embedding_mode", ("none", "position", "area"))
 
 
 def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
@@ -268,15 +259,12 @@ def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
         return 0, _compare(config, seed)
     if kind not in EXTRACTORS:
         raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
-    _, state, history = _train(config, seed, kind)
+    state, history = _train(config, seed, kind, _dataset(config, seed))
     metrics: dict = {"kind": kind, "history": history}
     if state.params is not None:
         ckpt = out_dir / f"trained_{kind}_seed{seed}.tjson"
-        save_checkpoint(
-            ckpt,
-            param_leaves(state.params),
-            meta={"seed": seed, "channels": config["data.channels"]},
-        )
+        meta = {"seed": seed, "channels": config["data.channels"]}
+        save_checkpoint(ckpt, param_leaves(state.params), meta=meta)
         metrics["checkpoint"] = str(ckpt)
     return 0, metrics
 
@@ -291,14 +279,11 @@ def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 
 
 def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    dataset, state, _ = _train(config, seed, "sra")
+    dataset = _dataset(config, seed)
+    state, _ = _train(config, seed, "sra", dataset)
     report = mask_diversity(
-        state.params,
-        state.config,
-        dataset,
-        config["eval.diversity_samples"],
-        stream_rng(seed, "diversity"),
-        threshold=config["diversity.threshold"],
+        state.params, state.config, dataset, config["eval.diversity_samples"],
+        stream_rng(seed, "diversity"), threshold=config["diversity.threshold"],
     )
     return 0, {
         "threshold": report.threshold,
@@ -344,16 +329,28 @@ def cmd_bench(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     }
 
 
-COMMANDS = {
-    "gradcheck": cmd_gradcheck,
-    "oracles": cmd_oracles,
-    "ablate-sampler": cmd_ablate_sampler,
-    "ablate-descriptor": cmd_ablate_descriptor,
-    "ablate-embedding": cmd_ablate_embedding,
-    "train-toy": cmd_train_toy,
-    "invariance": cmd_invariance,
-    "diversity": cmd_diversity,
-    "bench": cmd_bench,
+class Command(NamedTuple):
+    handler: Callable[[dict, int, Path], tuple[int, dict]]
+    sections: tuple[str, ...]  # the SECTIONS it reads
+    own: dict[str, object]  # its own keys, and section defaults it overrides
+
+
+ALL_SECTIONS = tuple(SECTIONS)
+ABLATION = ("sra", "data", "train", "transform"), {"train.epochs": 10, "data.n_per_class": 75}
+
+# each command accepts, and its report embeds, exactly the keys of its row
+COMMANDS: dict[str, Command] = {
+    "gradcheck": Command(cmd_gradcheck, (), {"gradcheck.seeds": 20, "gradcheck.tolerance": 1e-4}),
+    "oracles": Command(cmd_oracles, (), {}),
+    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",),
+                              {"sampler.mode": "dynamic", "sampler.n_boxes": 200}),
+    "ablate-descriptor": Command(cmd_ablate_descriptor, *ABLATION),
+    "ablate-embedding": Command(cmd_ablate_embedding, *ABLATION),
+    "train-toy": Command(cmd_train_toy, ALL_SECTIONS, {"train.kind": "both"}),
+    "invariance": Command(cmd_invariance, ALL_SECTIONS,
+                          {"invariance.families": "rotation,reflection,scale_pan"}),
+    "diversity": Command(cmd_diversity, ALL_SECTIONS, {"diversity.threshold": 0.3}),
+    "bench": Command(cmd_bench, ("sra", "data"), {"bench.timing_rois": 50}),
 }
 
 
@@ -383,12 +380,12 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = resolve_config(args.subcommand, args.config, args.overrides)
-        if getattr(args, "mode", None):
-            config["sampler.mode"] = args.mode
+        # --mode is shorthand for the last --set sampler.mode=...
+        mode = [f"sampler.mode={args.mode}"] if getattr(args, "mode", None) else []
+        config = resolve_config(args.subcommand, args.config, args.overrides + mode)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code, metrics = COMMANDS[args.subcommand](config, args.seed, out_dir)
+        code, metrics = COMMANDS[args.subcommand].handler(config, args.seed, out_dir)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ import numpy as np
 
 from .baselines import DEFAULT_OUT, roi_align, roi_pool
 from .core import SraConfig, SraParams, sra_extract
-from .numerics import Array
+from .numerics import Array, ConfigError
 from .synthetic import Pose, SyntheticInstance, TransformRanges, apply_transform
 
 TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
@@ -84,6 +84,8 @@ def invariance_eval(
     under the same deltas."""
     if not dataset:
         raise ValueError("invariance_eval: empty dataset")
+    if n_samples < 1:
+        raise ConfigError(f"invariance_eval: n_samples must be >= 1, got {n_samples}")
     picks = rng.integers(0, len(dataset), size=n_samples)
     total = 0.0
     for idx in picks:
@@ -121,6 +123,8 @@ def mask_diversity(
         raise ValueError("mask diversity needs at least 2 masks")
     if not dataset:
         raise ValueError("mask_diversity: empty dataset")
+    if n_samples < 1:
+        raise ConfigError(f"mask_diversity: n_samples must be >= 1, got {n_samples}")
     picks = rng.integers(0, len(dataset), size=n_samples)
     acc = np.zeros((config.n_masks, config.n_masks))
     for idx in picks:

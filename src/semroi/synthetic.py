@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Array
+from .numerics import Array, ConfigError
 from .reporting import (
     derive_seed,
     save_tjson,
@@ -274,7 +274,7 @@ def generate_dataset(
 ) -> list[SyntheticInstance]:
     """Round-robin labelled instances at random poses, deterministic per seed."""
     if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
+        raise ConfigError(f"need at least 2 classes, got {n_classes}")
     ctx = make_render_context(n_classes, seed, **ctx_kwargs)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
     instances = []

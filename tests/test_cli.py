@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import pytest
 
-from semroi.cli import ranges_from, resolve_config, run, sra_config_from, UsageError
+from semroi.cli import COMMANDS, ranges_from, resolve_config, run, sra_config_from, UsageError
 from semroi.core import SraConfig
 from semroi.synthetic import TransformRanges
 
@@ -42,6 +42,178 @@ def test_defaults_reproduce_reference_settings():
 def test_unknown_config_key_rejected():
     with pytest.raises(UsageError, match="unknown config key"):
         resolve_config("oracles", None, ["bogus.key=1"])
+
+
+# the config sections and own key prefixes each command reads, and so accepts
+ACCEPTED_PREFIXES = {
+    "gradcheck": {"gradcheck"},
+    "oracles": set(),
+    "ablate-sampler": {"sra", "sampler"},
+    "ablate-descriptor": {"sra", "data", "train", "transform"},
+    "ablate-embedding": {"sra", "data", "train", "transform"},
+    "train-toy": {"sra", "data", "train", "eval", "transform"},
+    "invariance": {"sra", "data", "train", "eval", "transform", "invariance"},
+    "diversity": {"sra", "data", "train", "eval", "transform", "diversity"},
+    "bench": {"sra", "data", "bench"},
+}
+
+
+def test_command_table_pins_accepted_key_prefixes():
+    assert set(COMMANDS) == set(ACCEPTED_PREFIXES)
+    for name, prefixes in ACCEPTED_PREFIXES.items():
+        config = resolve_config(name, None, [])
+        assert {key.split(".")[0] for key in config} == prefixes, name
+    assert "train.kind" in resolve_config("train-toy", None, [])
+    assert "train.kind" not in resolve_config("invariance", None, [])
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 137
+
+
+def test_ablations_default_to_their_own_epochs_and_dataset_size():
+    for name in ("ablate-descriptor", "ablate-embedding"):
+        config = resolve_config(name, None, [])
+        assert (config["train.epochs"], config["data.n_per_class"]) == (10, 75)
+
+
+def test_key_the_command_does_not_read_exits_2(capsys):
+    assert run(["gradcheck", "--set", "sra.n_masks=7"]) == 2
+    assert "sra.n_masks" in capsys.readouterr().err
+
+
+def test_gradcheck_report_embeds_only_its_own_keys(tmp_path, capsys):
+    assert run(["gradcheck", "--set", "gradcheck.seeds=1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert load_report(tmp_path, "gradcheck")["config"] == {
+        "gradcheck.seeds": 1, "gradcheck.tolerance": 1e-4,
+    }
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_config_file_value_of_the_wrong_type_exits_2(value, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sampler.n_boxes": value}))
+    assert run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "sampler.n_boxes" in capsys.readouterr().err
+
+
+def test_config_file_int_stands_for_a_float(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"gradcheck.tolerance": 1, "gradcheck.seeds": 1}))
+    assert run(["gradcheck", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    config = load_report(tmp_path, "gradcheck")["config"]
+    assert config["gradcheck.tolerance"] == 1.0
+    assert isinstance(config["gradcheck.tolerance"], float)
+
+
+def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sra.fixed_grid": [6, 5]}))
+    assert resolve_config("bench", str(cfg_file), [])["sra.fixed_grid"] == (6, 5)
+    assert resolve_config("bench", str(cfg_file), ["sra.fixed_grid=none"])["sra.fixed_grid"] is None
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.n_boxes=2",
+                "--set", "sra.fixed_grid=4x3"]) == 0
+    capsys.readouterr()
+    assert load_report(tmp_path, "ablate-sampler")["config"]["sra.fixed_grid"] == [4, 3]
+
+
+def test_mode_flag_wins_over_set(tmp_path, capsys):
+    assert run(["ablate-sampler", "--mode", "fixed", "--out", str(tmp_path),
+                "--set", "sampler.mode=dynamic", "--set", "sampler.n_boxes=3"]) == 0
+    capsys.readouterr()
+    doc = load_report(tmp_path, "ablate-sampler")
+    assert doc["config"]["sampler.mode"] == doc["metrics"]["mode"] == "fixed"
+
+
+@pytest.mark.parametrize("subcommand", ["ablate-descriptor", "ablate-embedding"])
+def test_ablations_train_with_the_config_they_report(subcommand, tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    calls = []
+
+    def recorded(kind, config, dataset, epochs, **kwargs):
+        calls.append((epochs, len(dataset)))
+        history = [{"test_accuracy": 0.5, "train_accuracy": 0.5, "train_loss": 1.0}]
+        return None, history
+
+    monkeypatch.setattr(cli, "train_toy", recorded)
+    code = run([subcommand, "--out", str(tmp_path), "--set", "train.epochs=1",
+                "--set", "data.n_per_class=6"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == [(1, 24)] * 3
+    config = load_report(tmp_path, subcommand)["config"]
+    assert (config["train.epochs"], config["data.n_per_class"]) == (1, 6)
+
+
+# every int key is a count; each with the cheapest command that reads it
+INT_KEYS = [
+    ("gradcheck", "gradcheck.seeds"),
+    ("ablate-sampler", "sampler.n_boxes"),
+    ("ablate-sampler", "sra.n_masks"),
+    ("ablate-sampler", "sra.budget"),
+    ("ablate-sampler", "sra.descriptor_dim"),
+    ("ablate-sampler", "sra.embed_channels"),
+    ("ablate-sampler", "sra.hidden"),
+    ("bench", "bench.timing_rois"),
+    ("bench", "data.n_classes"),
+    ("bench", "data.n_per_class"),
+    ("bench", "data.channels"),
+    ("ablate-descriptor", "train.epochs"),
+    ("diversity", "eval.invariance_samples"),
+    ("diversity", "eval.diversity_samples"),
+]
+
+FLOAT_KEYS = [
+    ("gradcheck", "gradcheck.tolerance"),
+    ("ablate-sampler", "sra.gamma"),
+    ("ablate-descriptor", "train.lr"),
+    ("ablate-descriptor", "train.momentum"),
+    ("ablate-descriptor", "transform.rotation_max_deg"),
+    ("ablate-descriptor", "transform.scale_lo"),
+    ("ablate-descriptor", "transform.scale_hi"),
+    ("ablate-descriptor", "transform.pan_frac"),
+    ("diversity", "diversity.threshold"),
+]
+
+
+def _fail_if_run(*args, **kwargs):
+    pytest.fail("ran past the usage check")
+
+
+def test_int_and_float_key_lists_cover_every_key():
+    defaults = {k: v for name in COMMANDS for k, v in resolve_config(name, None, []).items()}
+    assert {k for k, v in defaults.items() if type(v) is int} == {k for _, k in INT_KEYS}
+    assert {k for k, v in defaults.items() if type(v) is float} == {k for _, k in FLOAT_KEYS}
+
+
+@pytest.mark.parametrize("subcommand,key", INT_KEYS)
+def test_count_below_one_exits_2(subcommand, key, tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    monkeypatch.setattr(cli, "harness_dataset", _fail_if_run)
+    monkeypatch.setattr(cli, "full_pipeline_gradcheck", _fail_if_run)
+    assert run([subcommand, "--out", str(tmp_path), "--set", f"{key}=0"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("subcommand,key", FLOAT_KEYS)
+def test_non_finite_float_exits_2(subcommand, key, tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    monkeypatch.setattr(cli, "harness_dataset", _fail_if_run)
+    monkeypatch.setattr(cli, "full_pipeline_gradcheck", _fail_if_run)
+    for value in ("nan", "inf"):
+        assert run([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+
+
+def test_single_class_dataset_exits_2(tmp_path, capsys):
+    code = run(["ablate-descriptor", "--out", str(tmp_path), *TINY_ABLATE,
+                "--set", "data.n_classes=1"])
+    assert code == 2
+    assert "2 classes" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -132,7 +304,7 @@ def test_fixed_grid_over_budget_is_reported(tmp_path, capsys):
     assert metrics["budget_respected"] is False
 
 
-TINY_ABLATE = TINY_TRAIN[:10] + ["--set", "ablate.epochs=1", "--set", "ablate.n_per_class=6"]
+TINY_ABLATE = TINY_TRAIN[:10] + ["--set", "train.epochs=1", "--set", "data.n_per_class=6"]
 
 
 def test_ablate_descriptor_covers_all_modes(tmp_path, capsys):

@@ -11,6 +11,7 @@ from semroi.evaluate import (
     pairwise_mask_cosines,
     random_delta,
 )
+from semroi.numerics import ConfigError
 from semroi.synthetic import TransformRanges, generate_dataset
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
@@ -54,6 +55,13 @@ def test_invariance_rejects_empty_dataset():
         invariance_eval(make_feature_fn("roi_align"), [], "rotation", 3, np.random.default_rng(0))
 
 
+def test_invariance_rejects_fewer_than_one_sample():
+    with pytest.raises(ConfigError, match="n_samples"):
+        invariance_eval(
+            make_feature_fn("roi_align"), dataset(), "rotation", 0, np.random.default_rng(0)
+        )
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         random_delta("shear", np.random.default_rng(0), TransformRanges())
@@ -91,6 +99,12 @@ def test_mask_diversity_needs_two_masks():
     params = init_params(cfg, 16, np.random.default_rng(8))
     with pytest.raises(ValueError, match="2 masks"):
         mask_diversity(params, cfg, dataset(), 2, np.random.default_rng(9))
+
+
+def test_mask_diversity_rejects_fewer_than_one_sample():
+    params = init_params(CFG, 16, np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="n_samples"):
+        mask_diversity(params, CFG, dataset(), 0, np.random.default_rng(9))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,20 @@
 """Property tests: the vectorized grid search against exhaustive search
-over the whole (h, w) lattice."""
+over the whole (h, w) lattice, the adjointness of every kernel's backward
+pass, and mask normalization over the amplification range."""
 
+from dataclasses import replace
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from semroi.core import (
+    SraConfig,
+    init_params,
+    roi_descriptor_vjp,
+    sample_roi_feature_vjp,
+    sra_extract,
+)
+from semroi.numerics import LinearParams, conv1x1_vjp, linear_vjp
 from semroi.oracles import grid_size_exhaustive
 from semroi.sampler import RoIBox, dynamic_grid_size
 
@@ -32,3 +44,111 @@ def test_grid_matches_exhaustive_at_exact_ratios(rows, cols, budget):
     # ratio and only the area and row tie-breaks decide
     box = RoIBox(1.0, 2.0, 1.0 + cols, 2.0 + rows)
     assert dynamic_grid_size(box, budget) == grid_size_exhaustive(box, budget)
+
+
+# ---------------------------------------------------------------------------
+# adjointness: for a kernel A linear in one argument with the others fixed,
+# <A u, v> = <u, A^T v>, with A^T its backward pass.  Affine kernels are made
+# linear by differencing from the zero input, which removes the bias.
+
+ADJOINT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def assert_adjoint(forward, backward, u, rng):
+    au = forward(u)
+    v = rng.standard_normal(au.shape)
+    lhs, rhs = float((au * v).sum()), float((u * backward(v)).sum())
+    # Cauchy-Schwarz bounds both sides by |Au| |v| (and |u| |A^T v|)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(au) * np.linalg.norm(v))
+
+
+def random_linear(rng, in_dim, out_dim, heads=None):
+    lead = () if heads is None else (heads,)
+    return LinearParams(rng.standard_normal((*lead, out_dim, in_dim)),
+                        rng.standard_normal((*lead, out_dim)))
+
+
+@ADJOINT
+@given(seed=seeds, rows=st.integers(1, 9), heads=st.sampled_from([None, 1, 3]),
+       per_head=st.booleans())
+def test_linear_backward_is_adjoint_in_x(seed, rows, heads, per_head):
+    rng = np.random.default_rng(seed)
+    p = random_linear(rng, 7, 5, heads)
+    shape = (heads, rows, 7) if heads and per_head else (rows, 7)
+    zero = linear_vjp(np.zeros(shape), p)[0]
+    assert_adjoint(
+        lambda u: linear_vjp(u, p)[0] - zero,
+        lambda v: linear_vjp(np.zeros(shape), p)[1].backward(v)[0],
+        rng.standard_normal(shape), rng,
+    )
+
+
+@ADJOINT
+@given(seed=seeds)
+def test_linear_vector_backward_is_adjoint_in_x(seed):
+    rng = np.random.default_rng(seed)
+    p = random_linear(rng, 6, 4)
+    zero = linear_vjp(np.zeros(6), p)[0]
+    assert_adjoint(
+        lambda u: linear_vjp(u, p)[0] - zero,
+        lambda v: linear_vjp(np.zeros(6), p)[1].backward(v)[0],
+        rng.standard_normal(6), rng,
+    )
+
+
+@ADJOINT
+@given(seed=seeds, h=st.integers(1, 6), w=st.integers(1, 6))
+def test_conv1x1_backward_is_adjoint(seed, h, w):
+    rng = np.random.default_rng(seed)
+    p = random_linear(rng, 5, 3)
+    zero, rec = conv1x1_vjp(np.zeros((5, h, w)), p)
+    assert_adjoint(lambda u: conv1x1_vjp(u, p)[0] - zero, lambda v: rec.backward(v)[0],
+                   rng.standard_normal((5, h, w)), rng)
+
+
+@ADJOINT
+@given(seed=seeds, h=st.integers(1, 6), w=st.integers(1, 6))
+def test_sample_roi_feature_backward_is_adjoint_in_each_argument(seed, h, w):
+    rng = np.random.default_rng(seed)
+    f, masks = rng.standard_normal((4, h, w)), rng.standard_normal((3, h, w))
+    # in the feature grid, masks fixed
+    assert_adjoint(lambda u: sample_roi_feature_vjp(u, masks)[0],
+                   lambda v: sample_roi_feature_vjp(f, masks)[1].backward(v)[0],
+                   rng.standard_normal(f.shape), rng)
+    # in the masks, feature grid fixed
+    assert_adjoint(lambda u: sample_roi_feature_vjp(f, u)[0],
+                   lambda v: sample_roi_feature_vjp(f, masks)[1].backward(v)[1],
+                   rng.standard_normal(masks.shape), rng)
+
+
+@ADJOINT
+@given(seed=seeds, mode=st.sampled_from(["average", "concatenation"]),
+       h=st.integers(1, 5), w=st.integers(1, 5))
+def test_roi_descriptor_backward_is_adjoint(seed, mode, h, w):
+    rng = np.random.default_rng(seed)
+    c = 3
+    psi = random_linear(rng, c * h * w if mode == "concatenation" else c, 6)
+    zero, rec = roi_descriptor_vjp(np.zeros((c, h, w)), mode, psi)
+    assert_adjoint(lambda u: roi_descriptor_vjp(u, mode, psi)[0] - zero,
+                   lambda v: rec.backward(v)[0], rng.standard_normal((c, h, w)), rng)
+
+
+# ---------------------------------------------------------------------------
+# mask normalization: every mask slice is a distribution over the grid, from
+# nearly uniform (small gamma) to nearly one-hot (large gamma)
+
+MASK_CFG = SraConfig(n_masks=5, budget=32, descriptor_dim=8, embed_channels=4, hidden=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_gamma=st.floats(-3.0, 4.0), seed=seeds)
+def test_masks_normalized_over_gamma(log_gamma, seed):
+    rng = np.random.default_rng(seed)
+    cfg = replace(MASK_CFG, gamma=10.0**log_gamma)
+    params = init_params(cfg, 6, rng)
+    x0, y0 = rng.uniform(0, 8, 2)
+    box = RoIBox(x0, y0, x0 + rng.uniform(1, 7), y0 + rng.uniform(1, 7))
+    masks = sra_extract(rng.standard_normal((6, 16, 16)), box, params, cfg).masks
+    assert np.isfinite(masks).all() and (masks >= 0).all()
+    np.testing.assert_allclose(masks.sum(axis=(1, 2)), 1.0, atol=1e-12)

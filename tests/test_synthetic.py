@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semroi.numerics import ConfigError
 from semroi.synthetic import (
     MAX_CROSS_CLASS_COSINE,
     Pose,
@@ -108,7 +109,8 @@ def test_pose_composition_is_dihedral():
 
 
 def test_generate_rejects_single_class():
-    with pytest.raises(ValueError):
+    # a ConfigError, so the CLI reports it as a usage error (exit 2)
+    with pytest.raises(ConfigError, match="2 classes"):
         generate_dataset(1, 10, seed=0)
 
 
