@@ -115,7 +115,12 @@ def resolve_config(subcommand: str, config_file: str | None, overrides: list[str
     the ``--set`` overrides applied; a key the command does not read is
     rejected like an unknown one."""
     row = COMMANDS[subcommand]
-    defaults = {key: value for name in row.sections for key, value in SECTIONS[name].items()}
+    defaults = {
+        key: value
+        for name in row.sections
+        for key, value in SECTIONS[name].items()
+        if key not in row.unread
+    }
     defaults.update(row.own)
     given = [(key, value, False) for key, value in _read_config_file(config_file).items()]
     for item in overrides:
@@ -271,6 +276,8 @@ def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 
 def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     families = tuple(f.strip() for f in str(config["invariance.families"]).split(",") if f.strip())
+    if not families:
+        raise UsageError("invariance.families must name at least one transform family")
     run = _compare(config, seed, families)["runs"][0]
     return 0, {
         "families": list(families),
@@ -333,6 +340,7 @@ class Command(NamedTuple):
     handler: Callable[[dict, int, Path], tuple[int, dict]]
     sections: tuple[str, ...]  # the SECTIONS it reads
     own: dict[str, object]  # its own keys, and section defaults it overrides
+    unread: tuple[str, ...] = ()  # keys of those sections it does not read
 
 
 ALL_SECTIONS = tuple(SECTIONS)
@@ -349,8 +357,10 @@ COMMANDS: dict[str, Command] = {
     "train-toy": Command(cmd_train_toy, ALL_SECTIONS, {"train.kind": "both"}),
     "invariance": Command(cmd_invariance, ALL_SECTIONS,
                           {"invariance.families": "rotation,reflection,scale_pan"}),
-    "diversity": Command(cmd_diversity, ALL_SECTIONS, {"diversity.threshold": 0.3}),
-    "bench": Command(cmd_bench, ("sra", "data"), {"bench.timing_rois": 50}),
+    "diversity": Command(cmd_diversity, ALL_SECTIONS, {"diversity.threshold": 0.3},
+                         ("eval.invariance_samples",)),
+    "bench": Command(cmd_bench, ("sra", "data"), {"bench.timing_rois": 50},
+                     ("data.n_classes", "data.n_per_class")),
 }
 
 

@@ -28,9 +28,8 @@ from .numerics import (
     conv1x1_vjp,
     init_layer_norm,
     init_linear,
-    layer_norm_vjp,
     linear_vjp,
-    relu_vjp,
+    norm_relu_linear_vjp,
     softmax_spatial_vjp,
 )
 from .sampler import GridSize, RoIBox, block_average_pool_vjp, dynamic_grid_size
@@ -297,22 +296,16 @@ def mask_logits_vjp(
     z = np.concatenate(cols, axis=1)
 
     mlp = params.mask_mlp
-    a1, r1 = layer_norm_vjp(z, mlp.trunk_norm)
-    a2, r2 = relu_vjp(a1)
-    a3, r3 = linear_vjp(a2, mlp.trunk_linear)
-    a4, r4 = layer_norm_vjp(a3, mlp.head_norm)
-    a5, r5 = relu_vjp(a4)
-    out, r6 = linear_vjp(a5, mlp.head_linear)  # (G, hw, O)
+    hidden, r_trunk = norm_relu_linear_vjp(z, mlp.trunk_norm, mlp.trunk_linear)
+    out, r_head = norm_relu_linear_vjp(hidden, mlp.head_norm, mlp.head_linear)  # (G, hw, O)
     heads, _, n_out = out.shape
     logits = np.swapaxes(out, 1, 2).reshape(heads * n_out, h, w)
 
     def backward(gy: Array):
-        g5, g_hl_w, g_hl_b = r6.backward(np.swapaxes(gy.reshape(heads, n_out, hw), 1, 2))
-        (g4,) = r5.backward(g5)
-        g3, g_hn_g, g_hn_s = r4.backward(g4)
-        g2, g_tl_w, g_tl_b = r3.backward(g3)
-        (g1,) = r2.backward(g2)
-        gz, g_tn_g, g_tn_s = r1.backward(g1)
+        g_hidden, g_hn_g, g_hn_s, g_hl_w, g_hl_b = r_head.backward(
+            np.swapaxes(gy.reshape(heads, n_out, hw), 1, 2)
+        )
+        gz, g_tn_g, g_tn_s, g_tl_w, g_tl_b = r_trunk.backward(g_hidden)
         grads = MaskMlpParams(
             trunk_norm=LayerNormParams(g_tn_g, g_tn_s, mlp.trunk_norm.epsilon),
             trunk_linear=LinearParams(g_tl_w, g_tl_b),

@@ -1,10 +1,16 @@
 """Dense-tensor kernels with hand-derived reverse-mode gradients.
 
-Every differentiable operation comes in two forms: a plain forward
-(``linear``, ``layer_norm``, ...) and a ``*_vjp`` variant that additionally
-returns a :class:`VjpRecord` whose ``backward`` maps an output cotangent to
-input and parameter cotangents.  ``check_vjp`` validates any such operation
-against central finite differences.
+Each differentiable operation has a ``*_vjp`` form that returns its output
+and a :class:`VjpRecord` whose ``backward`` maps an output cotangent to
+input and parameter cotangents; most also have a plain forward (``linear``,
+``layer_norm``, ...).  ``check_vjp`` validates any such operation against
+central finite differences.
+
+The pipeline runs linear (and the 1x1 convolution built on it), the fused
+layer norm -> relu -> linear block of the mask regressor and the amplified
+spatial softmax.  ``layer_norm_vjp`` and ``bilinear_sample_many_vjp`` are
+not on the pipeline's path: they serve the reference compositions in
+:mod:`semroi.oracles`, and the benchmark's span tracer binds them by name.
 
 All arrays are numpy ndarrays in float64, except that ``check_vjp`` runs
 forward passes in ``np.longdouble``; tensors on disk use the tjson format
@@ -151,6 +157,11 @@ def layer_norm_vjp(x: Array, p: LayerNormParams) -> tuple[Array, VjpRecord]:
 
     Stacked parameters ``(G, dim)`` take a row batch shared by all heads or
     one per head, as in ``linear_vjp``.
+
+    The pipeline normalizes inside ``norm_relu_linear_vjp``; this kernel
+    builds that block's reference, ``oracles.norm_relu_linear_composed``.
+    It stays in this module because ``perfbench/tracing.py`` rebinds
+    ``numerics.layer_norm_vjp`` by name and raises ``KeyError`` without it.
     """
     dim = x.shape[-1]
     stacked = p.gain.ndim == 2
@@ -193,18 +204,69 @@ def layer_norm(x: Array, p: LayerNormParams) -> Array:
 # relu
 
 
-def relu_vjp(x: Array) -> tuple[Array, VjpRecord]:
-    y = np.maximum(x, 0.0)
-    mask = x > 0.0
-
-    def backward(gy: Array) -> tuple[Array]:
-        return (gy * mask,)
-
-    return y, VjpRecord("relu", backward)
-
-
 def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# fused layer norm -> relu -> linear block
+
+
+def norm_relu_linear_vjp(
+    x: Array, norm: LayerNormParams, lin: LinearParams
+) -> tuple[Array, VjpRecord]:
+    """``linear(relu(layer_norm(x)))`` for G stacked heads, as one kernel.
+
+    ``x`` is a row batch ``(B, D)`` shared by all heads or ``(G, B, D)``,
+    one per head; ``norm`` is ``(G, D)``, ``lin`` is ``(G, O, D)`` and the
+    output is ``(G, B, O)``.  The row statistics are taken once per input
+    row, so a shared input normalizes once for every head.  The backward
+    returns ``(gx, g_gain, g_shift, g_weight, g_bias)``; a shared input's
+    ``gx`` sums over the heads.  It reads the ReLU mask back as ``a > 0``
+    from the saved activation, which is the mask of the pre-activation.
+    The composition of the three kernels is ``oracles.norm_relu_linear_composed``.
+    """
+    heads, dim = lin.weight.shape[0], lin.in_dim
+    if (
+        lin.weight.ndim != 3
+        or norm.gain.shape != (heads, dim)
+        or x.ndim not in (2, 3)
+        or x.shape[-1] != dim
+        or (x.ndim == 3 and x.shape[0] != heads)
+    ):
+        raise ShapeError(
+            f"norm_relu_linear: input shape {x.shape} does not match gain shape "
+            f"{norm.gain.shape} and weight shape {lin.weight.shape}"
+        )
+    gain = norm.gain[:, None, :]
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = np.einsum("...d,...d->...", xhat, xhat)[..., None] / dim
+    inv = 1.0 / np.sqrt(var + norm.epsilon)
+    xhat *= inv
+    a = xhat * gain
+    a += norm.shift[:, None, :]
+    np.maximum(a, 0.0, out=a)
+    y = a @ np.swapaxes(lin.weight, -1, -2)
+    y += lin.bias[:, None, :]
+
+    def backward(gy: Array) -> tuple[Array, Array, Array, Array, Array]:
+        ga = gy @ lin.weight
+        g_weight = np.swapaxes(gy, -1, -2) @ a
+        g_bias = gy.sum(axis=-2)
+        ga *= a > 0.0
+        g_shift = ga.sum(axis=-2)
+        g_gain = np.einsum("...bd,...bd->...d", ga, xhat)
+        # d/dx of (x - mu) * inv with mu, inv functions of x
+        ga *= gain
+        m1 = ga.mean(axis=-1, keepdims=True)
+        m2 = np.einsum("...d,...d->...", ga, xhat)[..., None] / dim
+        ga -= m1
+        ga -= xhat * m2
+        gx = ga.sum(axis=0) if x.ndim == 2 else ga
+        gx *= inv
+        return gx, g_gain, g_shift, g_weight, g_bias
+
+    return y, VjpRecord("norm_relu_linear", backward)
 
 
 # ---------------------------------------------------------------------------

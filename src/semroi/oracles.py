@@ -40,7 +40,10 @@ from .numerics import (
     bilinear_sample_many_vjp,
     check_vjp,
     layer_norm,
+    layer_norm_vjp,
     linear,
+    linear_vjp,
+    norm_relu_linear_vjp,
     softmax_spatial,
 )
 from .sampler import (
@@ -153,6 +156,34 @@ def mask_logits_loop(d: Array, s: Array, p: Array | None, params) -> Array:
                 a = np.maximum(layer_norm(a, head_norm), 0.0)
                 out[g, :, j, k] = linear(a, head_linear)
     return out.reshape(heads * n_out, h, w)
+
+
+def relu_vjp(x: Array) -> tuple[Array, VjpRecord]:
+    y = np.maximum(x, 0.0)
+    mask = x > 0.0
+
+    def backward(gy: Array) -> tuple[Array]:
+        return (gy * mask,)
+
+    return y, VjpRecord("relu", backward)
+
+
+def norm_relu_linear_composed(
+    x: Array, norm: LayerNormParams, lin: LinearParams
+) -> tuple[Array, VjpRecord]:
+    """The block of ``numerics.norm_relu_linear_vjp`` as three recorded
+    kernels, each with its own backward."""
+    a1, r1 = layer_norm_vjp(x, norm)
+    a2, r2 = relu_vjp(a1)
+    y, r3 = linear_vjp(a2, lin)
+
+    def backward(gy: Array) -> tuple[Array, Array, Array, Array, Array]:
+        g2, g_weight, g_bias = r3.backward(gy)
+        (g1,) = r2.backward(g2)
+        gx, g_gain, g_shift = r1.backward(g1)
+        return gx, g_gain, g_shift, g_weight, g_bias
+
+    return y, VjpRecord("norm_relu_linear_composed", backward)
 
 
 def sample_roi_feature_loop(f: Array, masks: Array) -> Array:
@@ -397,6 +428,29 @@ def check_mask_logits_vs_loop(seed: int = 0) -> OracleResult:
     return _result("mask_logits_vs_loop", err, 1e-10)
 
 
+def check_norm_relu_linear_vs_composed(seed: int = 0) -> OracleResult:
+    """The fused block against the composed kernels, forward and all five
+    gradients, for G in {1, 3} under shared and per-head input.  Two
+    features have zero gain and shift, so their pre-activation is exactly 0
+    and both forms must take the same ReLU subgradient there."""
+    rng = np.random.default_rng(seed)
+    b, d, o = 7, 9, 4
+    err = 0.0
+    for heads in (1, 3):
+        for x_shape in ((b, d), (heads, b, d)):
+            x = rng.standard_normal(x_shape)
+            gain, shift = rng.standard_normal((2, heads, d))
+            gain[:, :2] = shift[:, :2] = 0.0
+            norm = LayerNormParams(gain, shift)
+            lin = LinearParams(rng.standard_normal((heads, o, d)), rng.standard_normal((heads, o)))
+            got, rec = norm_relu_linear_vjp(x, norm, lin)
+            want, rec_composed = norm_relu_linear_composed(x, norm, lin)
+            gy = rng.standard_normal(want.shape)
+            pairs = zip((got, *rec.backward(gy)), (want, *rec_composed.backward(gy)))
+            err = max(err, *(_rel_err(g, w) for g, w in pairs))
+    return _result("norm_relu_linear_vs_composed", err, 1e-12, "G in {1, 3}, shared and per head")
+
+
 def check_sampling_vs_loop(seed: int = 0) -> OracleResult:
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((6, 4, 5))
@@ -491,6 +545,7 @@ ALL_CHECKS: list[Callable[[int], OracleResult]] = [
     check_conv1x1_vs_loop,
     check_descriptor_vs_loop,
     check_mask_logits_vs_loop,
+    check_norm_relu_linear_vs_composed,
     check_sampling_vs_loop,
     check_extract_vs_recomposition,
     check_gradients,

@@ -65,7 +65,12 @@ def test_command_table_pins_accepted_key_prefixes():
         assert {key.split(".")[0] for key in config} == prefixes, name
     assert "train.kind" in resolve_config("train-toy", None, [])
     assert "train.kind" not in resolve_config("invariance", None, [])
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 137
+    # a row leaves out the section keys its command does not read
+    assert "eval.invariance_samples" not in resolve_config("diversity", None, [])
+    assert [k for k in resolve_config("bench", None, []) if k.startswith("data.")] == [
+        "data.channels"
+    ]
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 134
 
 
 def test_ablations_default_to_their_own_epochs_and_dataset_size():
@@ -155,11 +160,11 @@ INT_KEYS = [
     ("ablate-sampler", "sra.embed_channels"),
     ("ablate-sampler", "sra.hidden"),
     ("bench", "bench.timing_rois"),
-    ("bench", "data.n_classes"),
-    ("bench", "data.n_per_class"),
+    ("ablate-descriptor", "data.n_classes"),
+    ("ablate-descriptor", "data.n_per_class"),
     ("bench", "data.channels"),
     ("ablate-descriptor", "train.epochs"),
-    ("diversity", "eval.invariance_samples"),
+    ("invariance", "eval.invariance_samples"),
     ("diversity", "eval.diversity_samples"),
 ]
 
@@ -245,6 +250,17 @@ def test_unknown_invariance_family_exits_2_before_training(tmp_path, capsys, mon
                 "--set", "invariance.families=rotation,shear", *TINY_TRAIN])
     assert code == 2
     assert "shear" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("families", ["", ","], ids=["empty", "comma"])
+def test_no_invariance_family_exits_2_before_training(families, tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    monkeypatch.setattr(cli, "compare_extractors", _fail_if_run)
+    code = run(["invariance", "--out", str(tmp_path),
+                "--set", f"invariance.families={families}", *TINY_TRAIN])
+    assert code == 2
+    assert "invariance.families" in capsys.readouterr().err
 
 
 def test_gradcheck_writes_passing_report(tmp_path, capsys):
@@ -371,7 +387,9 @@ def test_invariance_reproduces_train_toy_both(families, tmp_path, capsys):
 
 
 def test_diversity_report_structure(tmp_path, capsys):
-    code = run(["diversity", "--out", str(tmp_path), *TINY_TRAIN])
+    # diversity does not read eval.invariance_samples, so it rejects it
+    i = TINY_TRAIN.index("eval.invariance_samples=4")
+    code = run(["diversity", "--out", str(tmp_path), *TINY_TRAIN[: i - 1], *TINY_TRAIN[i + 1 :]])
     capsys.readouterr()
     assert code == 0
     doc = load_report(tmp_path, "diversity")

@@ -13,11 +13,12 @@ from semroi.numerics import (
     layer_norm_vjp,
     linear,
     linear_vjp,
+    norm_relu_linear_vjp,
     relu,
-    relu_vjp,
     softmax_spatial,
     softmax_spatial_vjp,
 )
+from semroi.oracles import relu_vjp
 from semroi.sampler import GridSize, RoIBox, block_average_pool_vjp
 
 
@@ -170,6 +171,32 @@ def test_conv1x1_matches_per_position_products():
             )
 
 
+@pytest.mark.parametrize("x_shape", [(4, 5), (3, 4, 5)])
+def test_norm_relu_linear_keeps_its_input_and_extended_precision(x_shape):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(x_shape).astype(np.longdouble)
+    before = x.copy()
+    norm = LayerNormParams(*rng.standard_normal((2, 3, 5)).astype(np.longdouble))
+    lin = LinearParams(rng.standard_normal((3, 2, 5)).astype(np.longdouble),
+                       rng.standard_normal((3, 2)).astype(np.longdouble))
+    y, rec = norm_relu_linear_vjp(x, norm, lin)
+    grads = rec.backward(np.ones(y.shape, dtype=np.longdouble))
+    assert np.array_equal(x, before)
+    assert y.dtype == np.longdouble
+    assert [g.dtype for g in grads] == [np.longdouble] * 5
+    assert grads[0].shape == x.shape
+
+
+def test_norm_relu_linear_rejects_mismatched_shapes():
+    norm = LayerNormParams(np.ones((3, 5)), np.zeros((3, 5)))
+    lin = LinearParams(np.zeros((3, 2, 5)), np.zeros((3, 2)))
+    for x in (np.zeros((4, 6)), np.zeros((2, 4, 5)), np.zeros(5)):
+        with pytest.raises(ShapeError, match="norm_relu_linear"):
+            norm_relu_linear_vjp(x, norm, lin)
+    with pytest.raises(ShapeError, match="norm_relu_linear"):
+        norm_relu_linear_vjp(np.zeros((4, 5)), norm, LinearParams(np.zeros((2, 5)), np.zeros(2)))
+
+
 # ---------------------------------------------------------------------------
 # gradient checks: every differentiable op, 20 seeds each
 
@@ -231,6 +258,24 @@ def _layer_norm_heads_case(seed):
     def fn(x, gain, shift):
         y, rec = layer_norm_vjp(x, LayerNormParams(gain, shift))
         return y, lambda g: dict(zip(("x", "gain", "shift"), rec.backward(g)))
+
+    return fn, args
+
+
+def _norm_relu_linear_case(seed):
+    # G=3 fused blocks; odd seeds feed one row batch to every head
+    rng = np.random.default_rng(seed)
+    args = {
+        "x": rng.standard_normal((4, 5) if seed % 2 else (3, 4, 5)),
+        "gain": rng.standard_normal((3, 5)),
+        "shift": rng.standard_normal((3, 5)),
+        "weight": rng.standard_normal((3, 2, 5)),
+        "bias": rng.standard_normal((3, 2)),
+    }
+
+    def fn(x, gain, shift, weight, bias):
+        y, rec = norm_relu_linear_vjp(x, LayerNormParams(gain, shift), LinearParams(weight, bias))
+        return y, lambda g: dict(zip(("x", "gain", "shift", "weight", "bias"), rec.backward(g)))
 
     return fn, args
 
@@ -302,6 +347,7 @@ OP_CASES = {
     "linear_heads": _linear_heads_case,
     "layer_norm": _layer_norm_case,
     "layer_norm_heads": _layer_norm_heads_case,
+    "norm_relu_linear": _norm_relu_linear_case,
     "relu": _relu_case,
     "softmax_spatial": _softmax_case,
     "conv1x1": _conv1x1_case,

@@ -1,6 +1,7 @@
 """Property tests: the vectorized grid search against exhaustive search
 over the whole (h, w) lattice, the adjointness of every kernel's backward
-pass, and mask normalization over the amplification range."""
+pass, the fused norm-relu-linear block against its composition, and mask
+normalization over the amplification range."""
 
 from dataclasses import replace
 
@@ -14,8 +15,10 @@ from semroi.core import (
     sample_roi_feature_vjp,
     sra_extract,
 )
-from semroi.numerics import LinearParams, conv1x1_vjp, linear_vjp
-from semroi.oracles import grid_size_exhaustive
+from semroi.numerics import (
+    LayerNormParams, LinearParams, conv1x1_vjp, linear_vjp, norm_relu_linear_vjp,
+)
+from semroi.oracles import grid_size_exhaustive, norm_relu_linear_composed
 from semroi.sampler import RoIBox, dynamic_grid_size
 
 # derandomized, so every run of the suite draws the same examples
@@ -132,6 +135,27 @@ def test_roi_descriptor_backward_is_adjoint(seed, mode, h, w):
     zero, rec = roi_descriptor_vjp(np.zeros((c, h, w)), mode, psi)
     assert_adjoint(lambda u: roi_descriptor_vjp(u, mode, psi)[0] - zero,
                    lambda v: rec.backward(v)[0], rng.standard_normal((c, h, w)), rng)
+
+
+# ---------------------------------------------------------------------------
+# the fused norm-relu-linear block equals its three composed kernels, forward
+# and every gradient; they sum in another order, so not bit for bit
+
+
+@ADJOINT
+@given(seed=seeds, rows=st.integers(1, 9), dim=st.integers(2, 12), out=st.integers(1, 5),
+       heads=st.sampled_from([1, 3]), per_head=st.booleans())
+def test_norm_relu_linear_matches_composed(seed, rows, dim, out, heads, per_head):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((heads, rows, dim) if per_head else (rows, dim))
+    norm = LayerNormParams(*rng.standard_normal((2, heads, dim)))
+    lin = random_linear(rng, dim, out, heads)
+    got, rec = norm_relu_linear_vjp(x, norm, lin)
+    want, rec_composed = norm_relu_linear_composed(x, norm, lin)
+    gy = rng.standard_normal(want.shape)
+    for g, w in zip((got, *rec.backward(gy)), (want, *rec_composed.backward(gy))):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 # ---------------------------------------------------------------------------
