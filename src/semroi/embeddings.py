@@ -10,6 +10,8 @@ Either is mapped to P channels by a per-position projection.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .numerics import Array, ConfigError, LinearParams, conv1x1_vjp
@@ -33,17 +35,21 @@ def position_embedding_raw(grid: GridSize) -> Array:
     return out
 
 
+@functools.lru_cache(maxsize=128)
 def upsample_matrix(src_len: int, dst_len: int) -> Array:
     """(dst_len, src_len) linear-interpolation weights between cell centers.
 
     Target cell t sits at source coordinate (t+0.5)*src_len/dst_len - 0.5,
     clamped to the source centers [0, src_len - 1], and weighs each source
-    cell by the hat of :func:`semroi.sampler.interp_weights`.
+    cell by the hat of :func:`semroi.sampler.interp_weights`.  Memoized: the
+    same read-only array is returned for equal arguments.
     """
     # multiply before dividing: keeps pos integral when the lengths match,
     # making same-length upsampling a true identity
     pos = (np.arange(dst_len) + 0.5) * src_len / dst_len - 0.5
-    return interp_weights(np.clip(pos, 0.0, src_len - 1.0), np.arange(src_len))
+    mat = interp_weights(np.clip(pos, 0.0, src_len - 1.0), np.arange(src_len))
+    mat.setflags(write=False)
+    return mat
 
 
 def area_embedding_raw(grid: GridSize, m_axis: int) -> Array:

@@ -304,13 +304,19 @@ def _result(name: str, err: float, tol: float, detail: str = "") -> OracleResult
 
 
 def check_grid_vs_exhaustive(seed: int = 0, n_boxes: int = 60) -> OracleResult:
+    """Boxes of ordinary size, then boxes of extreme aspect (height/width
+    from 1e-12 to 1e12), which reach both ends of the grid table."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     for budget in (1, 32, 64, 128, 256):
+        boxes = []
         for _ in range(n_boxes):
             x0, y0 = rng.uniform(0, 40, 2)
             bw, bh = rng.uniform(0.5, 80, 2)
-            box = RoIBox(x0, y0, x0 + bw, y0 + bh)
+            boxes.append(RoIBox(x0, y0, x0 + bw, y0 + bh))
+        for aspect in 10.0 ** rng.uniform(-12, 12, n_boxes):
+            boxes.append(RoIBox(0.0, 0.0, 1.0, float(aspect)))
+        for box in boxes:
             if tuple(dynamic_grid_size(box, budget)) != tuple(grid_size_exhaustive(box, budget)):
                 mismatches += 1
     return _result("grid_vs_exhaustive", float(mismatches), 0.5, f"{mismatches} mismatches")

@@ -1,21 +1,25 @@
 """Per-RoI grid selection and block-average feature pooling.
 
 ``dynamic_grid_size`` picks the integer grid whose row/column ratio best
-matches the box's height/width ratio under an area budget, scoring a few
-candidate widths for every row count in one vectorized pass;
-``block_average_pool`` cuts the box into that many equal blocks and averages
-2x2 bilinear samples per block.  ``interp_weights`` is the one
-linear-interpolation hat the pool and the area embedding both build their
-matrices from.  The 2x2 samples are an outer product of two rows and two
-columns and a bilinear weight is a row weight times a column weight, so the
-pool is separable: ``out[c] = Ry @ F[c, window] @ Rx.T`` with two small
-interpolation matrices over the box's pixel window, and its backward is
-``Ry.T @ G @ Rx`` written into that window.  The point-sampling form it
-replaces is the reference in :mod:`semroi.oracles`.
+matches the box's height/width ratio under an area budget.  It looks the
+box's ratio up in a per-budget table of every feasible grid ratio, built
+once per budget, so a query is one bisection and a comparison of the two
+neighbours; the exhaustive enumeration it replaces is the reference in
+:mod:`semroi.oracles`.  ``block_average_pool`` cuts the box into that many
+equal blocks and averages 2x2 bilinear samples per block.
+``interp_weights`` is the one linear-interpolation hat the pool and the area
+embedding both build their matrices from.  The 2x2 samples are an outer
+product of two rows and two columns and a bilinear weight is a row weight
+times a column weight, so the pool is separable: ``out[c] = Ry @ F[c,
+window] @ Rx.T`` with two small interpolation matrices over the box's pixel
+window, and its backward is ``Ry.T @ G @ Rx`` written into that window.  The
+point-sampling form it replaces is the reference in :mod:`semroi.oracles`.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,7 +44,9 @@ class RoIBox:
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError(f"degenerate box: {self}")
-        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+        # finite corners can still overflow the width or height
+        extents = (self.x0, self.y0, self.x1, self.y1, self.width, self.height)
+        if not all(map(math.isfinite, extents)):
             raise ValueError(f"non-finite box: {self}")
 
     @property
@@ -61,26 +67,51 @@ class GridSize(NamedTuple):
         return self.h * self.w
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_table(budget: int) -> tuple[list[float], list[tuple[int, int]], list[GridSize]]:
+    """Every feasible grid ratio ``h/w`` for ``h*w <= budget``, ascending,
+    one entry per distinct float ratio: the grid with the largest area, then
+    the largest h.  Returns the ratios, each entry's tie-break rank
+    ``(-area, -h)`` and its grid."""
+    rows = np.arange(1, budget + 1)
+    h = np.repeat(rows, budget // rows)
+    w = np.concatenate([np.arange(1, budget // r + 1) for r in rows])
+    ratio = h / w
+    order = np.lexsort((-h, -(h * w), ratio))
+    ratio, h, w = ratio[order], h[order], w[order]
+    first = np.ones(len(ratio), dtype=bool)
+    first[1:] = ratio[1:] != ratio[:-1]
+    hs, ws = h[first].tolist(), w[first].tolist()
+    return (
+        ratio[first].tolist(),
+        [(-a * b, -a) for a, b in zip(hs, ws)],
+        [GridSize(a, b) for a, b in zip(hs, ws)],
+    )
+
+
 def dynamic_grid_size(box: RoIBox, budget: int) -> GridSize:
     """Grid (h, w) with h*w <= budget minimizing |h/w - box.height/box.width|.
 
-    Ties go to the larger area, then the larger h.  For each row count h the
-    unconstrained optimum is w = h/ratio and |h/w - ratio| is unimodal in w,
-    so only the floor/ceil of that optimum and the two ends 1 and
-    budget // h need checking.  All rows are searched at once: 4 candidates
-    per row, ranked by one lexsort, so memory stays O(budget); the
-    test-suite oracle enumerates every pair instead.
+    Ties go to the larger area, then the larger h.  The box's ratio is
+    bisected into the budget's table of feasible ratios, and the two
+    neighbours are ranked by (distance, -area, -h).  Division is correctly
+    rounded, so grids with equal rationals share one float ratio, and float
+    subtraction is monotone, so the nearest entry is a neighbour.  Below the
+    table's top, rounding cannot make an entry further out tie a
+    neighbour's distance: distinct entries differ by at least 1/budget**2,
+    far above the rounding of distances under the budget (for any budget
+    under 2**17).  Above the top the neighbour is (budget, 1), whose area
+    and h no entry exceeds, so it wins any tie.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    ratios, ranks, grids = _grid_table(budget)
     ratio = box.height / box.width
-    h = np.arange(1, budget + 1)
-    w_max = budget // h
-    w_star = h / ratio
-    ws = np.clip([np.ones(budget), w_max, np.floor(w_star), np.ceil(w_star)], 1, w_max).ravel()
-    hs = np.tile(h, 4)
-    best = np.lexsort((-hs, -(hs * ws), np.abs(hs / ws - ratio)))[0]
-    return GridSize(int(hs[best]), int(ws[best]))
+    i = bisect.bisect_left(ratios, ratio)
+    above, below = min(i, len(ratios) - 1), max(i - 1, 0)
+    if (abs(ratios[below] - ratio), ranks[below]) < (abs(ratios[above] - ratio), ranks[above]):
+        return grids[below]
+    return grids[above]
 
 
 # fractions of a block at which its two samples per axis sit
@@ -94,7 +125,18 @@ def interp_weights(t: Array, pixels: Array) -> Array:
     For t within ``[pixels[0], pixels[-1]]`` each sample's weights sum to 1
     over its two bracketing pixels; callers clamp t to the map first.
     """
-    return np.maximum(1.0 - np.abs(t[..., None] - pixels), 0.0)
+    out = t[..., None] - pixels
+    np.abs(out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+@functools.lru_cache(maxsize=256)
+def _sample_fractions(blocks: int) -> Array:
+    """(blocks, 2) sample positions in units of one block."""
+    fractions = np.arange(blocks)[:, None] + SAMPLE_OFFSETS
+    fractions.setflags(write=False)
+    return fractions
 
 
 def _block_interp(start: float, length: float, blocks: int, size: int) -> tuple[int, Array]:
@@ -103,13 +145,18 @@ def _block_interp(start: float, length: float, blocks: int, size: int) -> tuple[
     samples along one axis of ``size`` pixels.
 
     Samples clamp to ``[0, size - 1]`` and weigh pixels by
-    :func:`interp_weights`.
+    :func:`interp_weights`.  The samples ascend with the block index, so
+    the window runs from the first sample's pixel to the last one's.
     """
-    t = start + (np.arange(blocks)[:, None] + SAMPLE_OFFSETS) * (length / blocks)
-    t = np.clip(t, 0.0, size - 1.0)  # (blocks, 2)
-    first = int(np.floor(t.min()))
-    pixels = np.arange(first, int(np.ceil(t.max())) + 1)
-    return first, interp_weights(t, pixels).mean(axis=1)
+    t = start + _sample_fractions(blocks) * (length / blocks)  # (blocks, 2)
+    last = size - 1.0
+    lo, hi = t.item(0), t.item(-1)
+    if lo < 0.0 or hi > last:
+        np.clip(t, 0.0, last, out=t)
+        lo, hi = t.item(0), t.item(-1)
+    first = math.floor(lo)
+    weights = interp_weights(t, np.arange(first, math.ceil(hi) + 1))
+    return first, (weights[:, 0] + weights[:, 1]) * 0.5
 
 
 def block_average_pool_vjp(
@@ -120,7 +167,10 @@ def block_average_pool_vjp(
     Each output value is the mean of 4 bilinear samples at the (1/4, 3/4)
     fractions of its block; samples outside the map clamp to the border.
     Computed as ``Ry @ F[c, window] @ Rx.T``; the backward writes
-    ``Ry.T @ G @ Rx`` into the window of a zero map.
+    ``Ry.T @ G @ Rx`` into the window of a zero map.  Raises ``ValueError``
+    when the pooled grid is not finite, as a NaN or an infinity on any pixel
+    the samples weigh makes it; checking the (C, h, w) grid costs a small
+    fraction of checking the whole map.
     """
     if fmap.ndim != 3:
         raise ShapeError(f"block_average_pool: expected fmap (C, H, W), got {fmap.shape}")
@@ -131,6 +181,8 @@ def block_average_pool_vjp(
     rows, cols = ry.shape[1], rx.shape[1]
     window = fmap[:, y0 : y0 + rows, x0 : x0 + cols]
     out = ry @ window @ rx.T
+    if not np.isfinite(out).all():
+        raise ValueError(f"block_average_pool: non-finite values pooled from the window of {box}")
 
     def backward(gy: Array) -> tuple[Array]:
         gmap = np.zeros((C, H, W))

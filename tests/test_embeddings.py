@@ -101,6 +101,23 @@ def test_upsample_matrix_equals_bracketing_loop(dst_len):
         )
 
 
+def test_upsample_matrix_is_shared_and_read_only():
+    mat = upsample_matrix(5, 16)
+    assert upsample_matrix(5, 16) is mat
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 2.0
+
+
+def test_area_embedding_is_fresh_and_writable():
+    first = area_embedding_raw(GridSize(3, 5), 8)
+    second = area_embedding_raw(GridSize(3, 5), 8)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.flags.writeable
+    first[:] = 0.0
+    np.testing.assert_array_equal(second, area_embedding_raw(GridSize(3, 5), 8))
+
+
 def test_area_embedding_rejects_oversized_grid():
     with pytest.raises(ConfigError, match="exceeds"):
         area_embedding_raw(GridSize(9, 2), 8)

@@ -45,5 +45,10 @@ def test_tracer_and_checks_bind(perfbench, independent):
                   "softmax", "weighted_sum"):
         assert stats[f"core.{stage}.fwd"]["calls"] == 1, stage
         assert stats[f"core.{stage}.bwd"]["calls"] == 1, stage
+    # the layer functions under the stages; a cache in front of a bound name
+    # would read 0 calls here and zero its per-layer metric
+    for name in ("sampler.dynamic_grid_size", "embeddings.area_embedding_raw",
+                 "sampler.block_average_pool.fwd", "sampler.block_average_pool.bwd"):
+        assert stats[name]["calls"] == 1, name
     assert trace.sra_grids == [result.grid]
     assert checks.sra_all(fmap, box, params, cfg, result) == [None, None, None]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from semroi.baselines import roi_align
+from semroi.core import SraConfig, init_params, sra_extract
 from semroi.numerics import ShapeError, check_vjp
 from semroi.oracles import check_pool_operator_vs_points, grid_size_exhaustive
 from semroi.sampler import (
@@ -26,6 +28,13 @@ def test_box_validation():
         RoIBox(3.0, 0.0, 3.0, 5.0)
     with pytest.raises(ValueError):
         RoIBox(0.0, 0.0, 1.0, float("nan"))
+    with pytest.raises(ValueError, match="non-finite"):
+        RoIBox(-1e308, 0.0, 1e308, 1.0)  # finite corners, width overflows
+
+
+def test_budget_below_one_raises():
+    with pytest.raises(ValueError, match="budget"):
+        dynamic_grid_size(RoIBox(0, 0, 4, 2), 0)
 
 
 def test_square_box_default_budget():
@@ -53,6 +62,33 @@ def test_matches_exhaustive_search(budget):
         assert tuple(dynamic_grid_size(box, budget)) == tuple(
             grid_size_exhaustive(box, budget)
         )
+
+
+def test_ratios_midway_between_feasible_grids():
+    # a box whose ratio sits midway between two adjacent feasible ratios is
+    # as near to one as to the other whenever the midpoint rounds exactly,
+    # and then only the area and row tie-breaks decide
+    budget = 16
+    ratios = sorted({h / w for h in range(1, budget + 1) for w in range(1, budget // h + 1)})
+    ties = 0
+    for lo, hi in zip(ratios, ratios[1:]):
+        mid = (lo + hi) / 2
+        ties += mid - lo == hi - mid
+        box = RoIBox(0.0, 0.0, 1.0, mid)
+        assert dynamic_grid_size(box, budget) == grid_size_exhaustive(box, budget), (lo, hi)
+    assert ties > len(ratios) // 2
+
+
+@pytest.mark.parametrize("height, width", [
+    (1e300, 1e-300),  # ratio overflows to inf
+    (1e-300, 1e300),  # ratio underflows to 0
+    (1e20, 1.0),  # far enough above the table that rounded distances tie
+    (1e-20, 1.0),
+])
+@pytest.mark.parametrize("budget", [1, 2, 7, 16, 128])
+def test_ratios_beyond_the_table_ends(height, width, budget):
+    box = RoIBox(0.0, 0.0, width, height)
+    assert dynamic_grid_size(box, budget) == grid_size_exhaustive(box, budget)
 
 
 def test_grid_respects_budget():
@@ -171,3 +207,35 @@ def test_pool_backward_is_adjoint():
             (atv,) = rec.backward(v)
             lhs, rhs = float((au * v).sum()), float((u * atv).sum())
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (box, grid)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+def _extract(extractor, fmap, box):
+    if extractor == "roi_align":
+        return roi_align(fmap, box)
+    cfg = SraConfig(n_masks=2, budget=16, descriptor_dim=4, embed_channels=2, hidden=4)
+    return sra_extract(fmap, box, init_params(cfg, fmap.shape[0], np.random.default_rng(0)), cfg)
+
+
+# an infinity times a zero weight warns inside the matmul before the raise
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("extractor", ["sra_extract", "roi_align"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_value_in_the_window_raises(extractor, bad):
+    fmap = np.random.default_rng(1).standard_normal((3, 12, 12))
+    box = RoIBox(2.0, 3.0, 8.0, 9.0)
+    _extract(extractor, fmap, box)
+    fmap[1, 6, 5] = bad  # a pixel inside the box
+    with pytest.raises(ValueError, match="non-finite.*RoIBox"):
+        _extract(extractor, fmap, box)
+
+
+@pytest.mark.parametrize("extractor", ["sra_extract", "roi_align"])
+def test_non_finite_value_outside_the_window_is_not_read(extractor):
+    fmap = np.random.default_rng(2).standard_normal((3, 12, 12))
+    fmap[:, 11, 11] = np.nan
+    fmap[0, 0, :] = np.inf
+    _extract(extractor, fmap, RoIBox(2.0, 3.0, 8.0, 9.0))
