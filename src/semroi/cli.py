@@ -70,9 +70,6 @@ def _parse_grid(key: str, value: object) -> tuple[int, int] | None:
     return grid
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def _coerce(key: str, value: object, default: object, text: bool) -> object:
     """``value`` typed by ``default``: a ``--set`` string (``text``) is parsed
     by that type, a config-file value must already have it (an int may stand
@@ -84,8 +81,8 @@ def _coerce(key: str, value: object, default: object, text: bool) -> object:
     expected = f"{key}: expected {kind.__name__}, got {value!r}"
     if text and kind is not str:
         try:
-            value = _BOOLS[value.lower()] if kind is bool else kind(value)
-        except (KeyError, ValueError) as exc:
+            value = kind(value)
+        except ValueError as exc:
             raise UsageError(expected) from exc
     if kind is float and type(value) is int:
         value = float(value)
@@ -379,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="reports")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if name == "ablate-sampler":
-            p.add_argument("--mode", choices=("fixed", "dynamic"), default=None)
     return parser
 
 
@@ -390,9 +385,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # --mode is shorthand for the last --set sampler.mode=...
-        mode = [f"sampler.mode={args.mode}"] if getattr(args, "mode", None) else []
-        config = resolve_config(args.subcommand, args.config, args.overrides + mode)
+        config = resolve_config(args.subcommand, args.config, args.overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code, metrics = COMMANDS[args.subcommand].handler(config, args.seed, out_dir)

@@ -45,9 +45,7 @@ class SraConfig:
     Defaults follow the reference operating point: 49 masks, sampling budget
     128, descriptor dim 256, amplification 50.  ``fixed_grid`` bypasses the
     dynamic sampler (required for the concatenation descriptor, whose input
-    size must be static).  ``independent_heads`` switches the mask regressors
-    from one shared trunk with an N-way output to N disjoint two-block MLPs
-    (see ``mask_heads``).
+    size must be static).
     """
 
     n_masks: int = 49
@@ -59,7 +57,6 @@ class SraConfig:
     descriptor_mode: str = "average"
     embedding_mode: str = "area"
     fixed_grid: tuple[int, int] | None = None
-    independent_heads: bool = False
 
     def __post_init__(self):
         if min(self.n_masks, self.descriptor_dim, self.hidden) < 1:
@@ -95,23 +92,14 @@ class SraConfig:
         p = self.embed_channels if self.embedding_mode != "none" else 0
         return 2 * self.descriptor_dim + p
 
-    @property
-    def mask_heads(self) -> tuple[int, int]:
-        """(heads G, outputs per head) of the mask-regressor bank: one
-        shared trunk with N outputs, or N independent one-output heads."""
-        if self.independent_heads:
-            return self.n_masks, 1
-        return 1, self.n_masks
-
 
 @dataclass
 class MaskMlpParams:
-    """The bank of N mask regressors as G stacked two-block
-    (Norm-ReLU-Linear twice) MLPs; every tensor has a leading heads axis.
+    """The bank of N mask regressors: one two-block (Norm-ReLU-Linear
+    twice) MLP whose trunk every mask shares and whose head has N outputs.
 
-    With D = trunk_in_dim, H = hidden and (G, O) = ``SraConfig.mask_heads``:
-    trunk_norm (G, D), trunk_linear (G, H, D), head_norm (G, H),
-    head_linear (G, O, H).  Mask g*O + o is output o of head g.
+    With D = trunk_in_dim and H = hidden: trunk_norm (D,), trunk_linear
+    (H, D), head_norm (H,), head_linear (N, H).
     """
 
     trunk_norm: LayerNormParams
@@ -158,22 +146,12 @@ def init_params(
     if config.embedding_mode != "none":
         embed_proj = init_linear(rng, config.embed_raw_dim, config.embed_channels)
     d_in, hid = config.trunk_in_dim, config.hidden
-    heads, n_out = config.mask_heads
-    # head by head, trunk weights before head weights
-    layers = [
-        (init_linear(rng, d_in, hid), init_linear(rng, hid, n_out)) for _ in range(heads)
-    ]
-
-    def stack(linears: list[LinearParams]) -> LinearParams:
-        return LinearParams(
-            np.stack([q.weight for q in linears]), np.stack([q.bias for q in linears])
-        )
-
+    trunk_linear = init_linear(rng, d_in, hid)  # drawn before the head
     mask_mlp = MaskMlpParams(
-        trunk_norm=init_layer_norm((heads, d_in)),
-        trunk_linear=stack([trunk for trunk, _ in layers]),
-        head_norm=init_layer_norm((heads, hid)),
-        head_linear=stack([head for _, head in layers]),
+        trunk_norm=init_layer_norm(d_in),
+        trunk_linear=trunk_linear,
+        head_norm=init_layer_norm(hid),
+        head_linear=init_linear(rng, hid, config.n_masks),
     )
     return SraParams(psi=psi, semantic_conv=semantic_conv, embed_proj=embed_proj, mask_mlp=mask_mlp)
 
@@ -210,9 +188,7 @@ def parameter_count(config: SraConfig, channels: int) -> int:
         psi:            K * C_d + K
         semantic_conv:  K * C + K
         embed_proj:     P * D_raw + P          (if an embedding is used)
-        per head:       2D + (H*D + H) + 2H + (O*H + O)
-
-    over the G heads of (G, O) = ``config.mask_heads``.
+        mask_mlp:       2D + (H*D + H) + 2H + (N*H + N)
     """
     k = config.descriptor_dim
     c_d = descriptor_in_dim(config, channels)
@@ -221,9 +197,8 @@ def parameter_count(config: SraConfig, channels: int) -> int:
     if config.embedding_mode != "none":
         p = config.embed_channels
         total += p * config.embed_raw_dim + p
-    d_in, hid = config.trunk_in_dim, config.hidden
-    heads, n_out = config.mask_heads
-    total += heads * (2 * d_in + (hid * d_in + hid) + 2 * hid + (n_out * hid + n_out))
+    d_in, hid, n = config.trunk_in_dim, config.hidden, config.n_masks
+    total += 2 * d_in + (hid * d_in + hid) + 2 * hid + (n * hid + n)
     return total
 
 
@@ -277,10 +252,9 @@ def mask_logits_vjp(
 ) -> tuple[Array, VjpRecord]:
     """Pre-softmax mask scores (N, h, w).
 
-    Every position (j, k) feeds every head of the regressor bank with
-    [d, s(:,j,k), p(:,j,k)]; positions are batched as rows and heads run
-    along the parameters' leading axis.  Backward returns (gd, gs, gp,
-    mlp_grads) with mlp_grads a MaskMlpParams of the bank's shape.
+    Every position (j, k) feeds the regressor bank with [d, s(:,j,k),
+    p(:,j,k)]; positions are batched as rows.  Backward returns (gd, gs,
+    gp, mlp_grads) with mlp_grads a MaskMlpParams of the bank's shape.
     """
     k, h, w = s.shape
     if d.shape[0] != k:
@@ -297,14 +271,12 @@ def mask_logits_vjp(
 
     mlp = params.mask_mlp
     hidden, r_trunk = norm_relu_linear_vjp(z, mlp.trunk_norm, mlp.trunk_linear)
-    out, r_head = norm_relu_linear_vjp(hidden, mlp.head_norm, mlp.head_linear)  # (G, hw, O)
-    heads, _, n_out = out.shape
-    logits = np.swapaxes(out, 1, 2).reshape(heads * n_out, h, w)
+    out, r_head = norm_relu_linear_vjp(hidden, mlp.head_norm, mlp.head_linear)  # (hw, N)
+    n = out.shape[1]
+    logits = out.T.reshape(n, h, w)
 
     def backward(gy: Array):
-        g_hidden, g_hn_g, g_hn_s, g_hl_w, g_hl_b = r_head.backward(
-            np.swapaxes(gy.reshape(heads, n_out, hw), 1, 2)
-        )
+        g_hidden, g_hn_g, g_hn_s, g_hl_w, g_hl_b = r_head.backward(gy.reshape(n, hw).T)
         gz, g_tn_g, g_tn_s, g_tl_w, g_tl_b = r_trunk.backward(g_hidden)
         grads = MaskMlpParams(
             trunk_norm=LayerNormParams(g_tn_g, g_tn_s, mlp.trunk_norm.epsilon),

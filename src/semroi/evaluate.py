@@ -158,15 +158,13 @@ def flops_estimate(config: SraConfig, channels: int, grid: tuple[int, int]) -> F
 
     Conventions: a linear map in->out over r rows counts r*(out*in + out);
     a layer norm over r rows of width d counts 5*r*d, of which 4*r*d are
-    the statistics and normalization and r*d the gain and shift, so the
-    trunk norm, whose input every head shares, counts the statistics once
-    and the gain and shift once per head; softmax counts 4 ops per mask
-    cell.  Pooling counts the point form's arithmetic, 16 corner
-    multiply-adds plus 4 accumulations per pooled value, not the dense
-    matmuls of the separable operator that computes it (whose count
-    depends on the box's pixel window, not only on the grid).  Only the
-    extractor is counted; anything upstream (backbone) or downstream
-    (heads) is out of scope.
+    the statistics and normalization and r*d the gain and shift; softmax
+    counts 4 ops per mask cell.  Pooling counts the point form's
+    arithmetic, 16 corner multiply-adds plus 4 accumulations per pooled
+    value, not the dense matmuls of the separable operator that computes
+    it (whose count depends on the box's pixel window, not only on the
+    grid).  Only the extractor is counted; anything upstream (backbone) or
+    downstream (heads) is out of scope.
     """
     h, w = grid
     hw = h * w
@@ -175,7 +173,6 @@ def flops_estimate(config: SraConfig, channels: int, grid: tuple[int, int]) -> F
     hid = config.hidden
     p = config.embed_channels if config.embedding_mode != "none" else 0
     d_in = config.trunk_in_dim
-    heads, n_out = config.mask_heads
 
     def lin(rows: int, in_dim: int, out_dim: int) -> int:
         return rows * (out_dim * in_dim + out_dim)
@@ -186,15 +183,12 @@ def flops_estimate(config: SraConfig, channels: int, grid: tuple[int, int]) -> F
         "descriptor_psi": lin(1, channels * hw if config.descriptor_mode == "concatenation" else channels, k),
         "semantic_conv": lin(hw, channels, k),
         "embedding": 0,
-        "mask_mlp": 4 * hw * d_in  # trunk norm statistics, shared by the heads
-        + heads * (
-            hw * d_in  # trunk norm gain and shift
-            + hw * d_in  # relu
-            + lin(hw, d_in, hid)
-            + 5 * hw * hid  # head norm
-            + hw * hid  # relu
-            + lin(hw, hid, n_out)
-        ),
+        "mask_mlp": 5 * hw * d_in  # trunk norm
+        + hw * d_in  # relu
+        + lin(hw, d_in, hid)
+        + 5 * hw * hid  # head norm
+        + hw * hid  # relu
+        + lin(hw, hid, n),
         "softmax": n * hw * 4,
         "weighted_sum": n * channels * hw,
     }

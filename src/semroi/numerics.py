@@ -7,8 +7,9 @@ input and parameter cotangents; most also have a plain forward (``linear``,
 central finite differences.
 
 The pipeline runs linear (and the 1x1 convolution built on it), the fused
-layer norm -> relu -> linear block of the mask regressor and the amplified
-spatial softmax.  ``layer_norm_vjp`` and ``bilinear_sample_many_vjp`` are
+layer norm -> relu -> linear block, which the mask regressor calls twice
+(its shared trunk, then its N-output head), and the amplified spatial
+softmax.  ``layer_norm_vjp`` and ``bilinear_sample_many_vjp`` are
 not on the pipeline's path: they serve the reference compositions in
 :mod:`semroi.oracles`, and the benchmark's span tracer binds them by name.
 
@@ -37,31 +38,26 @@ class ConfigError(ValueError):
 
 @dataclass
 class LinearParams:
-    """Affine map parameters: ``y = weight @ x + bias``.
+    """Affine map parameters: ``y = weight @ x + bias``."""
 
-    A leading heads axis stacks G independent maps; ``linear_vjp`` applies
-    each to its own row batch, or all to one shared row batch.
-    """
-
-    weight: Array  # (out_dim, in_dim) or (heads, out_dim, in_dim)
-    bias: Array  # (out_dim,) or (heads, out_dim)
+    weight: Array  # (out_dim, in_dim)
+    bias: Array  # (out_dim,)
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[-1]
+        return self.weight.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[-2]
+        return self.weight.shape[0]
 
 
 @dataclass
 class LayerNormParams:
-    """Per-feature normalization parameters (population variance); a
-    leading heads axis stacks G gain/shift pairs, as for ``LinearParams``."""
+    """Per-feature normalization parameters (population variance)."""
 
-    gain: Array  # (dim,) or (heads, dim)
-    shift: Array  # (dim,) or (heads, dim)
+    gain: Array  # (dim,)
+    shift: Array  # (dim,)
     epsilon: float = 1e-5
 
 
@@ -85,8 +81,8 @@ def init_linear(rng: np.random.Generator, in_dim: int, out_dim: int) -> LinearPa
     return LinearParams(weight=weight, bias=np.zeros(out_dim))
 
 
-def init_layer_norm(dim: int | tuple[int, int], epsilon: float = 1e-5) -> LayerNormParams:
-    """Unit gains, zero shifts; ``dim=(heads, dim)`` stacks heads."""
+def init_layer_norm(dim: int, epsilon: float = 1e-5) -> LayerNormParams:
+    """Unit gains, zero shifts."""
     return LayerNormParams(gain=np.ones(dim), shift=np.zeros(dim), epsilon=epsilon)
 
 
@@ -95,29 +91,21 @@ def init_layer_norm(dim: int | tuple[int, int], epsilon: float = 1e-5) -> LayerN
 
 
 def linear_vjp(x: Array, p: LinearParams) -> tuple[Array, VjpRecord]:
-    """``y = W x + b`` for a vector ``(in,)`` or row batch ``(B, in)``.
-
-    With stacked parameters ``(G, out, in)`` the input is a row batch
-    ``(B, in)`` shared by all heads or ``(G, B, in)``, one per head, and the
-    output is ``(G, B, out)``.
-    """
-    stacked = p.weight.ndim == 3
-    if x.shape[-1] != p.in_dim or (stacked and x.ndim == 1):
+    """``y = W x + b`` for a vector ``(in,)`` or row batch ``(B, in)``."""
+    if x.ndim not in (1, 2) or p.weight.ndim != 2 or x.shape[-1] != p.in_dim:
         raise ShapeError(
             f"linear: input shape {x.shape} does not match weight shape {p.weight.shape}"
         )
-    y = x @ np.swapaxes(p.weight, -1, -2) + (p.bias[:, None, :] if stacked else p.bias)
+    y = x @ p.weight.T + p.bias
 
     def backward(gy: Array) -> tuple[Array, Array, Array]:
         gx = gy @ p.weight
-        if gx.ndim > x.ndim:  # one input row batch fed every head
-            gx = gx.sum(axis=0)
         if x.ndim == 1:
             gw = np.outer(gy, x)
             gb = gy.copy()
         else:
-            gw = np.swapaxes(gy, -1, -2) @ x
-            gb = gy.sum(axis=-2)
+            gw = gy.T @ x
+            gb = gy.sum(axis=0)
         return gx, gw, gb
 
     return y, VjpRecord("linear", backward)
@@ -153,10 +141,8 @@ def conv1x1(x: Array, p: LinearParams) -> Array:
 
 
 def layer_norm_vjp(x: Array, p: LayerNormParams) -> tuple[Array, VjpRecord]:
-    """Normalize the last axis to zero mean / unit population variance.
-
-    Stacked parameters ``(G, dim)`` take a row batch shared by all heads or
-    one per head, as in ``linear_vjp``.
+    """Normalize a vector ``(dim,)`` or each row of ``(B, dim)`` to zero
+    mean / unit population variance.
 
     The pipeline normalizes inside ``norm_relu_linear_vjp``; this kernel
     builds that block's reference, ``oracles.norm_relu_linear_composed``.
@@ -164,33 +150,29 @@ def layer_norm_vjp(x: Array, p: LayerNormParams) -> tuple[Array, VjpRecord]:
     ``numerics.layer_norm_vjp`` by name and raises ``KeyError`` without it.
     """
     dim = x.shape[-1]
-    stacked = p.gain.ndim == 2
-    if p.gain.shape[-1] != dim or (stacked and x.ndim == 1):
+    if x.ndim not in (1, 2) or p.gain.shape != (dim,):
         raise ShapeError(
             f"layer_norm: input shape {x.shape} does not match gain shape {p.gain.shape}"
         )
-    gain = p.gain[:, None, :] if stacked else p.gain
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + p.epsilon)
     xhat = xc * inv
-    y = gain * xhat + (p.shift[:, None, :] if stacked else p.shift)
+    y = p.gain * xhat + p.shift
 
     def backward(gy: Array) -> tuple[Array, Array, Array]:
-        gxhat = gy * gain
+        gxhat = gy * p.gain
         # d/dx of (x - mu) * inv with mu, inv functions of x
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (gxhat - m1 - xhat * m2)
-        if gx.ndim > x.ndim:  # one input row batch fed every head
-            gx = gx.sum(axis=0)
         if x.ndim == 1:
             ggain = gy * xhat
             gshift = gy.copy()
         else:
-            ggain = (gy * xhat).sum(axis=-2)
-            gshift = gy.sum(axis=-2)
+            ggain = (gy * xhat).sum(axis=0)
+            gshift = gy.sum(axis=0)
         return gx, ggain, gshift
 
     return y, VjpRecord("layer_norm", backward)
@@ -215,56 +197,46 @@ def relu(x: Array) -> Array:
 def norm_relu_linear_vjp(
     x: Array, norm: LayerNormParams, lin: LinearParams
 ) -> tuple[Array, VjpRecord]:
-    """``linear(relu(layer_norm(x)))`` for G stacked heads, as one kernel.
+    """``linear(relu(layer_norm(x)))`` as one kernel.
 
-    ``x`` is a row batch ``(B, D)`` shared by all heads or ``(G, B, D)``,
-    one per head; ``norm`` is ``(G, D)``, ``lin`` is ``(G, O, D)`` and the
-    output is ``(G, B, O)``.  The row statistics are taken once per input
-    row, so a shared input normalizes once for every head.  The backward
-    returns ``(gx, g_gain, g_shift, g_weight, g_bias)``; a shared input's
-    ``gx`` sums over the heads.  It reads the ReLU mask back as ``a > 0``
-    from the saved activation, which is the mask of the pre-activation.
-    The composition of the three kernels is ``oracles.norm_relu_linear_composed``.
+    ``x`` is a row batch ``(B, D)``, ``norm`` is ``(D,)``, ``lin`` is
+    ``(O, D)`` and the output is ``(B, O)``.  The backward returns
+    ``(gx, g_gain, g_shift, g_weight, g_bias)``.  It reads the ReLU mask
+    back as ``a > 0`` from the saved activation, which is the mask of the
+    pre-activation.  The composition of the three kernels is
+    ``oracles.norm_relu_linear_composed``.
     """
-    heads, dim = lin.weight.shape[0], lin.in_dim
-    if (
-        lin.weight.ndim != 3
-        or norm.gain.shape != (heads, dim)
-        or x.ndim not in (2, 3)
-        or x.shape[-1] != dim
-        or (x.ndim == 3 and x.shape[0] != heads)
-    ):
+    dim = lin.in_dim
+    if x.ndim != 2 or x.shape[1] != dim or norm.gain.shape != (dim,):
         raise ShapeError(
             f"norm_relu_linear: input shape {x.shape} does not match gain shape "
             f"{norm.gain.shape} and weight shape {lin.weight.shape}"
         )
-    gain = norm.gain[:, None, :]
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    var = np.einsum("...d,...d->...", xhat, xhat)[..., None] / dim
+    xhat = x - x.mean(axis=1, keepdims=True)
+    var = np.einsum("bd,bd->b", xhat, xhat)[:, None] / dim
     inv = 1.0 / np.sqrt(var + norm.epsilon)
     xhat *= inv
-    a = xhat * gain
-    a += norm.shift[:, None, :]
+    a = xhat * norm.gain
+    a += norm.shift
     np.maximum(a, 0.0, out=a)
-    y = a @ np.swapaxes(lin.weight, -1, -2)
-    y += lin.bias[:, None, :]
+    y = a @ lin.weight.T
+    y += lin.bias
 
     def backward(gy: Array) -> tuple[Array, Array, Array, Array, Array]:
         ga = gy @ lin.weight
-        g_weight = np.swapaxes(gy, -1, -2) @ a
-        g_bias = gy.sum(axis=-2)
+        g_weight = gy.T @ a
+        g_bias = gy.sum(axis=0)
         ga *= a > 0.0
-        g_shift = ga.sum(axis=-2)
-        g_gain = np.einsum("...bd,...bd->...d", ga, xhat)
+        g_shift = ga.sum(axis=0)
+        g_gain = np.einsum("bd,bd->d", ga, xhat)
         # d/dx of (x - mu) * inv with mu, inv functions of x
-        ga *= gain
-        m1 = ga.mean(axis=-1, keepdims=True)
-        m2 = np.einsum("...d,...d->...", ga, xhat)[..., None] / dim
+        ga *= norm.gain
+        m1 = ga.mean(axis=1, keepdims=True)
+        m2 = np.einsum("bd,bd->b", ga, xhat)[:, None] / dim
         ga -= m1
         ga -= xhat * m2
-        gx = ga.sum(axis=0) if x.ndim == 2 else ga
-        gx *= inv
-        return gx, g_gain, g_shift, g_weight, g_bias
+        ga *= inv
+        return ga, g_gain, g_shift, g_weight, g_bias
 
     return y, VjpRecord("norm_relu_linear", backward)
 

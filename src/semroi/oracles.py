@@ -135,27 +135,21 @@ def conv1x1_loop(x: Array, weight: Array, bias: Array) -> Array:
 
 
 def mask_logits_loop(d: Array, s: Array, p: Array | None, params) -> Array:
-    """Head-by-head, position-by-position two-block MLP, no batching."""
+    """Position-by-position two-block MLP, no batching."""
     _, h, w = s.shape
     mlp = params.mask_mlp
-    heads, n_out, _ = mlp.head_linear.weight.shape
-    out = np.empty((heads, n_out, h, w))
-    for g in range(heads):
-        trunk_norm = LayerNormParams(mlp.trunk_norm.gain[g], mlp.trunk_norm.shift[g], mlp.trunk_norm.epsilon)
-        trunk_linear = LinearParams(mlp.trunk_linear.weight[g], mlp.trunk_linear.bias[g])
-        head_norm = LayerNormParams(mlp.head_norm.gain[g], mlp.head_norm.shift[g], mlp.head_norm.epsilon)
-        head_linear = LinearParams(mlp.head_linear.weight[g], mlp.head_linear.bias[g])
-        for j in range(h):
-            for k in range(w):
-                z = [d, s[:, j, k]]
-                if p is not None:
-                    z.append(p[:, j, k])
-                z = np.concatenate(z)
-                a = np.maximum(layer_norm(z, trunk_norm), 0.0)
-                a = linear(a, trunk_linear)
-                a = np.maximum(layer_norm(a, head_norm), 0.0)
-                out[g, :, j, k] = linear(a, head_linear)
-    return out.reshape(heads * n_out, h, w)
+    out = np.empty((mlp.head_linear.out_dim, h, w))
+    for j in range(h):
+        for k in range(w):
+            z = [d, s[:, j, k]]
+            if p is not None:
+                z.append(p[:, j, k])
+            z = np.concatenate(z)
+            a = np.maximum(layer_norm(z, mlp.trunk_norm), 0.0)
+            a = linear(a, mlp.trunk_linear)
+            a = np.maximum(layer_norm(a, mlp.head_norm), 0.0)
+            out[:, j, k] = linear(a, mlp.head_linear)
+    return out
 
 
 def relu_vjp(x: Array) -> tuple[Array, VjpRecord]:
@@ -436,25 +430,22 @@ def check_mask_logits_vs_loop(seed: int = 0) -> OracleResult:
 
 def check_norm_relu_linear_vs_composed(seed: int = 0) -> OracleResult:
     """The fused block against the composed kernels, forward and all five
-    gradients, for G in {1, 3} under shared and per-head input.  Two
-    features have zero gain and shift, so their pre-activation is exactly 0
-    and both forms must take the same ReLU subgradient there."""
+    gradients.  Two features have zero gain and shift, so their
+    pre-activation is exactly 0 and both forms must take the same ReLU
+    subgradient there."""
     rng = np.random.default_rng(seed)
     b, d, o = 7, 9, 4
-    err = 0.0
-    for heads in (1, 3):
-        for x_shape in ((b, d), (heads, b, d)):
-            x = rng.standard_normal(x_shape)
-            gain, shift = rng.standard_normal((2, heads, d))
-            gain[:, :2] = shift[:, :2] = 0.0
-            norm = LayerNormParams(gain, shift)
-            lin = LinearParams(rng.standard_normal((heads, o, d)), rng.standard_normal((heads, o)))
-            got, rec = norm_relu_linear_vjp(x, norm, lin)
-            want, rec_composed = norm_relu_linear_composed(x, norm, lin)
-            gy = rng.standard_normal(want.shape)
-            pairs = zip((got, *rec.backward(gy)), (want, *rec_composed.backward(gy)))
-            err = max(err, *(_rel_err(g, w) for g, w in pairs))
-    return _result("norm_relu_linear_vs_composed", err, 1e-12, "G in {1, 3}, shared and per head")
+    x = rng.standard_normal((b, d))
+    gain, shift = rng.standard_normal((2, d))
+    gain[:2] = shift[:2] = 0.0
+    norm = LayerNormParams(gain, shift)
+    lin = LinearParams(rng.standard_normal((o, d)), rng.standard_normal(o))
+    got, rec = norm_relu_linear_vjp(x, norm, lin)
+    want, rec_composed = norm_relu_linear_composed(x, norm, lin)
+    gy = rng.standard_normal(want.shape)
+    pairs = zip((got, *rec.backward(gy)), (want, *rec_composed.backward(gy)))
+    err = max(_rel_err(g, w) for g, w in pairs)
+    return _result("norm_relu_linear_vs_composed", err, 1e-12)
 
 
 def check_sampling_vs_loop(seed: int = 0) -> OracleResult:

@@ -22,7 +22,7 @@ import numpy as np
 from .numerics import Array
 
 REPORT_SCHEMA = "semroi-report/1"
-CHECKPOINT_FORMAT = "semroi-params/2"
+CHECKPOINT_FORMAT = "semroi-params/3"
 
 
 def tensor_to_tjson(arr: Array) -> dict:

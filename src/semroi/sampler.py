@@ -170,7 +170,11 @@ def block_average_pool_vjp(
     ``Ry.T @ G @ Rx`` into the window of a zero map.  Raises ``ValueError``
     when the pooled grid is not finite, as a NaN or an infinity on any pixel
     the samples weigh makes it; checking the (C, h, w) grid costs a small
-    fraction of checking the whole map.
+    fraction of checking the whole map.  An infinity times a zero weight
+    makes numpy warn inside the matmul; where warnings are errors, that
+    ``RuntimeWarning`` becomes the same ``ValueError``.  Silencing it with
+    ``np.errstate`` would enter and leave a context manager on every call
+    for the sake of the error path.
     """
     if fmap.ndim != 3:
         raise ShapeError(f"block_average_pool: expected fmap (C, H, W), got {fmap.shape}")
@@ -180,8 +184,12 @@ def block_average_pool_vjp(
     x0, rx = _block_interp(box.x0, box.width, w, W)
     rows, cols = ry.shape[1], rx.shape[1]
     window = fmap[:, y0 : y0 + rows, x0 : x0 + cols]
-    out = ry @ window @ rx.T
-    if not np.isfinite(out).all():
+    try:
+        out = ry @ window @ rx.T
+        finite = np.isfinite(out).all()
+    except RuntimeWarning:  # warnings as errors: an infinity times a zero weight
+        finite = False
+    if not finite:
         raise ValueError(f"block_average_pool: non-finite values pooled from the window of {box}")
 
     def backward(gy: Array) -> tuple[Array]:

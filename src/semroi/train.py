@@ -96,7 +96,10 @@ def sgd_update(
 def train_step(
     state: TrainState, inst: SyntheticInstance, lr: float, momentum: float
 ) -> tuple[float, int]:
-    """One SGD step on one instance; returns (loss, predicted label)."""
+    """One SGD step on one instance; returns (loss, predicted label).
+
+    Raises ``TrainingDiverged`` on a non-finite loss or gradient, before
+    any parameter or momentum changes."""
     if state.kind == "sra":
         result, tape = sra_extract_recorded(
             inst.feature_map, inst.box, state.params, state.config
@@ -115,10 +118,18 @@ def train_step(
         ("classifier.weight", np.outer(dlogits, feat)),
         ("classifier.bias", dlogits),
     ]
+    # a finite loss makes the classifier's gradients finite: the features
+    # are then finite and every entry of dlogits lies in [-1, 1]
     if state.kind == "sra":
         dfeat = (state.classifier.weight.T @ dlogits).reshape(result.feature.shape)
         param_grads, _ = sra_backward(dfeat, tape)
-        grads += param_leaves(param_grads, "params")
+        for name, g in param_leaves(param_grads, "params"):
+            if not np.isfinite(g).all():
+                raise TrainingDiverged(
+                    f"non-finite gradient of {name} at step {state.step} "
+                    f"(kind={state.kind}, label={inst.label})"
+                )
+            grads.append((name, g))
     sgd_update(state, grads, lr, momentum)
     state.step += 1
     return loss, int(np.argmax(logits))

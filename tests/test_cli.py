@@ -44,6 +44,16 @@ def test_unknown_config_key_rejected():
         resolve_config("oracles", None, ["bogus.key=1"])
 
 
+def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    monkeypatch.setattr(cli, "harness_dataset", _fail_if_run)
+    assert run(["train-toy", "--out", str(tmp_path), "--set", "sra.independent_heads=true"]) == 2
+    assert "unknown config key 'sra.independent_heads'" in capsys.readouterr().err
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--mode", "fixed"]) == 2
+    capsys.readouterr()
+
+
 # the config sections and own key prefixes each command reads, and so accepts
 ACCEPTED_PREFIXES = {
     "gradcheck": {"gradcheck"},
@@ -70,7 +80,7 @@ def test_command_table_pins_accepted_key_prefixes():
     assert [k for k in resolve_config("bench", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 134
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 127
 
 
 def test_ablations_default_to_their_own_epochs_and_dataset_size():
@@ -119,14 +129,6 @@ def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
                 "--set", "sra.fixed_grid=4x3"]) == 0
     capsys.readouterr()
     assert load_report(tmp_path, "ablate-sampler")["config"]["sra.fixed_grid"] == [4, 3]
-
-
-def test_mode_flag_wins_over_set(tmp_path, capsys):
-    assert run(["ablate-sampler", "--mode", "fixed", "--out", str(tmp_path),
-                "--set", "sampler.mode=dynamic", "--set", "sampler.n_boxes=3"]) == 0
-    capsys.readouterr()
-    doc = load_report(tmp_path, "ablate-sampler")
-    assert doc["config"]["sampler.mode"] == doc["metrics"]["mode"] == "fixed"
 
 
 @pytest.mark.parametrize("subcommand", ["ablate-descriptor", "ablate-embedding"])
@@ -187,6 +189,9 @@ def _fail_if_run(*args, **kwargs):
 
 def test_int_and_float_key_lists_cover_every_key():
     defaults = {k: v for name in COMMANDS for k, v in resolve_config(name, None, []).items()}
+    # a --set string is parsed by calling its key's type, so no key may be a
+    # bool (bool("false") is True)
+    assert {type(v) for v in defaults.values()} == {int, float, str, type(None)}
     assert {k for k, v in defaults.items() if type(v) is int} == {k for _, k in INT_KEYS}
     assert {k for k, v in defaults.items() if type(v) is float} == {k for _, k in FLOAT_KEYS}
 
@@ -298,9 +303,9 @@ def test_oracles_failure_exits_1(tmp_path, capsys, monkeypatch):
 def test_ablate_sampler_modes(tmp_path, capsys):
     out_fixed = tmp_path / "fixed"
     out_dyn = tmp_path / "dyn"
-    assert run(["ablate-sampler", "--mode", "fixed", "--out", str(out_fixed),
+    assert run(["ablate-sampler", "--set", "sampler.mode=fixed", "--out", str(out_fixed),
                 "--set", "sampler.n_boxes=40"]) == 0
-    assert run(["ablate-sampler", "--mode", "dynamic", "--out", str(out_dyn),
+    assert run(["ablate-sampler", "--set", "sampler.mode=dynamic", "--out", str(out_dyn),
                 "--set", "sampler.n_boxes=40"]) == 0
     capsys.readouterr()
     fixed = load_report(out_fixed, "ablate-sampler")["metrics"]
@@ -312,7 +317,7 @@ def test_ablate_sampler_modes(tmp_path, capsys):
 
 
 def test_fixed_grid_over_budget_is_reported(tmp_path, capsys):
-    assert run(["ablate-sampler", "--mode", "fixed", "--out", str(tmp_path),
+    assert run(["ablate-sampler", "--set", "sampler.mode=fixed", "--out", str(tmp_path),
                 "--set", "sampler.n_boxes=10", "--set", "sra.budget=16"]) == 0
     capsys.readouterr()
     metrics = load_report(tmp_path, "ablate-sampler")["metrics"]
@@ -434,7 +439,7 @@ def test_bench_counts_the_timed_grids(tmp_path, capsys, monkeypatch):
 
 
 def test_csv_format_report(tmp_path, capsys):
-    code = run(["ablate-sampler", "--mode", "fixed", "--out", str(tmp_path),
+    code = run(["ablate-sampler", "--set", "sampler.mode=fixed", "--out", str(tmp_path),
                 "--format", "csv", "--set", "sampler.n_boxes=10"])
     capsys.readouterr()
     assert code == 0

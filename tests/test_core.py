@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,11 @@ def test_config_rejects_bad_values():
         SraConfig(descriptor_mode="median")
     with pytest.raises(ConfigError):
         SraConfig(embedding_mode="fourier")
+
+
+def test_config_has_no_independent_heads_option():
+    with pytest.raises(TypeError, match="independent_heads"):
+        SraConfig(independent_heads=True)
 
 
 def test_concatenation_requires_fixed_grid():
@@ -173,22 +181,6 @@ def test_mask_logits_matches_position_loop():
     d = rng.standard_normal(5)
     s = rng.standard_normal((5, 3, 3))
     p = rng.standard_normal((3, 3, 3))
-    np.testing.assert_allclose(
-        mask_logits(d, s, p, params), mask_logits_loop(d, s, p, params), atol=1e-10
-    )
-
-
-def test_mask_logits_independent_heads_match_loop():
-    cfg = SraConfig(
-        n_masks=3, budget=16, descriptor_dim=5, embed_channels=3, hidden=6,
-        independent_heads=True,
-    )
-    params = init_params(cfg, 4, np.random.default_rng(10))
-    assert params.mask_mlp.head_linear.weight.shape == (3, 1, 6)
-    rng = np.random.default_rng(10)
-    d = rng.standard_normal(5)
-    s = rng.standard_normal((5, 2, 2))
-    p = rng.standard_normal((3, 2, 2))
     np.testing.assert_allclose(
         mask_logits(d, s, p, params), mask_logits_loop(d, s, p, params), atol=1e-10
     )
@@ -377,15 +369,6 @@ def test_full_pipeline_gradcheck_worst_index_is_plain_ints():
     assert full_pipeline_gradcheck(1).worst == "semantic_conv_bias[(1,)]"
 
 
-def test_full_pipeline_gradcheck_independent_heads():
-    cfg = SraConfig(
-        n_masks=2, budget=4, descriptor_dim=4, embed_channels=3, hidden=5,
-        fixed_grid=(2, 2), embedding_mode="position", independent_heads=True,
-    )
-    report = full_pipeline_gradcheck(6, config=cfg, channels=3)
-    assert report.passed, report
-
-
 # ---------------------------------------------------------------------------
 # parameter accounting
 
@@ -409,18 +392,22 @@ def test_parameter_count_doubling_masks():
     assert diff == 49 * (base.hidden + 1)
 
 
-@pytest.mark.parametrize("independent", [False, True])
-def test_parameter_count_matches_leaf_sizes(independent):
-    cfg = SraConfig(n_masks=3, budget=16, descriptor_dim=5, embed_channels=3,
-                    hidden=6, independent_heads=independent)
+@pytest.mark.parametrize("embedded", [False, True])
+def test_parameter_count_matches_leaf_sizes(embedded):
+    cfg = replace(TINY, embedding_mode="area" if embedded else "none")
     params = init_params(cfg, 4, np.random.default_rng(22))
+    assert (params.embed_proj is not None) == embedded
     total = sum(arr.size for _, arr in param_leaves(params))
     assert total == parameter_count(cfg, 4)
 
 
-def test_parameter_count_independent_heads_exceed_shared():
-    cfg = SraConfig(n_masks=49, independent_heads=True)
-    assert parameter_count(cfg, 256) > 10 * parameter_count(SraConfig(n_masks=49), 256)
+def test_mask_regressor_bank_is_one_shared_trunk():
+    mlp = init_params(TINY, 4, np.random.default_rng(22)).mask_mlp
+    d_in = TINY.trunk_in_dim
+    assert [arr.shape for _, arr in param_leaves(mlp)] == [
+        (d_in,), (d_in,), (6, d_in), (6,), (6,), (6,), (3, 6), (3,)
+    ]
+    assert parameter_count(SraConfig(), 256) == 217_233
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +438,14 @@ def test_checkpoint_rejects_mismatch(tmp_path):
     tensors.pop("psi.weight")
     with pytest.raises(ValueError, match="psi.weight"):
         assign_leaves(param_leaves(tiny_params(25)), tensors)
+
+
+def test_checkpoint_of_the_stacked_heads_format_is_rejected(tmp_path):
+    # semroi-params/2 stored every mask-regressor tensor with a heads axis
+    path = tmp_path / "params.tjson"
+    save_checkpoint(path, param_leaves(tiny_params(26)))
+    doc = json.loads(path.read_text())
+    doc["format"] = "semroi-params/2"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="semroi-params/2.*semroi-params/3"):
+        load_checkpoint(path)

@@ -122,19 +122,6 @@ def test_flops_hand_golden():
     assert est.per_300_rois == 300 * 53
 
 
-def test_flops_hand_golden_three_heads():
-    # N=3 independent heads, K=C=hidden=1, no embedding, 1x1 grid, D=2:
-    # mask_mlp = trunk_norm statistics 4*2 once + 3 heads x (gain/shift 2
-    # + relu 2 + trunk_linear 3 + head_norm 5 + relu 1 + head_linear 2) = 53;
-    # total = pool 20 + reduce 1 + psi 2 + semantic 2 + 53 + softmax 12
-    # + weighted sum 3 = 93
-    cfg = SraConfig(n_masks=3, budget=1, descriptor_dim=1, embed_channels=1,
-                    hidden=1, embedding_mode="none", independent_heads=True)
-    est = flops_estimate(cfg, 1, (1, 1))
-    assert est.breakdown["mask_mlp"] == 53
-    assert est.per_roi == 93
-
-
 def test_flops_descriptor_term_constant_under_grid_growth():
     cfg = SraConfig(n_masks=3, budget=256, descriptor_dim=8, embed_channels=4, hidden=6)
     small = flops_estimate(cfg, 5, (4, 4))
@@ -144,10 +131,3 @@ def test_flops_descriptor_term_constant_under_grid_growth():
         if key != "descriptor_psi":
             assert large.breakdown[key] == 2 * value
     assert large.per_roi == 2 * small.per_roi - small.breakdown["descriptor_psi"]
-
-
-def test_flops_independent_heads_scale_with_masks():
-    shared = SraConfig(n_masks=6, budget=16, descriptor_dim=4, hidden=4, embedding_mode="none")
-    indep = SraConfig(n_masks=6, budget=16, descriptor_dim=4, hidden=4,
-                      embedding_mode="none", independent_heads=True)
-    assert flops_estimate(indep, 3, (2, 2)).per_roi > flops_estimate(shared, 3, (2, 2)).per_roi

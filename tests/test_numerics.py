@@ -52,6 +52,20 @@ def test_linear_dim_mismatch_names_both_dims():
         linear(np.zeros(4), p)
 
 
+def test_linear_and_layer_norm_reject_a_heads_axis():
+    rng = np.random.default_rng(0)
+    stacked = (rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 2)))
+    flat = (rng.standard_normal((2, 4)), rng.standard_normal(2))
+    for x, p in ((np.zeros((3, 5, 4)), LinearParams(*flat)), (np.zeros((5, 4)), LinearParams(*stacked))):
+        with pytest.raises(ShapeError, match="linear"):
+            linear_vjp(x, p)
+    norm = LayerNormParams(np.ones(4), np.zeros(4))
+    with pytest.raises(ShapeError, match="layer_norm"):
+        layer_norm_vjp(np.zeros((3, 5, 4)), norm)
+    with pytest.raises(ShapeError, match="layer_norm"):
+        layer_norm_vjp(np.zeros((5, 4)), LayerNormParams(np.ones((3, 4)), np.zeros((3, 4))))
+
+
 def test_layer_norm_constant_input_is_zero():
     p = LayerNormParams(np.ones(4), np.zeros(4))
     out = layer_norm(np.full(4, 7.3), p)
@@ -171,14 +185,14 @@ def test_conv1x1_matches_per_position_products():
             )
 
 
-@pytest.mark.parametrize("x_shape", [(4, 5), (3, 4, 5)])
+@pytest.mark.parametrize("x_shape", [(4, 5), (1, 5)])
 def test_norm_relu_linear_keeps_its_input_and_extended_precision(x_shape):
     rng = np.random.default_rng(11)
     x = rng.standard_normal(x_shape).astype(np.longdouble)
     before = x.copy()
-    norm = LayerNormParams(*rng.standard_normal((2, 3, 5)).astype(np.longdouble))
-    lin = LinearParams(rng.standard_normal((3, 2, 5)).astype(np.longdouble),
-                       rng.standard_normal((3, 2)).astype(np.longdouble))
+    norm = LayerNormParams(*rng.standard_normal((2, 5)).astype(np.longdouble))
+    lin = LinearParams(rng.standard_normal((2, 5)).astype(np.longdouble),
+                       rng.standard_normal(2).astype(np.longdouble))
     y, rec = norm_relu_linear_vjp(x, norm, lin)
     grads = rec.backward(np.ones(y.shape, dtype=np.longdouble))
     assert np.array_equal(x, before)
@@ -188,13 +202,13 @@ def test_norm_relu_linear_keeps_its_input_and_extended_precision(x_shape):
 
 
 def test_norm_relu_linear_rejects_mismatched_shapes():
-    norm = LayerNormParams(np.ones((3, 5)), np.zeros((3, 5)))
-    lin = LinearParams(np.zeros((3, 2, 5)), np.zeros((3, 2)))
-    for x in (np.zeros((4, 6)), np.zeros((2, 4, 5)), np.zeros(5)):
+    norm = LayerNormParams(np.ones(5), np.zeros(5))
+    lin = LinearParams(np.zeros((2, 5)), np.zeros(2))
+    for x in (np.zeros((4, 6)), np.zeros((1, 4, 5)), np.zeros(5)):
         with pytest.raises(ShapeError, match="norm_relu_linear"):
             norm_relu_linear_vjp(x, norm, lin)
     with pytest.raises(ShapeError, match="norm_relu_linear"):
-        norm_relu_linear_vjp(np.zeros((4, 5)), norm, LinearParams(np.zeros((2, 5)), np.zeros(2)))
+        norm_relu_linear_vjp(np.zeros((4, 5)), LayerNormParams(np.ones(6), np.zeros(6)), lin)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +216,10 @@ def test_norm_relu_linear_rejects_mismatched_shapes():
 
 
 def _linear_case(seed):
+    # odd seeds feed a row batch, even seeds a vector
     rng = np.random.default_rng(seed)
     args = {
-        "x": rng.standard_normal(3),
+        "x": rng.standard_normal((4, 3) if seed % 2 else 3),
         "weight": rng.standard_normal((2, 3)),
         "bias": rng.standard_normal(2),
     }
@@ -217,9 +232,10 @@ def _linear_case(seed):
 
 
 def _layer_norm_case(seed):
+    # odd seeds feed a vector, even seeds a row batch
     rng = np.random.default_rng(seed)
     args = {
-        "x": rng.standard_normal((3, 4)),
+        "x": rng.standard_normal(4 if seed % 2 else (3, 4)),
         "gain": rng.standard_normal(4),
         "shift": rng.standard_normal(4),
     }
@@ -231,46 +247,14 @@ def _layer_norm_case(seed):
     return fn, args
 
 
-def _linear_heads_case(seed):
-    # G=3 stacked maps; odd seeds feed one row batch to every head
-    rng = np.random.default_rng(seed)
-    args = {
-        "x": rng.standard_normal((4, 3) if seed % 2 else (3, 4, 3)),
-        "weight": rng.standard_normal((3, 2, 3)),
-        "bias": rng.standard_normal((3, 2)),
-    }
-
-    def fn(x, weight, bias):
-        y, rec = linear_vjp(x, LinearParams(weight, bias))
-        return y, lambda g: dict(zip(("x", "weight", "bias"), rec.backward(g)))
-
-    return fn, args
-
-
-def _layer_norm_heads_case(seed):
-    rng = np.random.default_rng(seed)
-    args = {
-        "x": rng.standard_normal((2, 4) if seed % 2 else (3, 2, 4)),
-        "gain": rng.standard_normal((3, 4)),
-        "shift": rng.standard_normal((3, 4)),
-    }
-
-    def fn(x, gain, shift):
-        y, rec = layer_norm_vjp(x, LayerNormParams(gain, shift))
-        return y, lambda g: dict(zip(("x", "gain", "shift"), rec.backward(g)))
-
-    return fn, args
-
-
 def _norm_relu_linear_case(seed):
-    # G=3 fused blocks; odd seeds feed one row batch to every head
     rng = np.random.default_rng(seed)
     args = {
-        "x": rng.standard_normal((4, 5) if seed % 2 else (3, 4, 5)),
-        "gain": rng.standard_normal((3, 5)),
-        "shift": rng.standard_normal((3, 5)),
-        "weight": rng.standard_normal((3, 2, 5)),
-        "bias": rng.standard_normal((3, 2)),
+        "x": rng.standard_normal((4, 5)),
+        "gain": rng.standard_normal(5),
+        "shift": rng.standard_normal(5),
+        "weight": rng.standard_normal((2, 5)),
+        "bias": rng.standard_normal(2),
     }
 
     def fn(x, gain, shift, weight, bias):
@@ -344,9 +328,7 @@ def _block_average_pool_case(seed):
 
 OP_CASES = {
     "linear": _linear_case,
-    "linear_heads": _linear_heads_case,
     "layer_norm": _layer_norm_case,
-    "layer_norm_heads": _layer_norm_heads_case,
     "norm_relu_linear": _norm_relu_linear_case,
     "relu": _relu_case,
     "softmax_spatial": _softmax_case,

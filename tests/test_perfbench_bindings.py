@@ -21,11 +21,9 @@ def perfbench(monkeypatch):
     return importlib.import_module("tracing"), importlib.import_module("checks")
 
 
-@pytest.mark.parametrize("independent", [False, True])
-def test_tracer_and_checks_bind(perfbench, independent):
+def test_tracer_and_checks_bind(perfbench):
     tracing, checks = perfbench
-    cfg = core.SraConfig(n_masks=3, budget=16, descriptor_dim=5, embed_channels=3,
-                         hidden=6, independent_heads=independent)
+    cfg = core.SraConfig(n_masks=3, budget=16, descriptor_dim=5, embed_channels=3, hidden=6)
     rng = np.random.default_rng(0)
     params = core.init_params(cfg, 4, rng)
     fmap = rng.standard_normal((4, 12, 12))

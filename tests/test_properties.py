@@ -66,19 +66,16 @@ def assert_adjoint(forward, backward, u, rng):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(au) * np.linalg.norm(v))
 
 
-def random_linear(rng, in_dim, out_dim, heads=None):
-    lead = () if heads is None else (heads,)
-    return LinearParams(rng.standard_normal((*lead, out_dim, in_dim)),
-                        rng.standard_normal((*lead, out_dim)))
+def random_linear(rng, in_dim, out_dim):
+    return LinearParams(rng.standard_normal((out_dim, in_dim)), rng.standard_normal(out_dim))
 
 
 @ADJOINT
-@given(seed=seeds, rows=st.integers(1, 9), heads=st.sampled_from([None, 1, 3]),
-       per_head=st.booleans())
-def test_linear_backward_is_adjoint_in_x(seed, rows, heads, per_head):
+@given(seed=seeds, rows=st.integers(1, 9))
+def test_linear_backward_is_adjoint_in_x(seed, rows):
     rng = np.random.default_rng(seed)
-    p = random_linear(rng, 7, 5, heads)
-    shape = (heads, rows, 7) if heads and per_head else (rows, 7)
+    p = random_linear(rng, 7, 5)
+    shape = (rows, 7)
     zero = linear_vjp(np.zeros(shape), p)[0]
     assert_adjoint(
         lambda u: linear_vjp(u, p)[0] - zero,
@@ -143,13 +140,12 @@ def test_roi_descriptor_backward_is_adjoint(seed, mode, h, w):
 
 
 @ADJOINT
-@given(seed=seeds, rows=st.integers(1, 9), dim=st.integers(2, 12), out=st.integers(1, 5),
-       heads=st.sampled_from([1, 3]), per_head=st.booleans())
-def test_norm_relu_linear_matches_composed(seed, rows, dim, out, heads, per_head):
+@given(seed=seeds, rows=st.integers(1, 9), dim=st.integers(2, 12), out=st.integers(1, 5))
+def test_norm_relu_linear_matches_composed(seed, rows, dim, out):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((heads, rows, dim) if per_head else (rows, dim))
-    norm = LayerNormParams(*rng.standard_normal((2, heads, dim)))
-    lin = random_linear(rng, dim, out, heads)
+    x = rng.standard_normal((rows, dim))
+    norm = LayerNormParams(*rng.standard_normal((2, dim)))
+    lin = random_linear(rng, dim, out)
     got, rec = norm_relu_linear_vjp(x, norm, lin)
     want, rec_composed = norm_relu_linear_composed(x, norm, lin)
     gy = rng.standard_normal(want.shape)

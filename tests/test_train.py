@@ -97,6 +97,30 @@ def test_divergence_aborts_with_diagnostic():
         train_step(state, ds[0], lr=0.02, momentum=0.9)
 
 
+def test_non_finite_gradient_aborts_before_the_update(monkeypatch):
+    from semroi import train
+
+    ds = dataset()
+    state = init_train_state("sra", CFG, 16, 4, seed=3)
+    train_step(state, ds[0], lr=0.02, momentum=0.9)  # non-zero momenta
+    before = [(name, arr.copy()) for name, arr in state.leaves()]
+    momenta = {name: buf.copy() for name, buf in state.momenta.items()}
+    real_backward = train.sra_backward
+
+    def infinite_backward(cotangent, tape):
+        grads, gmap = real_backward(cotangent, tape)
+        grads.mask_mlp.head_linear.bias[1] = np.inf
+        return grads, gmap
+
+    monkeypatch.setattr(train, "sra_backward", infinite_backward)
+    with pytest.raises(TrainingDiverged, match=r"params\.mask_mlp\.head_linear\.bias at step 1"):
+        train_step(state, ds[1], lr=0.02, momentum=0.9)
+    assert state.step == 1
+    for (name, arr), (_, old) in zip(state.leaves(), before):
+        np.testing.assert_array_equal(arr, old, err_msg=name)
+        np.testing.assert_array_equal(state.momenta[name], momenta[name], err_msg=name)
+
+
 def test_split_is_stratified_and_deterministic():
     ds = dataset(n=40)
     train_a, test_a = split_dataset(ds, seed=9)
