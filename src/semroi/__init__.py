@@ -36,11 +36,9 @@ from .numerics import (
     LinearParams,
     ShapeError,
     VjpRecord,
-    bilinear_sample,
     check_vjp,
     layer_norm,
     linear,
-    relu,
     softmax_spatial,
 )
 from .sampler import (
@@ -56,8 +54,6 @@ from .synthetic import (
     TransformRanges,
     apply_transform,
     generate_dataset,
-    load_dataset,
-    save_dataset,
 )
 from .train import TrainState, TrainingDiverged, compare_extractors, train_toy
 
@@ -86,7 +82,6 @@ __all__ = [
     "VjpRecord",
     "apply_transform",
     "area_embedding_raw",
-    "bilinear_sample",
     "block_average_pool",
     "check_vjp",
     "compare_extractors",
@@ -98,7 +93,6 @@ __all__ = [
     "invariance_eval",
     "layer_norm",
     "linear",
-    "load_dataset",
     "make_feature_fn",
     "mask_diversity",
     "mask_logits",
@@ -106,12 +100,10 @@ __all__ = [
     "parameter_count",
     "position_embedding_raw",
     "project_embedding",
-    "relu",
     "roi_align",
     "roi_descriptor",
     "roi_pool",
     "sample_roi_feature",
-    "save_dataset",
     "semantic_feature_map",
     "softmax_spatial",
     "sra_backward",

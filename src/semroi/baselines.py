@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Array, VjpRecord
+from .numerics import Array, ShapeError, VjpRecord
 from .sampler import GridSize, RoIBox, block_average_pool_vjp
 
 DEFAULT_OUT = (7, 7)
@@ -44,8 +44,13 @@ def roi_pool(fmap: Array, box: RoIBox, out: tuple[int, int] = DEFAULT_OUT) -> Ar
     pixel nearest its center, so tiny boxes replicate their pixel.  The max
     is separable: over each row bin first, then over each column bin.
     """
-    c, height, width = fmap.shape
     oh, ow = out
+    if fmap.ndim != 3 or oh < 1 or ow < 1:
+        raise ShapeError(
+            f"roi_pool: expected fmap (C, H, W) and an output grid of sides >= 1, "
+            f"got {fmap.shape} and {oh}x{ow}"
+        )
+    c, height, width = fmap.shape
     # the returned buffer comes before the temporaries: allocated after
     # them, callers that keep many results fragment the heap (+10 MB peak
     # over 300 kept RoIs at C=256)

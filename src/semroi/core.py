@@ -78,6 +78,14 @@ class SraConfig:
             )
         if self.fixed_grid is not None:
             self.fixed_grid = (int(self.fixed_grid[0]), int(self.fixed_grid[1]))
+            if min(self.fixed_grid) < 1:
+                raise ConfigError(f"fixed_grid sides must be >= 1, got {self.fixed_grid}")
+            # the area embedding upsamples each grid axis to length budget
+            if self.embedding_mode == "area" and max(self.fixed_grid) > self.budget:
+                raise ConfigError(
+                    f"fixed_grid {self.fixed_grid} has a side above budget "
+                    f"{self.budget}, the area embedding's axis length"
+                )
 
     @property
     def embed_raw_dim(self) -> int:

@@ -14,7 +14,7 @@ not on the pipeline's path: they serve the reference compositions in
 :mod:`semroi.oracles`, and the benchmark's span tracer binds them by name.
 
 All arrays are numpy ndarrays in float64, except that ``check_vjp`` runs
-forward passes in ``np.longdouble``; tensors on disk use the tjson format
+forward passes in ``np.longdouble``; checkpoints store tensors in the tjson format
 (see :mod:`semroi.reporting`).
 """
 
@@ -183,14 +183,6 @@ def layer_norm(x: Array, p: LayerNormParams) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# relu
-
-
-def relu(x: Array) -> Array:
-    return np.maximum(x, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # fused layer norm -> relu -> linear block
 
 
@@ -315,12 +307,6 @@ def bilinear_sample_many_vjp(fmap: Array, ys: Array, xs: Array) -> tuple[Array, 
         return (gmap.T.reshape(C, H, W),)
 
     return out, VjpRecord("bilinear_sample_many", backward)
-
-
-def bilinear_sample(fmap: Array, y: float, x: float) -> Array:
-    """Single-point bilinear sample of ``fmap`` (C, H, W) -> (C,)."""
-    out, _ = bilinear_sample_many_vjp(fmap, np.array([y]), np.array([x]))
-    return out[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Serialization and reproducibility plumbing.
 
-tjson is the on-disk tensor format used everywhere: a JSON document
-``{"dims": [...], "data": [...]}`` with row-major flattening.  Parameter
-checkpoints are a single JSON manifest of named tjson tensors.  Every
-document is written as strict JSON: a NaN or infinite value raises
+tjson is the tensor format of parameter checkpoints, the only tensors
+written to disk: a JSON document ``{"dims": [...], "data": [...]}`` with
+row-major flattening.  A checkpoint is a single JSON manifest of named tjson
+tensors, written as strict JSON: a NaN or infinite value raises
 ``ValueError`` rather than writing a bare ``NaN``, which is not JSON.  All
 randomness flows from one master seed through named streams so subsystems
 are independently reproducible.
@@ -40,14 +40,6 @@ def tensor_from_tjson(doc: dict) -> Array:
             f"(expected {expected})"
         )
     return data.reshape(dims)
-
-
-def save_tjson(path: str | Path, arr: Array) -> None:
-    Path(path).write_text(json.dumps(tensor_to_tjson(arr), allow_nan=False))
-
-
-def load_tjson(path: str | Path) -> Array:
-    return tensor_from_tjson(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

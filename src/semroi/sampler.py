@@ -180,6 +180,8 @@ def block_average_pool_vjp(
         raise ShapeError(f"block_average_pool: expected fmap (C, H, W), got {fmap.shape}")
     C, H, W = fmap.shape
     h, w = grid
+    if h < 1 or w < 1:
+        raise ShapeError(f"block_average_pool: grid sides must be >= 1, got {h}x{w}")
     y0, ry = _block_interp(box.y0, box.height, h, H)
     x0, rx = _block_interp(box.x0, box.width, w, W)
     rows, cols = ry.shape[1], rx.shape[1]

@@ -11,24 +11,15 @@ of (class layout, pose, instance seed), so re-posing an instance is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .numerics import Array, ConfigError
-from .reporting import (
-    derive_seed,
-    save_tjson,
-    load_tjson,
-    tensor_from_tjson,
-    tensor_to_tjson,
-)
+from .reporting import derive_seed
 from .sampler import RoIBox
 
-DATASET_FORMAT = "semroi-dataset/1"
 MAX_CROSS_CLASS_COSINE = 0.5
 
 
@@ -104,7 +95,7 @@ class SyntheticInstance:
     label: int
     pose: Pose
     seed: int
-    ctx: RenderContext | None = field(repr=False, default=None)
+    ctx: RenderContext = field(repr=False)
 
 
 def _rotate_reflect(offsets: Array, pose: Pose) -> Array:
@@ -288,118 +279,4 @@ def generate_dataset(
 
 def apply_transform(inst: SyntheticInstance, delta: Pose) -> SyntheticInstance:
     """Re-render the instance with ``delta`` composed onto its pose."""
-    if inst.ctx is None:
-        raise ValueError("instance has no render context; cannot re-pose")
     return render_instance(inst.ctx, inst.label, compose_pose(inst.pose, delta), inst.seed)
-
-
-# ---------------------------------------------------------------------------
-# on-disk cache
-
-
-def _pose_doc(pose: Pose) -> dict:
-    return {
-        "rotation_deg": pose.rotation_deg,
-        "reflected": pose.reflected,
-        "scale": pose.scale,
-        "pan_x": pose.pan_x,
-        "pan_y": pose.pan_y,
-    }
-
-
-def _ctx_doc(ctx: RenderContext) -> dict:
-    return {
-        "channels": ctx.channels,
-        "map_size": ctx.map_size,
-        "box_size": ctx.box_size,
-        "noise_amp": ctx.noise_amp,
-        "blob_amp": ctx.blob_amp,
-        "stem": tensor_to_tjson(ctx.stem),
-        "classes": [
-            [
-                {
-                    "offset_y": p.offset_y,
-                    "offset_x": p.offset_x,
-                    "sigma": p.sigma,
-                    "signature": tensor_to_tjson(p.signature),
-                }
-                for p in spec.parts
-            ]
-            for spec in ctx.classes
-        ],
-    }
-
-
-def _ctx_from_doc(doc: dict) -> RenderContext:
-    classes = tuple(
-        ClassSpec(
-            parts=tuple(
-                PartSpec(
-                    offset_y=p["offset_y"],
-                    offset_x=p["offset_x"],
-                    sigma=p["sigma"],
-                    signature=tensor_from_tjson(p["signature"]),
-                )
-                for p in parts
-            )
-        )
-        for parts in doc["classes"]
-    )
-    return RenderContext(
-        classes=classes,
-        stem=tensor_from_tjson(doc["stem"]),
-        channels=doc["channels"],
-        map_size=doc["map_size"],
-        box_size=doc["box_size"],
-        noise_amp=doc["noise_amp"],
-        blob_amp=doc["blob_amp"],
-    )
-
-
-def save_dataset(directory: str | Path, instances: list[SyntheticInstance], seed: int) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, inst in enumerate(instances):
-        fname = f"instance_{i:05d}.tjson"
-        save_tjson(directory / fname, inst.feature_map)
-        entries.append(
-            {
-                "file": fname,
-                "label": inst.label,
-                "box": [inst.box.x0, inst.box.y0, inst.box.x1, inst.box.y1],
-                "pose": _pose_doc(inst.pose),
-                "seed": inst.seed,
-            }
-        )
-    manifest = {
-        "format": DATASET_FORMAT,
-        "seed": seed,
-        "n_instances": len(instances),
-        "context": _ctx_doc(instances[0].ctx) if instances else None,
-        "instances": entries,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, allow_nan=False))
-
-
-def load_dataset(directory: str | Path) -> list[SyntheticInstance]:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format") != DATASET_FORMAT:
-        raise ValueError(f"unsupported dataset format {manifest.get('format')!r}")
-    ctx = _ctx_from_doc(manifest["context"]) if manifest.get("context") else None
-    out = []
-    for entry in manifest["instances"]:
-        fmap = load_tjson(directory / entry["file"])
-        x0, y0, x1, y1 = entry["box"]
-        out.append(
-            SyntheticInstance(
-                feature_map=fmap,
-                box=RoIBox(x0, y0, x1, y1),
-                label=int(entry["label"]),
-                pose=Pose(**entry["pose"]),
-                seed=int(entry["seed"]),
-                ctx=ctx,
-            )
-        )
-    return out

@@ -1,9 +1,17 @@
 import numpy as np
+import pytest
 
 from semroi.baselines import roi_align, roi_align_vjp, roi_pool
-from semroi.numerics import check_vjp
+from semroi.numerics import ShapeError, check_vjp
 from semroi.oracles import roi_pool_loop
 from semroi.sampler import GridSize, RoIBox, block_average_pool
+
+
+@pytest.mark.parametrize("extractor", [roi_pool, roi_align])
+@pytest.mark.parametrize("shape, out", [((3, 9, 9), (0, 7)), ((3, 9, 9), (7, 0)), ((9, 9), (7, 7))])
+def test_extractors_reject_bad_map_or_grid(extractor, shape, out):
+    with pytest.raises(ShapeError):
+        extractor(np.ones(shape), RoIBox(1.1, 0.7, 7.8, 8.2), out)
 
 
 def test_roi_pool_constant_map():

@@ -71,6 +71,20 @@ def test_concatenation_requires_fixed_grid():
     assert cfg.fixed_grid == (4, 4)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"fixed_grid": (0, 4)},
+        {"fixed_grid": (4, -1)},
+        {"fixed_grid": (17, 4), "budget": 16},
+        {"fixed_grid": (4, 17), "budget": 16},
+    ],
+)
+def test_config_rejects_bad_fixed_grid(kwargs):
+    with pytest.raises(ConfigError, match="fixed_grid"):
+        SraConfig(**kwargs)
+
+
 def test_choose_grid_fixed_override():
     cfg = SraConfig(fixed_grid=(8, 8))
     assert choose_grid(RoIBox(0, 0, 100, 10), cfg) == GridSize(8, 8)

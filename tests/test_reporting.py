@@ -5,10 +5,9 @@ import pytest
 
 from semroi.reporting import (
     derive_seed,
-    load_tjson,
+    load_checkpoint,
     report_to_csv,
     save_checkpoint,
-    save_tjson,
     stream_rng,
     tensor_from_tjson,
     tensor_to_tjson,
@@ -18,12 +17,13 @@ from semroi.reporting import (
 
 def test_tjson_roundtrip(tmp_path):
     arr = np.random.default_rng(0).standard_normal((3, 4, 2))
-    path = tmp_path / "t.tjson"
-    save_tjson(path, arr)
-    doc = json.loads(path.read_text())
+    path = tmp_path / "p.tjson"
+    save_checkpoint(path, [("w", arr)])
+    doc = json.loads(path.read_text())["tensors"]["w"]
     assert doc["dims"] == [3, 4, 2]
     assert len(doc["data"]) == 24
-    np.testing.assert_array_equal(load_tjson(path), arr)
+    tensors, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(tensors["w"], arr)
 
 
 def test_tjson_row_major_flattening():
@@ -79,14 +79,10 @@ def test_write_report_refuses_nan(tmp_path, fmt):
     assert not (tmp_path / f"r.{fmt}").exists()
 
 
-def test_save_checkpoint_refuses_nan(tmp_path):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_nan(tmp_path, bad):
     weight = np.ones((2, 2))
-    weight[1, 0] = np.nan
+    weight[1, 0] = bad
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "p.tjson", [("w", weight)])
     assert not (tmp_path / "p.tjson").exists()
-
-
-def test_save_tjson_refuses_infinity(tmp_path):
-    with pytest.raises(ValueError):
-        save_tjson(tmp_path / "t.tjson", np.array([1.0, np.inf]))

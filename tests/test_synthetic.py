@@ -8,9 +8,7 @@ from semroi.synthetic import (
     apply_transform,
     compose_pose,
     generate_dataset,
-    load_dataset,
     make_render_context,
-    save_dataset,
 )
 
 
@@ -113,16 +111,3 @@ def test_generate_rejects_single_class():
     with pytest.raises(ConfigError, match="2 classes"):
         generate_dataset(1, 10, seed=0)
 
-
-def test_dataset_cache_roundtrip(tmp_path):
-    ds = small_dataset(n=6)
-    save_dataset(tmp_path / "cache", ds, seed=7)
-    loaded = load_dataset(tmp_path / "cache")
-    assert len(loaded) == 6
-    for a, b in zip(ds, loaded):
-        assert np.allclose(a.feature_map, b.feature_map)
-        assert a.label == b.label and a.pose == b.pose and a.box == b.box
-    # re-rendering from the reloaded context reproduces transforms exactly
-    re_rotated = apply_transform(loaded[0], Pose(rotation_deg=45.0))
-    or_rotated = apply_transform(ds[0], Pose(rotation_deg=45.0))
-    assert np.abs(re_rotated.feature_map - or_rotated.feature_map).max() < 1e-12
