@@ -1,10 +1,11 @@
 """Batch command-line entry point.
 
 Subcommands: gradcheck, oracles, ablate-sampler, ablate-descriptor,
-ablate-embedding, train-toy, invariance, diversity, bench.  ``COMMANDS``
-maps each to its handler and the config keys it reads, which are the only
-keys it accepts.  Every run writes a machine-readable report embedding those
-keys, resolved and typed, and the seed.
+ablate-embedding, train-toy, invariance, diversity.  ``COMMANDS`` maps each
+to its handler and the config keys it reads, which are the only keys it
+accepts.  Every run writes a JSON report embedding those keys, resolved and
+typed, and the seed.  Wall-clock timing is the benchmark's job
+(``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
 Exit codes: 0 success, 1 acceptance failure, 2 usage error.
 """
 
@@ -14,19 +15,19 @@ import argparse
 import json
 import math
 import sys
-import time
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import SraConfig, init_params, param_leaves, parameter_count, sra_extract
+from .core import SraConfig, choose_grid, param_leaves, parameter_count
 from .evaluate import flops_estimate, mask_diversity
 from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import save_checkpoint, stream_rng, write_report
-from .sampler import FIXED_GRID, RoIBox, dynamic_grid_size
+from .sampler import FIXED_GRID, RoIBox
 from .synthetic import TransformRanges
 from .train import EXTRACTORS, compare_extractors, harness_dataset, train_toy
 
@@ -204,28 +205,36 @@ def cmd_oracles(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 
 
 def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    mode = config["sampler.mode"]
-    if mode not in ("fixed", "dynamic"):
-        raise UsageError(f"sampler.mode must be fixed or dynamic, got {mode!r}")
-    budget = sra_config_from(config).budget
+    """Grid choice over random boxes, and the analytic cost of extracting
+    each box at its grid: the dynamic sampler, or ``sra.fixed_grid``."""
+    cfg = sra_config_from(config)
+    channels = config["data.channels"]
     rng = stream_rng(seed, "sampler-ablation")
-    areas = []
-    grids: dict[str, int] = {}
+    grids = []
     for _ in range(config["sampler.n_boxes"]):
         x0, y0 = rng.uniform(0, 30, 2)
         box = RoIBox(x0, y0, x0 + rng.uniform(1, 60), y0 + rng.uniform(1, 60))
-        grid = FIXED_GRID if mode == "fixed" else tuple(dynamic_grid_size(box, budget))
-        areas.append(grid[0] * grid[1])
-        key = f"{grid[0]}x{grid[1]}"
-        grids[key] = grids.get(key, 0) + 1
+        grids.append(choose_grid(box, cfg))
+    areas = [grid.area for grid in grids]
+    counts = Counter(f"{grid.h}x{grid.w}" for grid in grids)
+    estimates = [flops_estimate(cfg, channels, grid) for grid in grids]
+    per_roi = float(np.mean([est.per_roi for est in estimates]))
     return 0, {
-        "mode": mode,
-        "budget": budget,
+        "mode": "dynamic" if cfg.fixed_grid is None else "fixed",
+        "budget": cfg.budget,
         "mean_grid_area": float(np.mean(areas)),
-        "max_grid_area": int(np.max(areas)),
-        "budget_respected": int(np.max(areas)) <= budget,
-        "distinct_grids": len(grids),
-        "top_grids": sorted(grids.items(), key=lambda kv: -kv[1])[:8],
+        "max_grid_area": max(areas),
+        "budget_respected": max(areas) <= cfg.budget,
+        "distinct_grids": len(counts),
+        "top_grids": counts.most_common(8),
+        "channels": channels,
+        "parameter_count": parameter_count(cfg, channels),
+        "multiply_adds_per_roi": per_roi,
+        "multiply_adds_per_300_rois": 300 * per_roi,
+        "breakdown": {
+            key: float(np.mean([est.breakdown[key] for est in estimates]))
+            for key in estimates[0].breakdown
+        },
     }
 
 
@@ -299,40 +308,6 @@ def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     }
 
 
-def cmd_bench(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    cfg = sra_config_from(config)
-    channels = config["data.channels"]
-    rng = stream_rng(seed, "bench")
-    params = init_params(cfg, channels, rng)
-    fmap = rng.standard_normal((channels, 64, 64))
-    boxes = []
-    for _ in range(config["bench.timing_rois"]):
-        x0, y0 = rng.uniform(0, 30, 2)
-        boxes.append(RoIBox(x0, y0, x0 + rng.uniform(4, 30), y0 + rng.uniform(4, 30)))
-    start = time.perf_counter()
-    grids = [sra_extract(fmap, box, params, cfg).grid for box in boxes]
-    elapsed = time.perf_counter() - start
-    # count the work that was clocked: each timed RoI at its own grid
-    estimates = [flops_estimate(cfg, channels, grid) for grid in grids]
-    per_roi = float(np.mean([est.per_roi for est in estimates]))
-    return 0, {
-        "channels": channels,
-        "parameter_count": parameter_count(cfg, channels),
-        "multiply_adds_per_roi": per_roi,
-        "multiply_adds_per_300_rois": 300 * per_roi,
-        "breakdown": {
-            key: float(np.mean([est.breakdown[key] for est in estimates]))
-            for key in estimates[0].breakdown
-        },
-        "wall_ms_per_roi": elapsed / len(boxes) * 1e3,
-        "note": (
-            "analytic count is the mean over the timed RoIs, each at its own "
-            "grid, and covers this extractor only; end-to-end detector "
-            "budgets also include the backbone and heads and are out of scope"
-        ),
-    }
-
-
 class Command(NamedTuple):
     handler: Callable[[dict, int, Path], tuple[int, dict]]
     sections: tuple[str, ...]  # the SECTIONS it reads
@@ -347,8 +322,8 @@ ABLATION = ("sra", "data", "train", "transform"), {"train.epochs": 10, "data.n_p
 COMMANDS: dict[str, Command] = {
     "gradcheck": Command(cmd_gradcheck, (), {"gradcheck.seeds": 20, "gradcheck.tolerance": 1e-4}),
     "oracles": Command(cmd_oracles, (), {}),
-    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",),
-                              {"sampler.mode": "dynamic", "sampler.n_boxes": 200}),
+    "ablate-sampler": Command(cmd_ablate_sampler, ("sra", "data"), {"sampler.n_boxes": 200},
+                              ("data.n_classes", "data.n_per_class")),
     "ablate-descriptor": Command(cmd_ablate_descriptor, *ABLATION),
     "ablate-embedding": Command(cmd_ablate_embedding, *ABLATION),
     "train-toy": Command(cmd_train_toy, ALL_SECTIONS, {"train.kind": "both"}),
@@ -356,8 +331,6 @@ COMMANDS: dict[str, Command] = {
                           {"invariance.families": "rotation,reflection,scale_pan"}),
     "diversity": Command(cmd_diversity, ALL_SECTIONS, {"diversity.threshold": 0.3},
                          ("eval.invariance_samples",)),
-    "bench": Command(cmd_bench, ("sra", "data"), {"bench.timing_rois": 50},
-                     ("data.n_classes", "data.n_per_class")),
 }
 
 
@@ -375,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override one config key")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="reports")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -398,7 +370,7 @@ def run(argv: list[str] | None = None) -> int:
         "config": config,
         "metrics": metrics,
     }
-    path = write_report(out_dir / f"{args.subcommand}.{args.format}", payload, args.format)
+    path = write_report(out_dir / f"{args.subcommand}.json", payload)
     status = "ok" if code == 0 else "FAILED"
     print(f"{args.subcommand}: {status} (report: {path})")
     if code != 0:

@@ -63,8 +63,8 @@ class SraConfig:
             raise ConfigError("n_masks, descriptor_dim and hidden must be >= 1")
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:  # NaN fails too
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if self.descriptor_mode not in DESCRIPTOR_MODES:
             raise ConfigError(f"unknown descriptor_mode {self.descriptor_mode!r}")
         if self.embedding_mode not in EMBEDDING_MODES:

@@ -243,8 +243,8 @@ def softmax_spatial_vjp(logits: Array, gamma: float) -> tuple[Array, VjpRecord]:
     Max-subtraction keeps ``exp`` finite for any gamma; each (h, w) slice of
     the output is nonnegative and sums to 1.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"softmax_spatial: gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:  # NaN fails too
+        raise ValueError(f"softmax_spatial: gamma must be positive and finite, got {gamma}")
     if logits.ndim != 3:
         raise ShapeError(f"softmax_spatial: expected (N, h, w), got {logits.shape}")
     z = gamma * logits

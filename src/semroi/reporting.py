@@ -11,9 +11,7 @@ are independently reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -60,40 +58,12 @@ def stream_rng(master: int, stream: str) -> np.random.Generator:
 # reports
 
 
-def _flatten(prefix: str, value, out: dict) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif isinstance(value, (list, tuple)):
-        out[prefix] = json.dumps(value)
-    else:
-        out[prefix] = value
-
-
-def report_to_csv(payload: dict) -> str:
-    flat: dict = {}
-    _flatten("", payload, flat)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["key", "value"])
-    for key in flat:
-        writer.writerow([key, flat[key]])
-    return buf.getvalue()
-
-
-def write_report(path: str | Path, payload: dict, fmt: str = "json") -> Path:
-    """Write a report document; payload gains the schema version field."""
+def write_report(path: str | Path, payload: dict) -> Path:
+    """Write a JSON report document; payload gains the schema version field."""
     payload = {"schema": REPORT_SCHEMA, **payload}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path.write_text(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
-    elif fmt == "csv":
-        path.write_text(
-            report_to_csv(json.loads(json.dumps(payload, default=_jsonable, allow_nan=False)))
-        )
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    path.write_text(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
     return path
 
 

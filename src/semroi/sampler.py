@@ -28,7 +28,8 @@ import numpy as np
 
 from .numerics import Array, ShapeError, VjpRecord
 
-# fixed-size mode used by the fixed-vs-dynamic sampler ablation
+# the grid the descriptor ablation pins for the concatenation descriptor,
+# whose input size cannot follow a dynamic grid
 FIXED_GRID = (8, 8)
 
 

@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from semroi.cli import COMMANDS, ranges_from, resolve_config, run, sra_config_from, UsageError
-from semroi.core import SraConfig
+from semroi.core import SraConfig, parameter_count
 from semroi.synthetic import TransformRanges
 
 TINY_TRAIN = [
@@ -51,20 +51,24 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["train-toy", "--out", str(tmp_path), "--set", "sra.independent_heads=true"]) == 2
     assert "unknown config key 'sra.independent_heads'" in capsys.readouterr().err
     assert run(["ablate-sampler", "--out", str(tmp_path), "--mode", "fixed"]) == 2
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.mode=fixed"]) == 2
+    assert "unknown config key 'sampler.mode'" in capsys.readouterr().err
+    assert run(["bench", "--out", str(tmp_path)]) == 2
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--format", "csv"]) == 2
     capsys.readouterr()
+    assert not list(tmp_path.iterdir())
 
 
 # the config sections and own key prefixes each command reads, and so accepts
 ACCEPTED_PREFIXES = {
     "gradcheck": {"gradcheck"},
     "oracles": set(),
-    "ablate-sampler": {"sra", "sampler"},
+    "ablate-sampler": {"sra", "data", "sampler"},
     "ablate-descriptor": {"sra", "data", "train", "transform"},
     "ablate-embedding": {"sra", "data", "train", "transform"},
     "train-toy": {"sra", "data", "train", "eval", "transform"},
     "invariance": {"sra", "data", "train", "eval", "transform", "invariance"},
     "diversity": {"sra", "data", "train", "eval", "transform", "diversity"},
-    "bench": {"sra", "data", "bench"},
 }
 
 
@@ -77,10 +81,10 @@ def test_command_table_pins_accepted_key_prefixes():
     assert "train.kind" not in resolve_config("invariance", None, [])
     # a row leaves out the section keys its command does not read
     assert "eval.invariance_samples" not in resolve_config("diversity", None, [])
-    assert [k for k in resolve_config("bench", None, []) if k.startswith("data.")] == [
+    assert [k for k in resolve_config("ablate-sampler", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 127
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 116
 
 
 def test_ablations_default_to_their_own_epochs_and_dataset_size():
@@ -123,8 +127,9 @@ def test_config_file_int_stands_for_a_float(tmp_path, capsys):
 def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"sra.fixed_grid": [6, 5]}))
-    assert resolve_config("bench", str(cfg_file), [])["sra.fixed_grid"] == (6, 5)
-    assert resolve_config("bench", str(cfg_file), ["sra.fixed_grid=none"])["sra.fixed_grid"] is None
+    assert resolve_config("ablate-sampler", str(cfg_file), [])["sra.fixed_grid"] == (6, 5)
+    assert (resolve_config("ablate-sampler", str(cfg_file), ["sra.fixed_grid=none"])
+            ["sra.fixed_grid"] is None)
     assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.n_boxes=2",
                 "--set", "sra.fixed_grid=4x3"]) == 0
     capsys.readouterr()
@@ -161,10 +166,9 @@ INT_KEYS = [
     ("ablate-sampler", "sra.descriptor_dim"),
     ("ablate-sampler", "sra.embed_channels"),
     ("ablate-sampler", "sra.hidden"),
-    ("bench", "bench.timing_rois"),
     ("ablate-descriptor", "data.n_classes"),
     ("ablate-descriptor", "data.n_per_class"),
-    ("bench", "data.channels"),
+    ("ablate-sampler", "data.channels"),
     ("ablate-descriptor", "train.epochs"),
     ("invariance", "eval.invariance_samples"),
     ("diversity", "eval.diversity_samples"),
@@ -241,7 +245,7 @@ def test_non_numeric_value_exits_2(capsys):
     assert "gradcheck.seeds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["ablate-sampler", "bench"])
+@pytest.mark.parametrize("subcommand", ["ablate-sampler"])
 def test_invalid_sra_config_exits_2(subcommand, tmp_path, capsys):
     assert run([subcommand, "--out", str(tmp_path), "--set", "sra.budget=0"]) == 2
     assert "budget" in capsys.readouterr().err
@@ -303,13 +307,13 @@ def test_oracles_failure_exits_1(tmp_path, capsys, monkeypatch):
 def test_ablate_sampler_modes(tmp_path, capsys):
     out_fixed = tmp_path / "fixed"
     out_dyn = tmp_path / "dyn"
-    assert run(["ablate-sampler", "--set", "sampler.mode=fixed", "--out", str(out_fixed),
+    assert run(["ablate-sampler", "--set", "sra.fixed_grid=8x8", "--out", str(out_fixed),
                 "--set", "sampler.n_boxes=40"]) == 0
-    assert run(["ablate-sampler", "--set", "sampler.mode=dynamic", "--out", str(out_dyn),
-                "--set", "sampler.n_boxes=40"]) == 0
+    assert run(["ablate-sampler", "--out", str(out_dyn), "--set", "sampler.n_boxes=40"]) == 0
     capsys.readouterr()
     fixed = load_report(out_fixed, "ablate-sampler")["metrics"]
     dyn = load_report(out_dyn, "ablate-sampler")["metrics"]
+    assert (fixed["mode"], dyn["mode"]) == ("fixed", "dynamic")
     assert fixed["top_grids"] == [["8x8", 40]]
     assert dyn["budget_respected"] is True
     assert dyn["max_grid_area"] <= dyn["budget"]
@@ -317,12 +321,21 @@ def test_ablate_sampler_modes(tmp_path, capsys):
 
 
 def test_fixed_grid_over_budget_is_reported(tmp_path, capsys):
-    assert run(["ablate-sampler", "--set", "sampler.mode=fixed", "--out", str(tmp_path),
+    assert run(["ablate-sampler", "--set", "sra.fixed_grid=8x8", "--out", str(tmp_path),
                 "--set", "sampler.n_boxes=10", "--set", "sra.budget=16"]) == 0
     capsys.readouterr()
     metrics = load_report(tmp_path, "ablate-sampler")["metrics"]
     assert metrics["max_grid_area"] == 64
     assert metrics["budget_respected"] is False
+
+
+def test_ablate_sampler_honours_the_fixed_grid(tmp_path, capsys):
+    assert run(["ablate-sampler", "--set", "sra.fixed_grid=4x3", "--out", str(tmp_path),
+                "--set", "sampler.n_boxes=10"]) == 0
+    capsys.readouterr()
+    metrics = load_report(tmp_path, "ablate-sampler")["metrics"]
+    assert metrics["mode"] == "fixed"
+    assert metrics["top_grids"] == [["4x3", 10]]
 
 
 TINY_ABLATE = TINY_TRAIN[:10] + ["--set", "train.epochs=1", "--set", "data.n_per_class=6"]
@@ -402,50 +415,45 @@ def test_diversity_report_structure(tmp_path, capsys):
     assert doc["metrics"]["threshold"] == 0.3
 
 
-def test_bench_reports_cost_model(tmp_path, capsys):
-    code = run(["bench", "--out", str(tmp_path), "--set", "bench.timing_rois=5",
-                "--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"])
+COST_MODEL = ["--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"]
+
+
+def test_ablate_sampler_reports_cost_model(tmp_path, capsys):
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.n_boxes=5",
+                *COST_MODEL]) == 0
     capsys.readouterr()
-    assert code == 0
-    doc = load_report(tmp_path, "bench")
+    doc = load_report(tmp_path, "ablate-sampler")
     metrics = doc["metrics"]
     assert metrics["multiply_adds_per_300_rois"] == 300 * metrics["multiply_adds_per_roi"]
-    assert metrics["wall_ms_per_roi"] > 0
-    assert metrics["parameter_count"] > 0
+    assert metrics["multiply_adds_per_roi"] == pytest.approx(sum(metrics["breakdown"].values()))
+    assert metrics["parameter_count"] == parameter_count(sra_config_from(doc["config"]), 16)
 
 
-def test_bench_counts_the_timed_grids(tmp_path, capsys, monkeypatch):
+def test_ablate_sampler_counts_the_chosen_grids(tmp_path, capsys, monkeypatch):
     from semroi import cli
     from semroi.evaluate import flops_estimate
 
-    timed = cli.sra_extract
-    grids = []
+    chosen = cli.choose_grid
+    arms = {"fixed": ["--set", "sra.fixed_grid=8x8"], "dynamic": []}
+    for arm, args in arms.items():
+        grids = []
 
-    def recorded(*args):
-        result = timed(*args)
-        grids.append(result.grid)
-        return result
+        def recorded(box, cfg):
+            grids.append(chosen(box, cfg))
+            return grids[-1]
 
-    monkeypatch.setattr(cli, "sra_extract", recorded)
-    code = run(["bench", "--out", str(tmp_path), "--set", "bench.timing_rois=6",
-                "--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"])
-    capsys.readouterr()
-    assert code == 0
-    assert len(grids) == 6 and len(set(grids)) > 1
-    doc = load_report(tmp_path, "bench")
-    cfg = sra_config_from(doc["config"])
-    want = [flops_estimate(cfg, doc["metrics"]["channels"], g).per_roi for g in grids]
-    assert doc["metrics"]["multiply_adds_per_roi"] == pytest.approx(sum(want) / len(want), rel=1e-12)
-
-
-def test_csv_format_report(tmp_path, capsys):
-    code = run(["ablate-sampler", "--set", "sampler.mode=fixed", "--out", str(tmp_path),
-                "--format", "csv", "--set", "sampler.n_boxes=10"])
-    capsys.readouterr()
-    assert code == 0
-    text = (tmp_path / "ablate-sampler.csv").read_text()
-    assert text.startswith("key,value")
-    assert "metrics.mode,fixed" in text
+        monkeypatch.setattr(cli, "choose_grid", recorded)
+        out = tmp_path / arm
+        assert run(["ablate-sampler", "--out", str(out), "--set", "sampler.n_boxes=6",
+                    *COST_MODEL, *args]) == 0
+        capsys.readouterr()
+        doc = load_report(out, "ablate-sampler")
+        assert doc["metrics"]["mode"] == arm
+        assert len(grids) == 6 and (len(set(grids)) == 1) == (arm == "fixed")
+        cfg = sra_config_from(doc["config"])
+        want = [flops_estimate(cfg, doc["metrics"]["channels"], g).per_roi for g in grids]
+        assert doc["metrics"]["multiply_adds_per_roi"] == pytest.approx(
+            sum(want) / len(want), rel=1e-12)
 
 
 def test_reports_embed_resolved_config_and_seed(tmp_path, capsys):

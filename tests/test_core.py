@@ -49,8 +49,9 @@ def test_config_defaults_follow_reference_settings():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        SraConfig(gamma=-1.0)
+    for gamma in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="gamma"):
+            SraConfig(gamma=gamma)
     with pytest.raises(ConfigError):
         SraConfig(n_masks=0)
     with pytest.raises(ConfigError):

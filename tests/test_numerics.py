@@ -133,8 +133,9 @@ def test_softmax_slices_normalized_nonnegative():
 
 
 def test_softmax_rejects_bad_gamma():
-    with pytest.raises(ValueError, match="gamma"):
-        softmax_spatial(np.zeros((1, 2, 2)), gamma=0.0)
+    for gamma in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            softmax_spatial(np.zeros((1, 2, 2)), gamma=gamma)
 
 
 def test_softmax_finite_on_extreme_logits():

@@ -1,7 +1,8 @@
 """Property tests: the grid table lookup against exhaustive search
 over the whole (h, w) lattice, the adjointness of every kernel's backward
-pass, the fused norm-relu-linear block against its composition, and mask
-normalization over the amplification range."""
+pass, the fused norm-relu-linear block against its composition, mask
+normalization over the amplification range, and the masks' permutation
+equivariance."""
 
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from semroi.core import (
     SraConfig,
+    extract_on_grid,
     init_params,
     roi_descriptor_vjp,
     sample_roi_feature_vjp,
@@ -172,3 +174,25 @@ def test_masks_normalized_over_gamma(log_gamma, seed):
     masks = sra_extract(rng.standard_normal((6, 16, 16)), box, params, cfg).masks
     assert np.isfinite(masks).all() and (masks >= 0).all()
     np.testing.assert_allclose(masks.sum(axis=(1, 2)), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# permutation equivariance: with no positional embedding and an
+# order-blind descriptor, every stage after the pool is per position or a
+# reduction over positions, so shuffling the pooled grid's positions
+# shuffles every mask slice the same way
+
+
+@ADJOINT
+@given(seed=seeds, mode=st.sampled_from(["average", "maximum"]),
+       h=st.integers(1, 6), w=st.integers(1, 6))
+def test_masks_are_permutation_equivariant(seed, mode, h, w):
+    rng = np.random.default_rng(seed)
+    cfg = replace(MASK_CFG, embedding_mode="none", descriptor_mode=mode)
+    params = init_params(cfg, 4, rng)
+    f = rng.standard_normal((4, h, w))
+    perm = rng.permutation(h * w)
+    _, masks = extract_on_grid(f, params, cfg)
+    _, masks_p = extract_on_grid(f.reshape(4, -1)[:, perm].reshape(4, h, w), params, cfg)
+    want = masks.reshape(cfg.n_masks, -1)[:, perm].reshape(masks.shape)
+    assert np.abs(masks_p - want).max() <= 1e-12
