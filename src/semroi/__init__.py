@@ -55,7 +55,7 @@ from .synthetic import (
     apply_transform,
     generate_dataset,
 )
-from .train import TrainState, TrainingDiverged, compare_extractors, train_toy
+from .train import TrainState, TrainingDiverged, compare_extractors, harness_splits, train_toy
 
 __version__ = "0.1.0"
 
@@ -89,6 +89,7 @@ __all__ = [
     "extract_on_grid",
     "flops_estimate",
     "generate_dataset",
+    "harness_splits",
     "init_params",
     "invariance_eval",
     "layer_norm",

@@ -29,7 +29,7 @@ from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import save_checkpoint, stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
 from .synthetic import TransformRanges
-from .train import EXTRACTORS, compare_extractors, harness_dataset, train_toy
+from .train import EXTRACTORS, compare_extractors, harness_dataset, harness_splits, train_toy
 
 
 def _section_defaults(prefix: str, cls: type) -> dict[str, object]:
@@ -149,13 +149,13 @@ def _dataset(config: dict, seed: int):
     )
 
 
-def _train(config: dict, seed: int, kind: str, dataset, cfg: SraConfig | None = None):
-    """``train_toy`` on ``dataset`` with the train and transform sections:
+def _train(config: dict, seed: int, kind: str, splits, cfg: SraConfig | None = None):
+    """``train_toy`` on the (train, test) ``splits`` with the train section:
     (state, history)."""
+    train_set, test_set = splits
     return train_toy(
-        kind, cfg or sra_config_from(config), dataset, epochs=config["train.epochs"],
+        kind, cfg or sra_config_from(config), train_set, test_set, epochs=config["train.epochs"],
         lr=config["train.lr"], momentum=config["train.momentum"], seed=seed,
-        ranges=ranges_from(config),
     )
 
 
@@ -244,10 +244,10 @@ def _ablation(config: dict, seed: int, field: str, modes: tuple[str, ...]) -> tu
     # concatenation cannot follow a dynamic grid; pin the fixed size
     pins = {"concatenation": {"fixed_grid": FIXED_GRID}}
     variants = {mode: replace(base, **{field: mode}, **pins.get(mode, {})) for mode in modes}
-    dataset = _dataset(config, seed)
+    splits = harness_splits(_dataset(config, seed), seed, ranges_from(config))
     out = {}
     for mode, cfg in variants.items():
-        _, history = _train(config, seed, "sra", dataset, cfg)
+        _, history = _train(config, seed, "sra", splits, cfg)
         out[mode] = {
             "final_test_accuracy": history[-1]["test_accuracy"],
             "final_train_accuracy": history[-1]["train_accuracy"],
@@ -270,7 +270,8 @@ def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
         return 0, _compare(config, seed)
     if kind not in EXTRACTORS:
         raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
-    state, history = _train(config, seed, kind, _dataset(config, seed))
+    splits = harness_splits(_dataset(config, seed), seed, ranges_from(config))
+    state, history = _train(config, seed, kind, splits)
     metrics: dict = {"kind": kind, "history": history}
     if state.params is not None:
         ckpt = out_dir / f"trained_{kind}_seed{seed}.tjson"
@@ -293,7 +294,7 @@ def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 
 def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     dataset = _dataset(config, seed)
-    state, _ = _train(config, seed, "sra", dataset)
+    state, _ = _train(config, seed, "sra", harness_splits(dataset, seed, ranges_from(config)))
     report = mask_diversity(
         state.params, state.config, dataset, config["eval.diversity_samples"],
         stream_rng(seed, "diversity"), threshold=config["diversity.threshold"],

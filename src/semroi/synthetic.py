@@ -6,13 +6,15 @@ sampled pose onto a noisy feature map and passes it through a fixed random
 3x3 mixing stem (smooth blobs alone would make every pooler look alike).
 Rotation and reflection act on the part layout (the object moves); scale and
 pan act only on the box (the proposal is off).  Rendering is a pure function
-of (class layout, pose, instance seed), so re-posing an instance is exact.
+of (class layout, pose, instance seed), so re-posing an instance is exact:
+a re-pose that keeps the rotation and reflection keeps the map too, and
+shares the source's read-only array with a new box instead of re-rendering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,15 +114,29 @@ def _rotate_reflect(offsets: Array, pose: Pose) -> Array:
 
 
 def apply_stem(fmap: Array, stem: Array) -> Array:
-    """3x3 channel-mixing convolution, zero padded, as one matmul over the
-    (C, 9, H, W) stack of shifted views."""
+    """3x3 channel-mixing convolution, zero padded, one matmul per tap.
+
+    Flatten the zero-padded map row by row, rows of W+2.  Output pixel
+    (y, x) sits at flat index y*(W+2) + x, and its tap (dy, dx) reads flat
+    index (y+dy)*(W+2) + (x+dx): so tap (dy, dx) of every pixel is one
+    (C, C) matmul over the contiguous run of the flat map that starts at
+    dy*(W+2) + dx.  The nine products accumulate into a (C, H*(W+2))
+    buffer, whose two trailing columns per row fall on the padding and are
+    dropped.
+    """
     c, height, width = fmap.shape
-    padded = np.pad(fmap, ((0, 0), (1, 1), (1, 1)))
-    cols = np.stack(
-        [padded[:, dy : dy + height, dx : dx + width] for dy in range(3) for dx in range(3)],
-        axis=1,
-    )
-    return (stem.reshape(c, 9 * c) @ cols.reshape(9 * c, height * width)).reshape(c, height, width)
+    row = width + 2
+    # one spare zero row: the last tap's run ends two past the padded map
+    padded = np.zeros((c, height + 3, row))
+    padded[:, 1 : height + 1, 1 : width + 1] = fmap
+    flat = padded.reshape(c, -1)
+    taps = stem.transpose(2, 3, 0, 1).reshape(9, c, c).copy()  # contiguous (C, C) taps for BLAS
+    n = height * row
+    out = taps[0] @ flat[:, :n]
+    for t in range(1, 9):
+        start = (t // 3) * row + t % 3
+        out += taps[t] @ flat[:, start : start + n]
+    return np.ascontiguousarray(out.reshape(c, height, row)[:, :, :width])
 
 
 def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Array, Array]:
@@ -133,10 +149,26 @@ def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Arra
     return centers, sigmas, np.array([p.signature for p in parts])
 
 
+def _proposal_box(ctx: RenderContext, pose: Pose) -> RoIBox:
+    """The box around the map center, scaled and panned by ``pose`` and
+    clamped to at least one pixel inside the map."""
+    size = ctx.map_size
+    center = size / 2.0
+    half = ctx.box_size * pose.scale / 2.0
+    bx = center + pose.pan_x * ctx.box_size
+    by = center + pose.pan_y * ctx.box_size
+    x0 = float(np.clip(bx - half, 0.0, size - 2.0))
+    y0 = float(np.clip(by - half, 0.0, size - 2.0))
+    x1 = float(np.clip(bx + half, x0 + 1.0, size - 1.0))
+    y1 = float(np.clip(by + half, y0 + 1.0, size - 1.0))
+    return RoIBox(x0, y0, x1, y1)
+
+
 def render_instance(
     ctx: RenderContext, label: int, pose: Pose, seed: int
 ) -> SyntheticInstance:
-    """Deterministic render of one instance."""
+    """Deterministic render of one instance.  The map is read-only, so
+    re-poses that keep it can share it."""
     rng = np.random.default_rng(seed)
     size = ctx.map_size
     fmap = rng.normal(0.0, ctx.noise_amp, size=(ctx.channels, size, size))
@@ -147,20 +179,14 @@ def render_instance(
     ey = np.exp(-((pix - centers[:, :1]) ** 2) / two_var)  # (n, H)
     ex = np.exp(-((pix - centers[:, 1:]) ** 2) / two_var)  # (n, W)
     blobs = (ey[:, :, None] * ex[:, None, :]).reshape(len(sigmas), size * size)
-    fmap += (ctx.blob_amp * (signatures.T @ blobs)).reshape(fmap.shape)
+    content = signatures.T @ blobs
+    content *= ctx.blob_amp
+    fmap += content.reshape(fmap.shape)
     fmap = apply_stem(fmap, ctx.stem)
-
-    center = size / 2.0
-    half = ctx.box_size * pose.scale / 2.0
-    bx = center + pose.pan_x * ctx.box_size
-    by = center + pose.pan_y * ctx.box_size
-    x0 = float(np.clip(bx - half, 0.0, size - 2.0))
-    y0 = float(np.clip(by - half, 0.0, size - 2.0))
-    x1 = float(np.clip(bx + half, x0 + 1.0, size - 1.0))
-    y1 = float(np.clip(by + half, y0 + 1.0, size - 1.0))
+    fmap.setflags(write=False)
     return SyntheticInstance(
         feature_map=fmap,
-        box=RoIBox(x0, y0, x1, y1),
+        box=_proposal_box(ctx, pose),
         label=label,
         pose=pose,
         seed=seed,
@@ -208,6 +234,17 @@ def make_render_context(
     layout_radius: float = 9.0,
     part_sigma: float = 2.5,
 ) -> RenderContext:
+    if channels < 1:
+        raise ConfigError(f"channels must be at least 1, got {channels}")
+    if map_size < 2:
+        raise ConfigError(f"map_size must be at least 2, got {map_size}")
+    for name, value in (("box_size", box_size), ("part_sigma", part_sigma)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
+    if not math.isfinite(blob_amp):
+        raise ConfigError(f"blob_amp must be finite, got {blob_amp}")
+    if not (math.isfinite(noise_amp) and noise_amp >= 0):
+        raise ConfigError(f"noise_amp must be finite and non-negative, got {noise_amp}")
     rng = np.random.default_rng(derive_seed(seed, "layout"))
     classes = []
     previous: list[Array] = []
@@ -278,5 +315,13 @@ def generate_dataset(
 
 
 def apply_transform(inst: SyntheticInstance, delta: Pose) -> SyntheticInstance:
-    """Re-render the instance with ``delta`` composed onto its pose."""
-    return render_instance(inst.ctx, inst.label, compose_pose(inst.pose, delta), inst.seed)
+    """The instance with ``delta`` composed onto its pose.
+
+    The map depends on the pose only through its rotation and reflection
+    (``part_layout``); when the composed pose keeps both, the result shares
+    the source's map and only its box is computed.  Otherwise the instance
+    is re-rendered."""
+    pose = compose_pose(inst.pose, delta)
+    if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
+        return replace(inst, pose=pose, box=_proposal_box(inst.ctx, pose))
+    return render_instance(inst.ctx, inst.label, pose, inst.seed)

@@ -175,24 +175,32 @@ def augment_rotation(
     return [apply_transform(inst, random_delta("rotation", rng, ranges)) for inst in instances]
 
 
+def harness_splits(
+    dataset: list[SyntheticInstance], seed: int, ranges: TransformRanges = TransformRanges()
+) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
+    """The train split of ``dataset`` and its rotation-augmented test split:
+    what ``train_toy`` trains and scores on at this seed.  Every kind and
+    variant trained at the seed shares the one rendered test split."""
+    train_set, test_set = split_dataset(dataset, seed)
+    return train_set, augment_rotation(test_set, seed, ranges)
+
+
 def train_toy(
     kind: str,
     config: SraConfig,
-    dataset: list[SyntheticInstance],
+    train_set: list[SyntheticInstance],
+    test_set: list[SyntheticInstance],
     epochs: int,
     lr: float = 0.02,
     momentum: float = 0.9,
     seed: int = 0,
-    ranges: TransformRanges = TransformRanges(),
 ) -> tuple[TrainState, list[dict]]:
     """Train a linear head (plus extractor parameters for the semantic kind)
-    and report per-epoch train/test accuracy on a rotation-augmented test
-    split.  Deterministic per seed; train accuracy is the online accuracy of
-    predictions made during the epoch."""
-    train_set, test_set = split_dataset(dataset, seed)
-    test_set = augment_rotation(test_set, seed, ranges)
-    channels = dataset[0].feature_map.shape[0]
-    n_classes = max(inst.label for inst in dataset) + 1
+    on ``train_set`` and report per-epoch train accuracy and accuracy on
+    ``test_set`` (see ``harness_splits``).  Deterministic per seed; train
+    accuracy is the online accuracy of predictions made during the epoch."""
+    channels = train_set[0].feature_map.shape[0]
+    n_classes = max(inst.label for inst in train_set + test_set) + 1
     state = init_train_state(kind, config, channels, n_classes, seed)
     shuffle_rng = stream_rng(seed, "shuffle")
     history: list[dict] = []
@@ -263,11 +271,12 @@ def compare_extractors(
     runs = []
     for seed in seeds:
         dataset = harness_dataset(seed, n_classes, n_per_class, channels, ranges)
+        train_set, test_set = harness_splits(dataset, seed, ranges)
         run: dict = {"seed": seed}
         states: dict[str, TrainState] = {}
         for kind in EXTRACTORS:
             state, history = train_toy(
-                kind, config, dataset, epochs, lr=lr, momentum=momentum, seed=seed, ranges=ranges
+                kind, config, train_set, test_set, epochs, lr=lr, momentum=momentum, seed=seed
             )
             states[kind] = state
             feature_fn = make_feature_fn(kind, state.params, state.config)

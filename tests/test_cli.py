@@ -142,8 +142,8 @@ def test_ablations_train_with_the_config_they_report(subcommand, tmp_path, capsy
 
     calls = []
 
-    def recorded(kind, config, dataset, epochs, **kwargs):
-        calls.append((epochs, len(dataset)))
+    def recorded(kind, config, train_set, test_set, epochs, **kwargs):
+        calls.append((epochs, len(train_set) + len(test_set)))
         history = [{"test_accuracy": 0.5, "train_accuracy": 0.5, "train_loss": 1.0}]
         return None, history
 

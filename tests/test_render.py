@@ -27,6 +27,18 @@ def test_stem_matches_einsum_on_non_square_map(channels):
     assert rel_err(got, apply_stem_einsum(fmap, stem)) < 1e-12
 
 
+@pytest.mark.parametrize("height, width", [(1, 5), (2, 7), (9, 1), (4, 2), (1, 1), (2, 2)])
+def test_stem_matches_einsum_on_thin_maps(height, width):
+    # a tap's flat run spans whole padded rows, so one- and two-pixel
+    # extents exercise the ends of the runs
+    rng = np.random.default_rng(height * 10 + width)
+    fmap = rng.standard_normal((3, height, width))
+    stem = rng.standard_normal((3, 3, 3, 3))
+    got = apply_stem(fmap, stem)
+    assert got.shape == fmap.shape and got.flags.c_contiguous
+    assert rel_err(got, apply_stem_einsum(fmap, stem)) < 1e-12
+
+
 def test_stem_zero_pads_the_border():
     # a lone tap at (dy, dx) = (0, 0) reads the pixel up and to the left, so
     # the first row and column see only padding
@@ -49,6 +61,15 @@ def test_render_matches_part_loop(pose):
     for label in range(3):
         got = render_instance(ctx, label, pose, seed=40 + label).feature_map
         assert rel_err(got, render_map_loop(ctx, label, pose, 40 + label)) < 1e-12
+
+
+def test_render_is_pure():
+    ctx = make_render_context(3, seed=5)
+    pose = Pose(rotation_deg=12.5, reflected=True, scale=1.1, pan_x=0.05)
+    a = render_instance(ctx, 1, pose, seed=8)
+    b = render_instance(ctx, 1, pose, seed=8)
+    assert np.array_equal(a.feature_map, b.feature_map)
+    assert a.box == b.box
 
 
 DIGEST_SCRIPT = """

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from semroi import synthetic
+from semroi.evaluate import TRANSFORM_FAMILIES, random_delta
 from semroi.numerics import ConfigError
 from semroi.synthetic import (
     MAX_CROSS_CLASS_COSINE,
     Pose,
+    TransformRanges,
     apply_transform,
     compose_pose,
     generate_dataset,
     make_render_context,
+    render_instance,
 )
 
 
@@ -111,3 +115,56 @@ def test_generate_rejects_single_class():
     with pytest.raises(ConfigError, match="2 classes"):
         generate_dataset(1, 10, seed=0)
 
+
+@pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
+def test_transform_equals_render_at_the_composed_pose(family):
+    # the box-only shortcut and the re-render agree bit for bit with a
+    # fresh render at the composed pose, for random base poses
+    rng = np.random.default_rng(31)
+    for inst in small_dataset(seed=12, n=6):
+        delta = random_delta(family, rng, TransformRanges())
+        got = apply_transform(inst, delta)
+        want = render_instance(inst.ctx, inst.label, compose_pose(inst.pose, delta), inst.seed)
+        assert np.array_equal(got.feature_map, want.feature_map)
+        assert got.box == want.box and got.pose == want.pose
+        assert (got.label, got.seed, got.ctx) == (inst.label, inst.seed, inst.ctx)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [Pose(), Pose(scale=0.8), Pose(scale=1.2, pan_x=0.05, pan_y=-0.04)],
+    ids=["identity", "scale", "scale_pan"],
+)
+def test_box_only_transform_shares_the_map(delta, monkeypatch):
+    inst = small_dataset()[5]
+    monkeypatch.setattr(synthetic, "render_instance", lambda *a: pytest.fail("re-rendered"))
+    moved = apply_transform(inst, delta)
+    assert np.shares_memory(moved.feature_map, inst.feature_map)
+
+
+def test_rendered_map_is_read_only():
+    inst = small_dataset()[0]
+    with pytest.raises(ValueError, match="read-only"):
+        inst.feature_map[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        inst.feature_map += 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"channels": 0}, "channels"),
+        ({"map_size": 1}, "map_size"),
+        ({"map_size": 0}, "map_size"),
+        ({"box_size": 0.0}, "box_size"),
+        ({"box_size": float("inf")}, "box_size"),
+        ({"part_sigma": 0.0}, "part_sigma"),
+        ({"part_sigma": float("nan")}, "part_sigma"),
+        ({"blob_amp": float("nan")}, "blob_amp"),
+        ({"noise_amp": -0.1}, "noise_amp"),
+        ({"noise_amp": float("inf")}, "noise_amp"),
+    ],
+)
+def test_render_context_rejects_bad_arguments(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        make_render_context(3, seed=0, **kwargs)

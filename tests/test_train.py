@@ -5,6 +5,7 @@ from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recor
 from semroi.train import (
     TrainingDiverged,
     augment_rotation,
+    harness_splits,
     init_train_state,
     split_dataset,
     train_step,
@@ -77,15 +78,15 @@ def test_momentum_accumulates_across_steps():
 
 def test_same_seed_identical_curves():
     ds = dataset(n=24)
-    _, hist_a = train_toy("sra", CFG, ds, epochs=2, seed=5)
-    _, hist_b = train_toy("sra", CFG, ds, epochs=2, seed=5)
+    _, hist_a = train_toy("sra", CFG, *harness_splits(ds, 5), epochs=2, seed=5)
+    _, hist_b = train_toy("sra", CFG, *harness_splits(ds, 5), epochs=2, seed=5)
     assert hist_a == hist_b
 
 
 def test_different_seed_differs():
     ds = dataset(n=24)
-    _, hist_a = train_toy("sra", CFG, ds, epochs=1, seed=5)
-    _, hist_b = train_toy("sra", CFG, ds, epochs=1, seed=6)
+    _, hist_a = train_toy("sra", CFG, *harness_splits(ds, 5), epochs=1, seed=5)
+    _, hist_b = train_toy("sra", CFG, *harness_splits(ds, 6), epochs=1, seed=6)
     assert hist_a != hist_b
 
 
@@ -146,7 +147,7 @@ def test_augment_rotation_changes_content_keeps_labels():
 
 def test_loss_decreases_over_first_epochs_smoke():
     ds = dataset(n=48, seed=23)
-    _, hist = train_toy("sra", CFG, ds, epochs=5, lr=0.02, momentum=0.9, seed=0)
+    _, hist = train_toy("sra", CFG, *harness_splits(ds, 0), epochs=5, lr=0.02, momentum=0.9, seed=0)
     losses = [h["train_loss"] for h in hist]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -183,6 +184,30 @@ def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
     assert len(sra_draws) == 5
     assert sra_draws == align_draws
     assert {"mean_sra_rotation_cosine", "mean_align_rotation_cosine"} <= set(result["summary"])
+
+
+def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
+    # both kinds score the one rotation-augmented test split: one re-render
+    # per test instance and seed, not one per kind
+    from semroi import train
+
+    augmented = []
+    transform = train.apply_transform
+
+    def transform_counted(inst, delta):
+        augmented.append(inst.seed)
+        return transform(inst, delta)
+
+    monkeypatch.setattr(train, "apply_transform", transform_counted)
+    seeds = [3, 4]
+    train.compare_extractors(
+        CFG, seeds=seeds, n_classes=3, n_per_class=4, epochs=1,
+        invariance_samples=2, diversity_samples=2,
+    )
+    test_splits = [
+        split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
+    ]
+    assert augmented == [inst.seed for split in test_splits for inst in split]
 
 
 def test_compare_extractors_rejects_unknown_family_before_training(monkeypatch):
