@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Array, ShapeError, VjpRecord
+from .numerics import Array, ShapeError
 from .sampler import GridSize, RoIBox, block_average_pool_vjp
 
 DEFAULT_OUT = (7, 7)
@@ -70,22 +70,11 @@ def roi_pool(fmap: Array, box: RoIBox, out: tuple[int, int] = DEFAULT_OUT) -> Ar
     return result
 
 
-def roi_align_vjp(
-    fmap: Array, box: RoIBox, out: tuple[int, int] = DEFAULT_OUT
-) -> tuple[Array, VjpRecord]:
+def roi_align(fmap: Array, box: RoIBox, out: tuple[int, int] = DEFAULT_OUT) -> Array:
     """Average 2x2 bilinear samples per bin -> (out_h, out_w, C).
 
     Shares the sampling kernel with the dynamic-grid pooler, so the two are
     identical (up to layout) whenever the requested grids coincide.
     """
-    pooled, rec = block_average_pool_vjp(fmap, box, GridSize(*out))
-    result = np.transpose(pooled, (1, 2, 0))
-
-    def backward(gy: Array) -> tuple[Array]:
-        return rec.backward(np.transpose(gy, (2, 0, 1)))
-
-    return result, VjpRecord("roi_align", backward)
-
-
-def roi_align(fmap: Array, box: RoIBox, out: tuple[int, int] = DEFAULT_OUT) -> Array:
-    return roi_align_vjp(fmap, box, out)[0]
+    pooled, _ = block_average_pool_vjp(fmap, box, GridSize(*out))
+    return np.transpose(pooled, (1, 2, 0))

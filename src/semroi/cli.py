@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import SraConfig, choose_grid, param_leaves, parameter_count
-from .evaluate import flops_estimate, mask_diversity
+from .evaluate import flops_estimate, mask_diversity, require_mask_pairs
 from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import save_checkpoint, stream_rng, write_report
@@ -293,6 +293,7 @@ def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 
 
 def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+    require_mask_pairs(sra_config_from(config))
     dataset = _dataset(config, seed)
     state, _ = _train(config, seed, "sra", harness_splits(dataset, seed, ranges_from(config)))
     report = mask_diversity(

@@ -287,9 +287,9 @@ def mask_logits_vjp(
         g_hidden, g_hn_g, g_hn_s, g_hl_w, g_hl_b = r_head.backward(gy.reshape(n, hw).T)
         gz, g_tn_g, g_tn_s, g_tl_w, g_tl_b = r_trunk.backward(g_hidden)
         grads = MaskMlpParams(
-            trunk_norm=LayerNormParams(g_tn_g, g_tn_s, mlp.trunk_norm.epsilon),
+            trunk_norm=LayerNormParams(g_tn_g, g_tn_s),
             trunk_linear=LinearParams(g_tl_w, g_tl_b),
-            head_norm=LayerNormParams(g_hn_g, g_hn_s, mlp.head_norm.epsilon),
+            head_norm=LayerNormParams(g_hn_g, g_hn_s),
             head_linear=LinearParams(g_hl_w, g_hl_b),
         )
         gd = gz[:, :k].sum(axis=0)

@@ -111,6 +111,13 @@ def pairwise_mask_cosines(masks: Array) -> Array:
     return rows @ rows.T
 
 
+def require_mask_pairs(config: SraConfig) -> None:
+    """Raise ``ConfigError`` unless the bank has a pair of masks to compare;
+    callers that train before measuring diversity check this first."""
+    if config.n_masks < 2:
+        raise ConfigError(f"mask diversity needs at least 2 masks, got n_masks={config.n_masks}")
+
+
 def mask_diversity(
     params: SraParams,
     config: SraConfig,
@@ -119,8 +126,7 @@ def mask_diversity(
     rng: np.random.Generator,
     threshold: float = 0.3,
 ) -> DiversityReport:
-    if config.n_masks < 2:
-        raise ValueError("mask diversity needs at least 2 masks")
+    require_mask_pairs(config)
     if not dataset:
         raise ValueError("mask_diversity: empty dataset")
     if n_samples < 1:

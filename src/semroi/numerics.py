@@ -4,7 +4,9 @@ Each differentiable operation has a ``*_vjp`` form that returns its output
 and a :class:`VjpRecord` whose ``backward`` maps an output cotangent to
 input and parameter cotangents; most also have a plain forward (``linear``,
 ``layer_norm``, ...).  ``check_vjp`` validates any such operation against
-central finite differences.
+central finite differences, at a fixed step and tolerance.  Every layer
+norm adds the one constant ``LAYER_NORM_EPSILON`` (1e-5) to the variance;
+its parameters are only the learnable gain and shift.
 
 The pipeline runs linear (and the 1x1 convolution built on it), the fused
 layer norm -> relu -> linear block, which the mask regressor calls twice
@@ -52,13 +54,16 @@ class LinearParams:
         return self.weight.shape[0]
 
 
+# added to the population variance before the square root in every layer norm
+LAYER_NORM_EPSILON = 1e-5
+
+
 @dataclass
 class LayerNormParams:
     """Per-feature normalization parameters (population variance)."""
 
     gain: Array  # (dim,)
     shift: Array  # (dim,)
-    epsilon: float = 1e-5
 
 
 @dataclass
@@ -81,9 +86,9 @@ def init_linear(rng: np.random.Generator, in_dim: int, out_dim: int) -> LinearPa
     return LinearParams(weight=weight, bias=np.zeros(out_dim))
 
 
-def init_layer_norm(dim: int, epsilon: float = 1e-5) -> LayerNormParams:
+def init_layer_norm(dim: int) -> LayerNormParams:
     """Unit gains, zero shifts."""
-    return LayerNormParams(gain=np.ones(dim), shift=np.zeros(dim), epsilon=epsilon)
+    return LayerNormParams(gain=np.ones(dim), shift=np.zeros(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,7 @@ def layer_norm_vjp(x: Array, p: LayerNormParams) -> tuple[Array, VjpRecord]:
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + p.epsilon)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat = xc * inv
     y = p.gain * xhat + p.shift
 
@@ -206,7 +211,7 @@ def norm_relu_linear_vjp(
         )
     xhat = x - x.mean(axis=1, keepdims=True)
     var = np.einsum("bd,bd->b", xhat, xhat)[:, None] / dim
-    inv = 1.0 / np.sqrt(var + norm.epsilon)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat *= inv
     a = xhat * norm.gain
     a += norm.shift
@@ -312,6 +317,9 @@ def bilinear_sample_many_vjp(fmap: Array, ys: Array, xs: Array) -> tuple[Array, 
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
+GRADCHECK_STEP = 1e-6
+GRADCHECK_TOLERANCE = 1e-4
+
 
 @dataclass
 class GradCheckReport:
@@ -332,11 +340,10 @@ def check_vjp(
     fn: Callable[..., tuple[Array, Callable[[Array], dict]]],
     args: dict[str, Array],
     seed: int,
-    tolerance: float = 1e-4,
-    step: float = 1e-6,
 ) -> GradCheckReport:
     """Compare VJP gradients of a random scalar projection against central
-    finite differences.
+    finite differences of step ``GRADCHECK_STEP``; the check passes below
+    the relative error ``GRADCHECK_TOLERANCE``.
 
     ``fn(**args)`` must return ``(output, vjp)`` with ``vjp(cotangent)`` a
     dict of gradients keyed like ``args``.  The VJP runs in double
@@ -377,12 +384,12 @@ def check_vjp(
         for idx in range(flat.size):
             n_coords += 1
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + GRADCHECK_STEP
             fplus = loss()
-            flat[idx] = orig - step
+            flat[idx] = orig - GRADCHECK_STEP
             fminus = loss()
             flat[idx] = orig
-            fd = float((fplus - fminus) / (2 * np.longdouble(step)))
+            fd = float((fplus - fminus) / (2 * np.longdouble(GRADCHECK_STEP)))
             g = got.ravel()[idx]
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
             if rel > max_rel:
@@ -390,5 +397,5 @@ def check_vjp(
                 where = tuple(int(i) for i in np.unravel_index(idx, arr.shape))
                 worst = f"{name}[{where}]"
     return GradCheckReport(
-        passed=max_rel < tolerance, max_rel_err=max_rel, worst=worst, n_coords=n_coords
+        passed=max_rel < GRADCHECK_TOLERANCE, max_rel_err=max_rel, worst=worst, n_coords=n_coords
     )

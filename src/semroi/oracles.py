@@ -54,6 +54,9 @@ from .sampler import (
     dynamic_grid_size,
 )
 from .synthetic import (
+    MAP_SIZE,
+    NOISE_AMP,
+    PART_SIGMA,
     Pose,
     RenderContext,
     apply_stem,
@@ -232,14 +235,13 @@ def render_map_loop(ctx: RenderContext, label: int, pose: Pose, seed: int) -> Ar
     """The rendered map from the same noise draw, one 2-D Gaussian per part
     added in turn, and the einsum stem."""
     rng = np.random.default_rng(seed)
-    size = ctx.map_size
-    fmap = rng.normal(0.0, ctx.noise_amp, size=(ctx.channels, size, size))
-    centers, sigmas, signatures = part_layout(ctx, label, pose)
-    yy = np.arange(size)[:, None]
-    xx = np.arange(size)[None, :]
-    for (cy, cx), sigma, signature in zip(centers, sigmas, signatures):
-        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma**2))
-        fmap += ctx.blob_amp * signature[:, None, None] * blob
+    fmap = rng.normal(0.0, NOISE_AMP, size=(ctx.channels, MAP_SIZE, MAP_SIZE))
+    centers, signatures = part_layout(ctx, label, pose)
+    yy = np.arange(MAP_SIZE)[:, None]
+    xx = np.arange(MAP_SIZE)[None, :]
+    for (cy, cx), signature in zip(centers, signatures):
+        blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * PART_SIGMA**2))
+        fmap += signature[:, None, None] * blob
     return apply_stem_einsum(fmap, ctx.stem)
 
 
@@ -297,9 +299,10 @@ def _result(name: str, err: float, tol: float, detail: str = "") -> OracleResult
     return OracleResult(name=name, passed=err < tol, max_err=float(err), detail=detail)
 
 
-def check_grid_vs_exhaustive(seed: int = 0, n_boxes: int = 60) -> OracleResult:
-    """Boxes of ordinary size, then boxes of extreme aspect (height/width
+def check_grid_vs_exhaustive(seed: int = 0) -> OracleResult:
+    """60 boxes of ordinary size, then 60 of extreme aspect (height/width
     from 1e-12 to 1e12), which reach both ends of the grid table."""
+    n_boxes = 60
     rng = np.random.default_rng(seed)
     mismatches = 0
     for budget in (1, 32, 64, 128, 256):
@@ -366,7 +369,7 @@ def check_render_vs_loop(seed: int = 0) -> OracleResult:
         fmap = rng.standard_normal((c, 7, 12))
         stem = rng.standard_normal((c, c, 3, 3))
         err = max(err, _rel_err(apply_stem(fmap, stem), apply_stem_einsum(fmap, stem)))
-    ctx = make_render_context(3, seed, channels=8, map_size=24, box_size=10.0, layout_radius=5.0)
+    ctx = make_render_context(3, seed, channels=8)
     poses = [
         Pose(),
         Pose(rotation_deg=30.0),
@@ -478,12 +481,9 @@ def check_extract_vs_recomposition(seed: int = 0) -> OracleResult:
     return _result("extract_vs_recomposition", err, 1e-10)
 
 
-def check_gradients(seed: int = 0, n_seeds: int = 3) -> OracleResult:
-    worst = 0.0
-    for s in range(n_seeds):
-        report = full_pipeline_gradcheck(seed + s)
-        worst = max(worst, report.max_rel_err)
-    return _result("pipeline_gradcheck", worst, 1e-4, f"{n_seeds} seeds")
+def check_gradients(seed: int = 0) -> OracleResult:
+    worst = max(full_pipeline_gradcheck(seed + s).max_rel_err for s in range(3))
+    return _result("pipeline_gradcheck", worst, 1e-4, "3 seeds")
 
 
 def check_roi_pool_vs_loop(seed: int = 0) -> OracleResult:

@@ -4,6 +4,9 @@ Each class is a fixed layout of 3-5 Gaussian "parts", every part carrying a
 class-specific channel signature; an instance renders that layout at a
 sampled pose onto a noisy feature map and passes it through a fixed random
 3x3 mixing stem (smooth blobs alone would make every pooler look alike).
+The geometry is fixed: a 64x64 map, a 28-pixel proposal box, parts of
+width sigma 2.5 within 9 pixels of the center, and noise of standard
+deviation 0.05; only the class count, the seed and the channel count vary.
 Rotation and reflection act on the part layout (the object moves); scale and
 pan act only on the box (the proposal is off).  Rendering is a pure function
 of (class layout, pose, instance seed), so re-posing an instance is exact:
@@ -23,6 +26,14 @@ from .reporting import derive_seed
 from .sampler import RoIBox
 
 MAX_CROSS_CLASS_COSINE = 0.5
+
+# the fixed scene geometry, in pixels; the blobs have unit amplitude and
+# NOISE_AMP is the standard deviation of the noise under them
+MAP_SIZE = 64
+BOX_SIZE = 28.0
+LAYOUT_RADIUS = 9.0
+PART_SIGMA = 2.5
+NOISE_AMP = 0.05
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,6 @@ def compose_pose(base: Pose, delta: Pose) -> Pose:
 class PartSpec:
     offset_y: float
     offset_x: float
-    sigma: float
     signature: Array  # (C,) unit vector
 
 
@@ -74,10 +84,6 @@ class RenderContext:
     classes: tuple[ClassSpec, ...]
     stem: Array  # (C, C, 3, 3) fixed mixing weights
     channels: int
-    map_size: int
-    box_size: float
-    noise_amp: float
-    blob_amp: float
 
 
 @dataclass(frozen=True)
@@ -139,28 +145,26 @@ def apply_stem(fmap: Array, stem: Array) -> Array:
     return np.ascontiguousarray(out.reshape(c, height, row)[:, :, :width])
 
 
-def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Array, Array]:
-    """(y, x) centers (n, 2), Gaussian widths sigma (n,) and signatures
-    (n, C) of the class's n parts at ``pose``."""
+def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Array]:
+    """(y, x) centers (n, 2) and signatures (n, C) of the class's n parts
+    at ``pose``."""
     parts = ctx.classes[label].parts
     offsets = np.array([[p.offset_y, p.offset_x] for p in parts])
-    centers = ctx.map_size / 2.0 + _rotate_reflect(offsets, pose)
-    sigmas = np.array([p.sigma for p in parts])
-    return centers, sigmas, np.array([p.signature for p in parts])
+    centers = MAP_SIZE / 2.0 + _rotate_reflect(offsets, pose)
+    return centers, np.array([p.signature for p in parts])
 
 
-def _proposal_box(ctx: RenderContext, pose: Pose) -> RoIBox:
+def _proposal_box(pose: Pose) -> RoIBox:
     """The box around the map center, scaled and panned by ``pose`` and
     clamped to at least one pixel inside the map."""
-    size = ctx.map_size
-    center = size / 2.0
-    half = ctx.box_size * pose.scale / 2.0
-    bx = center + pose.pan_x * ctx.box_size
-    by = center + pose.pan_y * ctx.box_size
-    x0 = float(np.clip(bx - half, 0.0, size - 2.0))
-    y0 = float(np.clip(by - half, 0.0, size - 2.0))
-    x1 = float(np.clip(bx + half, x0 + 1.0, size - 1.0))
-    y1 = float(np.clip(by + half, y0 + 1.0, size - 1.0))
+    center = MAP_SIZE / 2.0
+    half = BOX_SIZE * pose.scale / 2.0
+    bx = center + pose.pan_x * BOX_SIZE
+    by = center + pose.pan_y * BOX_SIZE
+    x0 = float(np.clip(bx - half, 0.0, MAP_SIZE - 2.0))
+    y0 = float(np.clip(by - half, 0.0, MAP_SIZE - 2.0))
+    x1 = float(np.clip(bx + half, x0 + 1.0, MAP_SIZE - 1.0))
+    y1 = float(np.clip(by + half, y0 + 1.0, MAP_SIZE - 1.0))
     return RoIBox(x0, y0, x1, y1)
 
 
@@ -170,23 +174,20 @@ def render_instance(
     """Deterministic render of one instance.  The map is read-only, so
     re-poses that keep it can share it."""
     rng = np.random.default_rng(seed)
-    size = ctx.map_size
-    fmap = rng.normal(0.0, ctx.noise_amp, size=(ctx.channels, size, size))
-    centers, sigmas, signatures = part_layout(ctx, label, pose)
+    fmap = rng.normal(0.0, NOISE_AMP, size=(ctx.channels, MAP_SIZE, MAP_SIZE))
+    centers, signatures = part_layout(ctx, label, pose)
     # each blob is separable: a row profile times a column profile
-    pix = np.arange(size)
-    two_var = (2.0 * sigmas**2)[:, None]
+    pix = np.arange(MAP_SIZE)
+    two_var = 2.0 * PART_SIGMA**2
     ey = np.exp(-((pix - centers[:, :1]) ** 2) / two_var)  # (n, H)
     ex = np.exp(-((pix - centers[:, 1:]) ** 2) / two_var)  # (n, W)
-    blobs = (ey[:, :, None] * ex[:, None, :]).reshape(len(sigmas), size * size)
-    content = signatures.T @ blobs
-    content *= ctx.blob_amp
-    fmap += content.reshape(fmap.shape)
+    blobs = (ey[:, :, None] * ex[:, None, :]).reshape(len(centers), MAP_SIZE * MAP_SIZE)
+    fmap += (signatures.T @ blobs).reshape(fmap.shape)
     fmap = apply_stem(fmap, ctx.stem)
     fmap.setflags(write=False)
     return SyntheticInstance(
         feature_map=fmap,
-        box=_proposal_box(ctx, pose),
+        box=_proposal_box(pose),
         label=label,
         pose=pose,
         seed=seed,
@@ -223,28 +224,9 @@ def _class_signatures(
     raise RuntimeError("signature rejection sampling did not converge")
 
 
-def make_render_context(
-    n_classes: int,
-    seed: int,
-    channels: int = 16,
-    map_size: int = 64,
-    box_size: float = 28.0,
-    noise_amp: float = 0.05,
-    blob_amp: float = 1.0,
-    layout_radius: float = 9.0,
-    part_sigma: float = 2.5,
-) -> RenderContext:
+def make_render_context(n_classes: int, seed: int, channels: int = 16) -> RenderContext:
     if channels < 1:
         raise ConfigError(f"channels must be at least 1, got {channels}")
-    if map_size < 2:
-        raise ConfigError(f"map_size must be at least 2, got {map_size}")
-    for name, value in (("box_size", box_size), ("part_sigma", part_sigma)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be finite and positive, got {value}")
-    if not math.isfinite(blob_amp):
-        raise ConfigError(f"blob_amp must be finite, got {blob_amp}")
-    if not (math.isfinite(noise_amp) and noise_amp >= 0):
-        raise ConfigError(f"noise_amp must be finite and non-negative, got {noise_amp}")
     rng = np.random.default_rng(derive_seed(seed, "layout"))
     classes = []
     previous: list[Array] = []
@@ -259,12 +241,11 @@ def make_render_context(
             # narrow radius band: radial profiles stay near class-constant,
             # so only the angular arrangement and per-part content separate
             # the classes
-            radius = rng.uniform(0.6, 1.0) * layout_radius
+            radius = rng.uniform(0.6, 1.0) * LAYOUT_RADIUS
             parts.append(
                 PartSpec(
                     offset_y=radius * math.sin(angle),
                     offset_x=radius * math.cos(angle),
-                    sigma=part_sigma,
                     signature=sig,
                 )
             )
@@ -272,15 +253,7 @@ def make_render_context(
         classes.append(ClassSpec(parts=tuple(parts)))
     stem_rng = np.random.default_rng(derive_seed(seed, "stem"))
     stem = stem_rng.normal(0.0, 1.0 / math.sqrt(9 * channels), size=(channels, channels, 3, 3))
-    return RenderContext(
-        classes=tuple(classes),
-        stem=stem,
-        channels=channels,
-        map_size=map_size,
-        box_size=box_size,
-        noise_amp=noise_amp,
-        blob_amp=blob_amp,
-    )
+    return RenderContext(classes=tuple(classes), stem=stem, channels=channels)
 
 
 def random_pose(rng: np.random.Generator, ranges: TransformRanges) -> Pose:
@@ -298,12 +271,12 @@ def generate_dataset(
     n_instances: int,
     seed: int,
     ranges: TransformRanges = TransformRanges(),
-    **ctx_kwargs,
+    channels: int = 16,
 ) -> list[SyntheticInstance]:
     """Round-robin labelled instances at random poses, deterministic per seed."""
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
-    ctx = make_render_context(n_classes, seed, **ctx_kwargs)
+    ctx = make_render_context(n_classes, seed, channels)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
     instances = []
     for i in range(n_instances):
@@ -323,5 +296,5 @@ def apply_transform(inst: SyntheticInstance, delta: Pose) -> SyntheticInstance:
     is re-rendered."""
     pose = compose_pose(inst.pose, delta)
     if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
-        return replace(inst, pose=pose, box=_proposal_box(inst.ctx, pose))
+        return replace(inst, pose=pose, box=_proposal_box(pose))
     return render_instance(inst.ctx, inst.label, pose, inst.seed)

@@ -23,6 +23,7 @@ from .evaluate import (
     make_feature_fn,
     mask_diversity,
     random_delta,
+    require_mask_pairs,
 )
 from .numerics import Array, ConfigError, LinearParams, init_linear
 from .reporting import derive_seed, stream_rng
@@ -146,10 +147,14 @@ def accuracy(state: TrainState, instances: list[SyntheticInstance]) -> float:
     return hits / len(instances)
 
 
+TEST_FRACTION = 0.25
+
+
 def split_dataset(
-    dataset: list[SyntheticInstance], seed: int, test_fraction: float = 0.25
+    dataset: list[SyntheticInstance], seed: int
 ) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
-    """Stratified split, deterministic per seed."""
+    """Stratified split, deterministic per seed: ``TEST_FRACTION`` of each
+    class, and at least one instance, goes to the test split."""
     rng = stream_rng(seed, "split")
     by_label: dict[int, list[int]] = {}
     for i, inst in enumerate(dataset):
@@ -159,7 +164,7 @@ def split_dataset(
     for label in sorted(by_label):
         idx = np.array(by_label[label])
         idx = idx[rng.permutation(len(idx))]
-        n_test = max(1, int(round(test_fraction * len(idx))))
+        n_test = max(1, int(round(TEST_FRACTION * len(idx))))
         test_idx.extend(idx[:n_test].tolist())
         train_idx.extend(idx[n_test:].tolist())
     return [dataset[i] for i in sorted(train_idx)], [dataset[i] for i in sorted(test_idx)]
@@ -233,7 +238,10 @@ def harness_dataset(
 ) -> list[SyntheticInstance]:
     """The synthetic dataset every harness run at this seed trains on:
     ``n_per_class`` instances of each class, drawn from ``derive_seed(seed,
-    "data")``."""
+    "data")``.  The split puts at least one instance of each class in the
+    test split, so a class needs two for the train split to hold one."""
+    if n_per_class < 2:
+        raise ConfigError(f"n_per_class must be at least 2, got {n_per_class}")
     return generate_dataset(
         n_classes, n_classes * n_per_class, derive_seed(seed, "data"), ranges, channels=channels
     )
@@ -268,6 +276,7 @@ def compare_extractors(
         raise ConfigError(
             f"unknown transform families {unknown} (choose from {TRANSFORM_FAMILIES})"
         )
+    require_mask_pairs(config)
     runs = []
     for seed in seeds:
         dataset = harness_dataset(seed, n_classes, n_per_class, channels, ranges)

@@ -230,6 +230,31 @@ def test_single_class_dataset_exits_2(tmp_path, capsys):
     assert "2 classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "subcommand",
+    ["train-toy", "invariance", "diversity", "ablate-descriptor", "ablate-embedding"],
+)
+def test_one_instance_per_class_exits_2_before_rendering(subcommand, tmp_path, capsys,
+                                                         monkeypatch):
+    # the split would leave the train split empty
+    from semroi import train
+
+    monkeypatch.setattr(train, "generate_dataset", _fail_if_run)
+    assert run([subcommand, "--out", str(tmp_path), "--set", "data.n_per_class=1"]) == 2
+    assert "n_per_class" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["train-toy", "invariance", "diversity"])
+def test_single_mask_exits_2_before_training(subcommand, tmp_path, capsys, monkeypatch):
+    # these commands measure mask diversity, which needs a pair of masks
+    from semroi import cli, train
+
+    monkeypatch.setattr(train, "train_toy", _fail_if_run)
+    monkeypatch.setattr(cli, "train_toy", _fail_if_run)
+    assert run([subcommand, "--out", str(tmp_path), "--set", "sra.n_masks=1"]) == 2
+    assert "2 masks" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()

@@ -18,7 +18,7 @@ CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden
 
 
 def dataset():
-    return generate_dataset(3, 12, seed=31, map_size=48, box_size=20.0)
+    return generate_dataset(3, 12, seed=31)
 
 
 def test_cosine_identical_is_one():
@@ -97,7 +97,7 @@ def test_mask_diversity_uniform_masks_fraction_zero():
 def test_mask_diversity_needs_two_masks():
     cfg = SraConfig(n_masks=1, budget=4, descriptor_dim=4, hidden=4, embedding_mode="none")
     params = init_params(cfg, 16, np.random.default_rng(8))
-    with pytest.raises(ValueError, match="2 masks"):
+    with pytest.raises(ConfigError, match="2 masks"):
         mask_diversity(params, cfg, dataset(), 2, np.random.default_rng(9))
 
 

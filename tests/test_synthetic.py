@@ -17,7 +17,7 @@ from semroi.synthetic import (
 
 
 def small_dataset(seed=7, n=24):
-    return generate_dataset(3, n, seed, map_size=48, box_size=20.0)
+    return generate_dataset(3, n, seed)
 
 
 def test_same_seed_bitwise_identical():
@@ -35,7 +35,7 @@ def test_different_seed_differs():
 
 
 def test_label_histogram_round_robin():
-    ds = generate_dataset(4, 29, seed=0, map_size=48)
+    ds = generate_dataset(4, 29, seed=0)
     counts = np.bincount([inst.label for inst in ds], minlength=4)
     assert counts.max() - counts.min() <= 1
 
@@ -64,8 +64,9 @@ def test_parts_per_class_in_range():
 
 
 def test_boxes_inside_map():
+    size = synthetic.MAP_SIZE
     for inst in small_dataset():
-        size = inst.ctx.map_size
+        assert inst.feature_map.shape[1:] == (size, size)
         assert 0 <= inst.box.x0 < inst.box.x1 <= size - 1
         assert 0 <= inst.box.y0 < inst.box.y1 <= size - 1
 
@@ -154,15 +155,6 @@ def test_rendered_map_is_read_only():
     "kwargs, match",
     [
         ({"channels": 0}, "channels"),
-        ({"map_size": 1}, "map_size"),
-        ({"map_size": 0}, "map_size"),
-        ({"box_size": 0.0}, "box_size"),
-        ({"box_size": float("inf")}, "box_size"),
-        ({"part_sigma": 0.0}, "part_sigma"),
-        ({"part_sigma": float("nan")}, "part_sigma"),
-        ({"blob_amp": float("nan")}, "blob_amp"),
-        ({"noise_amp": -0.1}, "noise_amp"),
-        ({"noise_amp": float("inf")}, "noise_amp"),
     ],
 )
 def test_render_context_rejects_bad_arguments(kwargs, match):

@@ -17,7 +17,7 @@ CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden
 
 
 def dataset(n=32, seed=17):
-    return generate_dataset(4, n, seed, map_size=48, box_size=20.0)
+    return generate_dataset(4, n, seed)
 
 
 def snapshot(state):
