@@ -137,10 +137,6 @@ def conv1x1_vjp(x: Array, p: LinearParams) -> tuple[Array, VjpRecord]:
     return y, VjpRecord("conv1x1", backward)
 
 
-def conv1x1(x: Array, p: LinearParams) -> Array:
-    return conv1x1_vjp(x, p)[0]
-
-
 # ---------------------------------------------------------------------------
 # layer norm
 

@@ -12,12 +12,19 @@ pan act only on the box (the proposal is off).  Rendering is a pure function
 of (class layout, pose, instance seed), so re-posing an instance is exact:
 a re-pose that keeps the rotation and reflection keeps the map too, and
 shares the source's read-only array with a new box instead of re-rendering.
+Batches of renders (``generate_dataset``, ``apply_transforms``) are shared
+out over every CPU by ``render_batch``, with the same bits as one render
+after another.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -120,6 +127,17 @@ def _rotate_reflect(offsets: Array, pose: Pose) -> Array:
 
 
 def apply_stem(fmap: Array, stem: Array) -> Array:
+    """3x3 channel-mixing convolution, zero padded, one matmul per tap
+    (see ``_apply_stem``).
+
+    The public name is the single-render path; ``render_batch`` calls the
+    body directly, so a tracer that rebinds this name times only the renders
+    made one at a time.
+    """
+    return _apply_stem(fmap, stem)
+
+
+def _apply_stem(fmap: Array, stem: Array) -> Array:
     """3x3 channel-mixing convolution, zero padded, one matmul per tap.
 
     Flatten the zero-padded map row by row, rows of W+2.  Output pixel
@@ -173,6 +191,14 @@ def render_instance(
 ) -> SyntheticInstance:
     """Deterministic render of one instance.  The map is read-only, so
     re-poses that keep it can share it."""
+    return _render(ctx, label, pose, seed, apply_stem)
+
+
+def _render(
+    ctx: RenderContext, label: int, pose: Pose, seed: int, stem_fn: Callable[[Array, Array], Array]
+) -> SyntheticInstance:
+    """The body of ``render_instance``, with the stem applied by ``stem_fn``:
+    the public ``apply_stem`` for a single render, its body for a batch."""
     rng = np.random.default_rng(seed)
     fmap = rng.normal(0.0, NOISE_AMP, size=(ctx.channels, MAP_SIZE, MAP_SIZE))
     centers, signatures = part_layout(ctx, label, pose)
@@ -183,7 +209,7 @@ def render_instance(
     ex = np.exp(-((pix - centers[:, 1:]) ** 2) / two_var)  # (n, W)
     blobs = (ey[:, :, None] * ex[:, None, :]).reshape(len(centers), MAP_SIZE * MAP_SIZE)
     fmap += (signatures.T @ blobs).reshape(fmap.shape)
-    fmap = apply_stem(fmap, ctx.stem)
+    fmap = stem_fn(fmap, ctx.stem)
     fmap.setflags(write=False)
     return SyntheticInstance(
         feature_map=fmap,
@@ -193,6 +219,57 @@ def render_instance(
         seed=seed,
         ctx=ctx,
     )
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def render_batch(jobs: Sequence[tuple[RenderContext, int, Pose, int]]) -> list[SyntheticInstance]:
+    """``[render_instance(*job) for job in jobs]``, bit for bit, on every CPU.
+
+    Job k is rendered by thread k mod W, where W is the number of CPUs this
+    process may run on, capped at the number of jobs; thread 0 is the
+    calling thread, so with W = 1 this is the plain loop.  A render is a pure
+    function of its job, and its heavy parts (the noise draw and the
+    matmuls) release the GIL, so the threads overlap.  The caller renders
+    its own share instead of waiting on workers: a main thread that never
+    renders leaves its heap cold, and later work on it page-faults.
+
+    If jobs raise, every thread stops at its first failure, and once all
+    have stopped the exception of the lowest failing job is raised: the one
+    the sequential loop would have raised.  The renders call the private
+    bodies, not ``render_instance`` or ``apply_stem``, so a tracer that
+    rebinds those names records no span for them.
+    """
+    n = len(jobs)
+    n_threads = max(1, min(_cpu_count(), n))
+    out: list = [None] * n
+    errors: dict[int, Exception] = {}
+
+    def render_share(t: int) -> None:
+        for k in range(t, n, n_threads):
+            try:
+                out[k] = _render(*jobs[k], _apply_stem)
+            except Exception as exc:  # re-raised by the caller, in job order
+                errors[k] = exc
+                return
+
+    workers = [threading.Thread(target=render_share, args=(t,)) for t in range(1, n_threads)]
+    for worker in workers:
+        worker.start()
+    try:
+        render_share(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _cosine_ok(v: Array, others: list[Array]) -> bool:
@@ -278,23 +355,51 @@ def generate_dataset(
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
     ctx = make_render_context(n_classes, seed, channels)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
-    instances = []
-    for i in range(n_instances):
-        label = i % n_classes
-        pose = random_pose(pose_rng, ranges)
-        inst_seed = derive_seed(seed, f"instance/{i}")
-        instances.append(render_instance(ctx, label, pose, inst_seed))
-    return instances
+    jobs = [
+        (ctx, i % n_classes, random_pose(pose_rng, ranges), derive_seed(seed, f"instance/{i}"))
+        for i in range(n_instances)
+    ]
+    return render_batch(jobs)
+
+
+def _share_map(inst: SyntheticInstance, pose: Pose) -> SyntheticInstance | None:
+    """The instance at ``pose`` sharing ``inst``'s map with a new box, when
+    ``pose`` keeps its rotation and reflection; else None (a re-render).
+
+    The map depends on the pose only through its rotation and reflection
+    (``part_layout``), so only the box needs computing."""
+    if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
+        return replace(inst, pose=pose, box=_proposal_box(pose))
+    return None
 
 
 def apply_transform(inst: SyntheticInstance, delta: Pose) -> SyntheticInstance:
-    """The instance with ``delta`` composed onto its pose.
-
-    The map depends on the pose only through its rotation and reflection
-    (``part_layout``); when the composed pose keeps both, the result shares
-    the source's map and only its box is computed.  Otherwise the instance
-    is re-rendered."""
+    """The instance with ``delta`` composed onto its pose: the source's map
+    with a new box when the composed pose keeps the rotation and reflection,
+    else a re-render."""
     pose = compose_pose(inst.pose, delta)
-    if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
-        return replace(inst, pose=pose, box=_proposal_box(pose))
+    shared = _share_map(inst, pose)
+    if shared is not None:
+        return shared
     return render_instance(inst.ctx, inst.label, pose, inst.seed)
+
+
+def apply_transforms(
+    instances: Sequence[SyntheticInstance], deltas: Sequence[Pose]
+) -> list[SyntheticInstance]:
+    """``[apply_transform(i, d) for i, d in zip(instances, deltas)]``, bit
+    for bit, with the re-renders shared out by ``render_batch``."""
+    if len(instances) != len(deltas):
+        raise ValueError(f"{len(instances)} instances but {len(deltas)} deltas")
+    out: list = []
+    jobs, slots = [], []
+    for inst, delta in zip(instances, deltas):
+        pose = compose_pose(inst.pose, delta)
+        shared = _share_map(inst, pose)
+        if shared is None:
+            slots.append(len(out))
+            jobs.append((inst.ctx, inst.label, pose, inst.seed))
+        out.append(shared)
+    for k, rendered in zip(slots, render_batch(jobs)):
+        out[k] = rendered
+    return out

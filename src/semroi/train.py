@@ -30,7 +30,7 @@ from .reporting import derive_seed, stream_rng
 from .synthetic import (
     SyntheticInstance,
     TransformRanges,
-    apply_transform,
+    apply_transforms,
     generate_dataset,
 )
 
@@ -177,7 +177,7 @@ def augment_rotation(
 ) -> list[SyntheticInstance]:
     """Compose a fresh random rotation onto each instance (re-rendered)."""
     rng = stream_rng(seed, "test-augment")
-    return [apply_transform(inst, random_delta("rotation", rng, ranges)) for inst in instances]
+    return apply_transforms(instances, [random_delta("rotation", rng, ranges) for _ in instances])
 
 
 def harness_splits(

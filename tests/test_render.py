@@ -1,16 +1,33 @@
-"""The matmul renderer against its loop references, and its independence
-from the BLAS thread count."""
+"""The matmul renderer against its loop references, the batch renderer
+against one render after another, and the bits' independence from the BLAS
+thread count."""
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semroi import synthetic
+from semroi.evaluate import random_delta
 from semroi.oracles import apply_stem_einsum, render_map_loop
-from semroi.synthetic import Pose, apply_stem, make_render_context, render_instance
+from semroi.reporting import derive_seed, stream_rng
+from semroi.synthetic import (
+    Pose,
+    TransformRanges,
+    apply_stem,
+    apply_transform,
+    apply_transforms,
+    generate_dataset,
+    make_render_context,
+    random_pose,
+    render_batch,
+    render_instance,
+)
+from semroi.train import augment_rotation
 
 
 def rel_err(got, want):
@@ -72,17 +89,139 @@ def test_render_is_pure():
     assert a.box == b.box
 
 
+@pytest.fixture(params=[1, 2], ids=["one_thread", "two_threads"])
+def n_threads(request, monkeypatch):
+    """Batch renders spread over this many threads, whatever the host has."""
+    monkeypatch.setattr(synthetic, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+def assert_same_instance(got, want):
+    assert np.array_equal(got.feature_map, want.feature_map)
+    assert (got.box, got.pose, got.label, got.seed) == (want.box, want.pose, want.label, want.seed)
+
+
+def test_generate_dataset_matches_a_render_loop(n_threads):
+    # 7 instances: the threads' shares differ in length
+    seed, n_classes = 3, 3
+    ctx = make_render_context(n_classes, seed)
+    pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
+    dataset = generate_dataset(n_classes, 7, seed)
+    assert len(dataset) == 7
+    for i, inst in enumerate(dataset):
+        pose = random_pose(pose_rng, TransformRanges())
+        assert_same_instance(inst, render_instance(ctx, i % n_classes, pose, derive_seed(seed, f"instance/{i}")))
+
+
+def test_augment_rotation_matches_per_instance_transforms(n_threads):
+    dataset = generate_dataset(3, 9, seed=4)
+    rng = stream_rng(4, "test-augment")
+    got = augment_rotation(dataset, 4)
+    assert len(got) == len(dataset)
+    for inst, out in zip(dataset, got):
+        assert_same_instance(out, apply_transform(inst, random_delta("rotation", rng, TransformRanges())))
+
+
+def test_apply_transforms_keeps_order_across_shared_and_rendered_maps(n_threads):
+    dataset = generate_dataset(3, 6, seed=2)
+    rng = np.random.default_rng(0)
+    families = ["identity", "rotation", "scale_pan", "reflection", "scale_pan", "rotation"]
+    deltas = [random_delta(f, rng, TransformRanges()) for f in families]
+    got = apply_transforms(dataset, deltas)
+    for inst, delta, out, family in zip(dataset, deltas, got, families):
+        assert_same_instance(out, apply_transform(inst, delta))
+        assert np.shares_memory(out.feature_map, inst.feature_map) == (family in ("identity", "scale_pan"))
+    with pytest.raises(ValueError, match="5 deltas"):
+        apply_transforms(dataset, deltas[:5])
+
+
+def test_job_k_is_rendered_by_thread_k_mod_w(n_threads, monkeypatch):
+    body = synthetic._render
+    threads = {}
+
+    def recorded(ctx, label, pose, seed, stem_fn):
+        threads[seed] = threading.get_ident()
+        return body(ctx, label, pose, seed, stem_fn)
+
+    monkeypatch.setattr(synthetic, "_render", recorded)
+    ctx = make_render_context(2, seed=1)
+    before = threading.active_count()
+    render_batch([(ctx, k % 2, Pose(), k) for k in range(5)])
+    assert threading.active_count() == before
+    assert threads[0] == threading.get_ident()
+    for k in range(5):
+        assert threads[k] == threads[k % n_threads]
+    assert len(set(threads.values())) == n_threads
+
+
+def test_the_lowest_failing_job_raises_as_in_the_loop(n_threads, monkeypatch):
+    # with two threads job 1 fails on the worker and job 2 on the caller;
+    # a loop would stop at job 1, so its exception is the one raised
+    body = synthetic._render
+
+    def failing(ctx, label, pose, seed, stem_fn):
+        if seed in (1, 2):
+            raise RuntimeError(f"job {seed} failed")
+        return body(ctx, label, pose, seed, stem_fn)
+
+    monkeypatch.setattr(synthetic, "_render", failing)
+    ctx = make_render_context(2, seed=1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="job 1 failed"):
+        render_batch([(ctx, 0, Pose(), k) for k in range(4)])
+    assert threading.active_count() == before
+
+
+def test_a_bad_job_raises_what_render_instance_raises(n_threads):
+    ctx = make_render_context(2, seed=1)
+    with pytest.raises(IndexError) as want:
+        render_instance(ctx, 5, Pose(), 0)
+    with pytest.raises(IndexError) as got:
+        render_batch([(ctx, 0, Pose(), 0), (ctx, 5, Pose(), 1), (ctx, 1, Pose(), 2)])
+    assert str(got.value) == str(want.value)
+
+
+def test_batch_survives_frequent_thread_switches(monkeypatch):
+    # the threads share the output list; a lost or misplaced write would
+    # show as a wrong or missing instance
+    monkeypatch.setattr(synthetic, "_cpu_count", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = generate_dataset(3, 8, seed=6)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(synthetic, "_cpu_count", lambda: 1)
+    for out, want in zip(got, generate_dataset(3, 8, seed=6), strict=True):
+        assert_same_instance(out, want)
+
+
+def test_empty_batch():
+    assert render_batch([]) == []
+    assert apply_transforms([], []) == []
+
+
+# the batch runs on two threads whatever the host has; the loop renders the
+# same instances one at a time through the public single-render path
 DIGEST_SCRIPT = """
 import hashlib
-from semroi.synthetic import generate_dataset
-h = hashlib.sha256()
-for inst in generate_dataset(3, 6, seed=11):
-    h.update(inst.feature_map.tobytes())
-print(h.hexdigest())
+from semroi import synthetic
+synthetic._cpu_count = lambda: 2
+dataset = synthetic.generate_dataset(3, 6, seed=11)
+for maps in (
+    [inst.feature_map for inst in dataset],
+    [synthetic.render_instance(i.ctx, i.label, i.pose, i.seed).feature_map for i in dataset],
+):
+    h = hashlib.sha256()
+    for fmap in maps:
+        h.update(fmap.tobytes())
+    print(h.hexdigest())
 """
 
 
 def test_render_digest_does_not_depend_on_blas_threads():
+    # tested at C=16, 64x64; at some other shapes OpenBLAS sums the tail
+    # columns of a small product in another order at 1 and 2 threads
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -92,6 +231,7 @@ def test_render_digest_does_not_depend_on_blas_threads():
             [sys.executable, "-c", DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
-        digests.append(out.stdout.strip())
-    assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+        digests.extend(out.stdout.split())
+    # batch and loop, at 1 and at 2 BLAS threads
+    assert len(digests) == 4 and len(digests[0]) == 64
+    assert set(digests) == {digests[0]}

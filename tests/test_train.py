@@ -192,13 +192,13 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
     from semroi import train
 
     augmented = []
-    transform = train.apply_transform
+    transforms = train.apply_transforms
 
-    def transform_counted(inst, delta):
-        augmented.append(inst.seed)
-        return transform(inst, delta)
+    def transforms_counted(instances, deltas):
+        augmented.extend(inst.seed for inst in instances)
+        return transforms(instances, deltas)
 
-    monkeypatch.setattr(train, "apply_transform", transform_counted)
+    monkeypatch.setattr(train, "apply_transforms", transforms_counted)
     seeds = [3, 4]
     train.compare_extractors(
         CFG, seeds=seeds, n_classes=3, n_per_class=4, epochs=1,
