@@ -7,19 +7,14 @@ from .core import (
     ExtractResult,
     SraConfig,
     SraParams,
-    extract_on_grid,
     init_params,
-    mask_logits,
     param_leaves,
     parameter_count,
-    roi_descriptor,
-    sample_roi_feature,
-    semantic_feature_map,
     sra_backward,
     sra_extract,
     sra_extract_recorded,
 )
-from .embeddings import area_embedding_raw, position_embedding_raw, project_embedding
+from .embeddings import area_embedding_raw, position_embedding_raw
 from .evaluate import (
     DiversityReport,
     FlopsEstimate,
@@ -37,17 +32,8 @@ from .numerics import (
     ShapeError,
     VjpRecord,
     check_vjp,
-    layer_norm,
-    linear,
-    softmax_spatial,
 )
-from .sampler import (
-    FIXED_GRID,
-    GridSize,
-    RoIBox,
-    block_average_pool,
-    dynamic_grid_size,
-)
+from .sampler import FIXED_GRID, GridSize, RoIBox, dynamic_grid_size
 from .synthetic import (
     Pose,
     SyntheticInstance,
@@ -82,31 +68,21 @@ __all__ = [
     "VjpRecord",
     "apply_transform",
     "area_embedding_raw",
-    "block_average_pool",
     "check_vjp",
     "compare_extractors",
     "dynamic_grid_size",
-    "extract_on_grid",
     "flops_estimate",
     "generate_dataset",
     "harness_splits",
     "init_params",
     "invariance_eval",
-    "layer_norm",
-    "linear",
     "make_feature_fn",
     "mask_diversity",
-    "mask_logits",
     "param_leaves",
     "parameter_count",
     "position_embedding_raw",
-    "project_embedding",
     "roi_align",
-    "roi_descriptor",
     "roi_pool",
-    "sample_roi_feature",
-    "semantic_feature_map",
-    "softmax_spatial",
     "sra_backward",
     "sra_extract",
     "sra_extract_recorded",

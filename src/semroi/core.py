@@ -247,11 +247,12 @@ def roi_descriptor_vjp(
 
 
 def roi_descriptor(f: Array, mode: str, psi: LinearParams) -> Array:
+    """Kept for ``perfbench/checks.py``; goes with ROADMAP item 1."""
     return roi_descriptor_vjp(f, mode, psi)[0]
 
 
 def semantic_feature_map(f: Array, conv: LinearParams) -> Array:
-    """Per-position projection of the pooled grid to descriptor space."""
+    """Kept for ``perfbench/checks.py``; goes with ROADMAP item 1."""
     return conv1x1_vjp(f, conv)[0]
 
 
@@ -300,10 +301,6 @@ def mask_logits_vjp(
     return logits, VjpRecord("mask_logits", backward)
 
 
-def mask_logits(d: Array, s: Array, p: Array | None, params: SraParams) -> Array:
-    return mask_logits_vjp(d, s, p, params)[0]
-
-
 def sample_roi_feature_vjp(f: Array, masks: Array) -> tuple[Array, VjpRecord]:
     """Mask-weighted sums of the pooled grid: y[n, c] = sum_jk f[c]·m[n]."""
     c, h, w = f.shape
@@ -322,10 +319,6 @@ def sample_roi_feature_vjp(f: Array, masks: Array) -> tuple[Array, VjpRecord]:
         return gf, gm
 
     return y, VjpRecord("sample_roi_feature", backward)
-
-
-def sample_roi_feature(f: Array, masks: Array) -> Array:
-    return sample_roi_feature_vjp(f, masks)[0]
 
 
 def embedding_raw(config: SraConfig, grid: GridSize) -> Array | None:
@@ -386,11 +379,6 @@ def extract_on_grid_recorded(
         return grads, gf
 
     return y, masks, backward
-
-
-def extract_on_grid(f: Array, params: SraParams, config: SraConfig) -> tuple[Array, Array]:
-    y, masks, _ = extract_on_grid_recorded(f, params, config)
-    return y, masks
 
 
 def sra_extract_recorded(

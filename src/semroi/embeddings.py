@@ -73,5 +73,5 @@ def area_embedding_raw(grid: GridSize, m_axis: int) -> Array:
 
 
 def project_embedding(raw: Array, proj: LinearParams) -> Array:
-    """Map a (D_raw, h, w) raw embedding to (P, h, w) per position."""
+    """Kept for ``perfbench/checks.py``; goes with ROADMAP item 1."""
     return conv1x1_vjp(raw, proj)[0]

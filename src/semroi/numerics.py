@@ -2,11 +2,12 @@
 
 Each differentiable operation has a ``*_vjp`` form that returns its output
 and a :class:`VjpRecord` whose ``backward`` maps an output cotangent to
-input and parameter cotangents; most also have a plain forward (``linear``,
-``layer_norm``, ...).  ``check_vjp`` validates any such operation against
-central finite differences, at a fixed step and tolerance.  Every layer
-norm adds the one constant ``LAYER_NORM_EPSILON`` (1e-5) to the variance;
-its parameters are only the learnable gain and shift.
+input and parameter cotangents; the forward is ``[0]`` of the call.  The
+one plain forward left, ``softmax_spatial``, serves the benchmark's checks.
+``check_vjp`` validates any such operation against central finite
+differences, at a fixed step and tolerance.  Every layer norm adds the one
+constant ``LAYER_NORM_EPSILON`` (1e-5) to the variance; its parameters are
+only the learnable gain and shift.
 
 The pipeline runs linear (and the 1x1 convolution built on it), the fused
 layer norm -> relu -> linear block, which the mask regressor calls twice
@@ -116,10 +117,6 @@ def linear_vjp(x: Array, p: LinearParams) -> tuple[Array, VjpRecord]:
     return y, VjpRecord("linear", backward)
 
 
-def linear(x: Array, p: LinearParams) -> Array:
-    return linear_vjp(x, p)[0]
-
-
 def conv1x1_vjp(x: Array, p: LinearParams) -> tuple[Array, VjpRecord]:
     """Per-position linear map over a (C_in, h, w) stack -> (C_out, h, w)."""
     if x.ndim != 3:
@@ -177,10 +174,6 @@ def layer_norm_vjp(x: Array, p: LayerNormParams) -> tuple[Array, VjpRecord]:
         return gx, ggain, gshift
 
     return y, VjpRecord("layer_norm", backward)
-
-
-def layer_norm(x: Array, p: LayerNormParams) -> Array:
-    return layer_norm_vjp(x, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +254,7 @@ def softmax_spatial_vjp(logits: Array, gamma: float) -> tuple[Array, VjpRecord]:
 
 
 def softmax_spatial(logits: Array, gamma: float) -> Array:
+    """Kept for ``perfbench/checks.py``; goes with ROADMAP item 1."""
     return softmax_spatial_vjp(logits, gamma)[0]
 
 

@@ -21,16 +21,15 @@ from .baselines import roi_align, roi_pool
 from .core import (
     SraConfig,
     init_params,
-    mask_logits,
+    mask_logits_vjp,
     param_leaves,
     parameter_count,
-    roi_descriptor,
-    sample_roi_feature,
-    semantic_feature_map,
+    roi_descriptor_vjp,
+    sample_roi_feature_vjp,
     sra_extract,
     sra_extract_recorded,
 )
-from .embeddings import area_embedding_raw, project_embedding
+from .embeddings import area_embedding_raw
 from .evaluate import flops_estimate
 from .numerics import (
     Array,
@@ -39,17 +38,15 @@ from .numerics import (
     VjpRecord,
     bilinear_sample_many_vjp,
     check_vjp,
-    layer_norm,
+    conv1x1_vjp,
     layer_norm_vjp,
-    linear,
     linear_vjp,
     norm_relu_linear_vjp,
-    softmax_spatial,
+    softmax_spatial_vjp,
 )
 from .sampler import (
     GridSize,
     RoIBox,
-    block_average_pool,
     block_average_pool_vjp,
     dynamic_grid_size,
 )
@@ -148,10 +145,10 @@ def mask_logits_loop(d: Array, s: Array, p: Array | None, params) -> Array:
             if p is not None:
                 z.append(p[:, j, k])
             z = np.concatenate(z)
-            a = np.maximum(layer_norm(z, mlp.trunk_norm), 0.0)
-            a = linear(a, mlp.trunk_linear)
-            a = np.maximum(layer_norm(a, mlp.head_norm), 0.0)
-            out[:, j, k] = linear(a, mlp.head_linear)
+            a = np.maximum(layer_norm_vjp(z, mlp.trunk_norm)[0], 0.0)
+            a = linear_vjp(a, mlp.trunk_linear)[0]
+            a = np.maximum(layer_norm_vjp(a, mlp.head_norm)[0], 0.0)
+            out[:, j, k] = linear_vjp(a, mlp.head_linear)[0]
     return out
 
 
@@ -324,7 +321,7 @@ def check_pool_bilinear_hand(seed: int = 0) -> OracleResult:
     # the four quarter-point samples of box (0,0)-(1,1) average to the
     # center value 1.5
     fmap = np.array([[[0.0, 1.0], [2.0, 3.0]]])
-    got = block_average_pool(fmap, RoIBox(0, 0, 1, 1), GridSize(1, 1))
+    got, _ = block_average_pool_vjp(fmap, RoIBox(0, 0, 1, 1), GridSize(1, 1))
     return _result("pool_bilinear_hand", abs(float(got[0, 0, 0]) - 1.5), 1e-12)
 
 
@@ -397,10 +394,10 @@ def check_conv1x1_vs_loop(seed: int = 0) -> OracleResult:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((5, 3, 4))
     p = LinearParams(rng.standard_normal((6, 5)), rng.standard_normal(6))
-    err = float(np.abs(semantic_feature_map(x, p) - conv1x1_loop(x, p.weight, p.bias)).max())
+    err = float(np.abs(conv1x1_vjp(x, p)[0] - conv1x1_loop(x, p.weight, p.bias)).max())
     raw = rng.standard_normal((4, 3, 4))
     proj = LinearParams(rng.standard_normal((2, 4)), rng.standard_normal(2))
-    err = max(err, float(np.abs(project_embedding(raw, proj) - conv1x1_loop(raw, proj.weight, proj.bias)).max()))
+    err = max(err, float(np.abs(conv1x1_vjp(raw, proj)[0] - conv1x1_loop(raw, proj.weight, proj.bias)).max()))
     return _result("conv1x1_vs_loop", err, 1e-12)
 
 
@@ -414,7 +411,7 @@ def check_descriptor_vs_loop(seed: int = 0) -> OracleResult:
             mean += f[:, j, k]
     mean /= 12.0
     want = psi.weight @ mean + psi.bias
-    err = float(np.abs(roi_descriptor(f, "average", psi) - want).max())
+    err = float(np.abs(roi_descriptor_vjp(f, "average", psi)[0] - want).max())
     return _result("descriptor_vs_loop", err, 1e-12)
 
 
@@ -427,7 +424,8 @@ def check_mask_logits_vs_loop(seed: int = 0) -> OracleResult:
     d = rng.standard_normal(4)
     s = rng.standard_normal((4, 3, 3))
     p = rng.standard_normal((3, 3, 3))
-    err = float(np.abs(mask_logits(d, s, p, params) - mask_logits_loop(d, s, p, params)).max())
+    got, _ = mask_logits_vjp(d, s, p, params)
+    err = float(np.abs(got - mask_logits_loop(d, s, p, params)).max())
     return _result("mask_logits_vs_loop", err, 1e-10)
 
 
@@ -456,7 +454,8 @@ def check_sampling_vs_loop(seed: int = 0) -> OracleResult:
     f = rng.standard_normal((6, 4, 5))
     masks = rng.random((3, 4, 5))
     masks /= masks.sum(axis=(1, 2), keepdims=True)
-    err = float(np.abs(sample_roi_feature(f, masks) - sample_roi_feature_loop(f, masks)).max())
+    got, _ = sample_roi_feature_vjp(f, masks)
+    err = float(np.abs(got - sample_roi_feature_loop(f, masks)).max())
     return _result("sampling_vs_loop", err, 1e-12)
 
 
@@ -469,13 +468,13 @@ def check_extract_vs_recomposition(seed: int = 0) -> OracleResult:
     box = RoIBox(1.2, 0.7, 8.4, 7.3)
     result = sra_extract(fmap, box, params, config)
     grid = dynamic_grid_size(box, config.budget)
-    f = block_average_pool(fmap, box, grid)
-    d = roi_descriptor(f, config.descriptor_mode, params.psi)
-    s = semantic_feature_map(f, params.semantic_conv)
-    p = project_embedding(area_embedding_raw(grid, config.budget), params.embed_proj)
-    logits = mask_logits(d, s, p, params)
-    masks = softmax_spatial(logits, config.gamma)
-    y = sample_roi_feature(f, masks)
+    f, _ = block_average_pool_vjp(fmap, box, grid)
+    d, _ = roi_descriptor_vjp(f, config.descriptor_mode, params.psi)
+    s, _ = conv1x1_vjp(f, params.semantic_conv)
+    p, _ = conv1x1_vjp(area_embedding_raw(grid, config.budget), params.embed_proj)
+    logits, _ = mask_logits_vjp(d, s, p, params)
+    masks, _ = softmax_spatial_vjp(logits, config.gamma)
+    y, _ = sample_roi_feature_vjp(f, masks)
     err = float(np.abs(result.feature - y).max())
     err = max(err, float(np.abs(result.masks - masks).max()))
     return _result("extract_vs_recomposition", err, 1e-10)

@@ -5,7 +5,7 @@ matches the box's height/width ratio under an area budget.  It looks the
 box's ratio up in a per-budget table of every feasible grid ratio, built
 once per budget, so a query is one bisection and a comparison of the two
 neighbours; the exhaustive enumeration it replaces is the reference in
-:mod:`semroi.oracles`.  ``block_average_pool`` cuts the box into that many
+:mod:`semroi.oracles`.  ``block_average_pool_vjp`` cuts the box into that many
 equal blocks and averages 2x2 bilinear samples per block.
 ``interp_weights`` is the one linear-interpolation hat the pool and the area
 embedding both build their matrices from.  The 2x2 samples are an outer
@@ -204,4 +204,5 @@ def block_average_pool_vjp(
 
 
 def block_average_pool(fmap: Array, box: RoIBox, grid: GridSize) -> Array:
+    """Kept for ``perfbench/checks.py``; goes with ROADMAP item 1."""
     return block_average_pool_vjp(fmap, box, grid)[0]

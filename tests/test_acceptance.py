@@ -14,10 +14,10 @@ from conftest import record_criterion
 
 from semroi.core import (
     SraConfig,
-    extract_on_grid,
+    extract_on_grid_recorded,
     init_params,
     parameter_count,
-    sample_roi_feature,
+    sample_roi_feature_vjp,
     sra_extract,
 )
 from semroi.embeddings import area_embedding_raw
@@ -103,12 +103,12 @@ def test_criterion_3_permutation_invariance():
     params = init_params(cfg, 5, np.random.default_rng(11))
     rng = np.random.default_rng(11)
     f = rng.standard_normal((5, 4, 5))
-    y, _ = extract_on_grid(f, params, cfg)
+    y, _ = extract_on_grid_recorded(f, params, cfg)[:2]
     worst = 0.0
     for _ in range(50):
         perm = rng.permutation(20)
         f_p = f.reshape(5, 20)[:, perm].reshape(5, 4, 5)
-        y_p, _ = extract_on_grid(f_p, params, cfg)
+        y_p, _ = extract_on_grid_recorded(f_p, params, cfg)[:2]
         worst = max(worst, float(np.abs(y_p - y).max()))
     record_criterion(3, "spatial permutations leave features unchanged",
                      worst < 1e-9, f"worst |dy| {worst:.2e} over 50 permutations")
@@ -156,7 +156,7 @@ def test_criterion_6_weighted_sampling_oracle():
         f = rng.standard_normal((c, h, w))
         masks = rng.random((n, h, w))
         masks /= masks.sum(axis=(1, 2), keepdims=True)
-        got = sample_roi_feature(f, masks)
+        got = sample_roi_feature_vjp(f, masks)[0]
         want = sample_roi_feature_loop(f, masks)
         worst = max(worst, float(np.abs(got - want).max()))
     record_criterion(6, "mask-weighted sampling equals triple loop",

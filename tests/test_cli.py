@@ -55,7 +55,8 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
     assert "unknown config key 'sampler.mode'" in capsys.readouterr().err
     assert run(["bench", "--out", str(tmp_path)]) == 2
     assert run(["ablate-sampler", "--out", str(tmp_path), "--format", "csv"]) == 2
-    capsys.readouterr()
+    assert run(["gradcheck", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
+    assert "unknown config key 'gradcheck.tolerance'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -84,7 +85,7 @@ def test_command_table_pins_accepted_key_prefixes():
     assert [k for k in resolve_config("ablate-sampler", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 116
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 115
 
 
 def test_ablations_default_to_their_own_epochs_and_dataset_size():
@@ -101,9 +102,18 @@ def test_key_the_command_does_not_read_exits_2(capsys):
 def test_gradcheck_report_embeds_only_its_own_keys(tmp_path, capsys):
     assert run(["gradcheck", "--set", "gradcheck.seeds=1", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert load_report(tmp_path, "gradcheck")["config"] == {
-        "gradcheck.seeds": 1, "gradcheck.tolerance": 1e-4,
-    }
+    assert load_report(tmp_path, "gradcheck")["config"] == {"gradcheck.seeds": 1}
+
+
+def test_gradcheck_fails_when_a_report_fails(tmp_path, capsys, monkeypatch):
+    # the command's verdict is the check's own, at numerics.GRADCHECK_TOLERANCE
+    from semroi import numerics
+
+    monkeypatch.setattr(numerics, "GRADCHECK_TOLERANCE", 1e-12)
+    assert run(["gradcheck", "--set", "gradcheck.seeds=1", "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    metrics = load_report(tmp_path, "gradcheck")["metrics"]
+    assert not metrics["passed"] and metrics["tolerance"] == 1e-12
 
 
 @pytest.mark.parametrize("value", [2.5, True, "3"])
@@ -116,12 +126,13 @@ def test_config_file_value_of_the_wrong_type_exits_2(value, tmp_path, capsys):
 
 def test_config_file_int_stands_for_a_float(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"gradcheck.tolerance": 1, "gradcheck.seeds": 1}))
-    assert run(["gradcheck", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    cfg_file.write_text(json.dumps({"sra.gamma": 50}))
+    assert run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path),
+                "--set", "sampler.n_boxes=2"]) == 0
     capsys.readouterr()
-    config = load_report(tmp_path, "gradcheck")["config"]
-    assert config["gradcheck.tolerance"] == 1.0
-    assert isinstance(config["gradcheck.tolerance"], float)
+    config = load_report(tmp_path, "ablate-sampler")["config"]
+    assert config["sra.gamma"] == 50.0
+    assert isinstance(config["sra.gamma"], float)
 
 
 def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
@@ -134,6 +145,14 @@ def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
                 "--set", "sra.fixed_grid=4x3"]) == 0
     capsys.readouterr()
     assert load_report(tmp_path, "ablate-sampler")["config"]["sra.fixed_grid"] == [4, 3]
+
+
+@pytest.mark.parametrize("value", [[2.7, 3], [True, 5], ["4", 4]])
+def test_config_file_grid_side_of_the_wrong_type_exits_2(value, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"sra.fixed_grid": value}))
+    assert run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert "sra.fixed_grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["ablate-descriptor", "ablate-embedding"])
@@ -175,7 +194,6 @@ INT_KEYS = [
 ]
 
 FLOAT_KEYS = [
-    ("gradcheck", "gradcheck.tolerance"),
     ("ablate-sampler", "sra.gamma"),
     ("ablate-descriptor", "train.lr"),
     ("ablate-descriptor", "train.momentum"),

@@ -8,15 +8,13 @@ from semroi.core import (
     SraConfig,
     choose_grid,
     descriptor_in_dim,
-    extract_on_grid,
     extract_on_grid_recorded,
     init_params,
-    mask_logits,
+    mask_logits_vjp,
     param_leaves,
     parameter_count,
     roi_descriptor,
     roi_descriptor_vjp,
-    sample_roi_feature,
     sample_roi_feature_vjp,
     semantic_feature_map,
     sra_backward,
@@ -171,8 +169,8 @@ def test_mask_logits_zero_params_zero_output():
     for _, arr in param_leaves(params.mask_mlp):
         arr[...] = 0.0
     rng = np.random.default_rng(7)
-    out = mask_logits(rng.standard_normal(5), rng.standard_normal((5, 2, 3)),
-                      rng.standard_normal((3, 2, 3)), params)
+    out, _ = mask_logits_vjp(rng.standard_normal(5), rng.standard_normal((5, 2, 3)),
+                             rng.standard_normal((3, 2, 3)), params)
     np.testing.assert_array_equal(out, np.zeros((3, 2, 3)))
 
 
@@ -182,11 +180,11 @@ def test_mask_logits_spatial_permutation_equivariance():
     d = rng.standard_normal(5)
     s = rng.standard_normal((5, 2, 3))
     p = rng.standard_normal((3, 2, 3))
-    base = mask_logits(d, s, p, params).reshape(3, 6)
+    base = mask_logits_vjp(d, s, p, params)[0].reshape(3, 6)
     perm = rng.permutation(6)
     s_p = s.reshape(5, 6)[:, perm].reshape(5, 2, 3)
     p_p = p.reshape(3, 6)[:, perm].reshape(3, 2, 3)
-    permuted = mask_logits(d, s_p, p_p, params).reshape(3, 6)
+    permuted = mask_logits_vjp(d, s_p, p_p, params)[0].reshape(3, 6)
     np.testing.assert_allclose(permuted, base[:, perm], atol=1e-12)
 
 
@@ -197,7 +195,7 @@ def test_mask_logits_matches_position_loop():
     s = rng.standard_normal((5, 3, 3))
     p = rng.standard_normal((3, 3, 3))
     np.testing.assert_allclose(
-        mask_logits(d, s, p, params), mask_logits_loop(d, s, p, params), atol=1e-10
+        mask_logits_vjp(d, s, p, params)[0], mask_logits_loop(d, s, p, params), atol=1e-10
     )
 
 
@@ -236,7 +234,7 @@ def test_sampling_delta_mask_picks_position():
     masks = np.zeros((2, 3, 3))
     masks[0, 1, 2] = 1.0
     masks[1, 0, 0] = 1.0
-    y = sample_roi_feature(f, masks)
+    y = sample_roi_feature_vjp(f, masks)[0]
     np.testing.assert_array_equal(y[0], f[:, 1, 2])
     np.testing.assert_array_equal(y[1], f[:, 0, 0])
 
@@ -245,7 +243,7 @@ def test_sampling_uniform_masks_give_spatial_mean():
     rng = np.random.default_rng(14)
     f = rng.standard_normal((4, 2, 5))
     masks = np.full((3, 2, 5), 0.1)
-    y = sample_roi_feature(f, masks)
+    y = sample_roi_feature_vjp(f, masks)[0]
     for n in range(3):
         np.testing.assert_allclose(y[n], f.mean(axis=(1, 2)), atol=1e-12)
 
@@ -255,7 +253,7 @@ def test_sampling_matches_triple_loop():
     f = rng.standard_normal((5, 4, 3))
     masks = rng.random((4, 4, 3))
     np.testing.assert_allclose(
-        sample_roi_feature(f, masks), sample_roi_feature_loop(f, masks), atol=1e-12
+        sample_roi_feature_vjp(f, masks)[0], sample_roi_feature_loop(f, masks), atol=1e-12
     )
 
 
@@ -274,7 +272,7 @@ def test_sampling_gradient_wrt_features_is_mask_weights():
 
 def test_sampling_shape_error():
     with pytest.raises(ShapeError):
-        sample_roi_feature(np.zeros((2, 3, 3)), np.zeros((2, 2, 3)))
+        sample_roi_feature_vjp(np.zeros((2, 3, 3)), np.zeros((2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +290,9 @@ def test_extract_zero_regressor_gives_uniform_masks_and_mean_rows():
     result = sra_extract(fmap, box, params, cfg)
     h, w = result.grid
     np.testing.assert_allclose(result.masks, 1.0 / (h * w), atol=1e-12)
-    from semroi.sampler import block_average_pool
+    from semroi.sampler import block_average_pool_vjp
 
-    f = block_average_pool(fmap, box, result.grid)
+    f = block_average_pool_vjp(fmap, box, result.grid)[0]
     for n in range(cfg.n_masks):
         np.testing.assert_allclose(result.feature[n], f.mean(axis=(1, 2)), atol=1e-10)
 
@@ -313,11 +311,11 @@ def test_extract_permutation_invariance_without_embedding():
     params = init_params(cfg, 4, np.random.default_rng(18))
     rng = np.random.default_rng(18)
     f = rng.standard_normal((4, 3, 4))
-    y, masks = extract_on_grid(f, params, cfg)
+    y, masks = extract_on_grid_recorded(f, params, cfg)[:2]
     for _ in range(10):
         perm = rng.permutation(12)
         f_p = f.reshape(4, 12)[:, perm].reshape(4, 3, 4)
-        y_p, masks_p = extract_on_grid(f_p, params, cfg)
+        y_p, masks_p = extract_on_grid_recorded(f_p, params, cfg)[:2]
         np.testing.assert_allclose(y_p, y, atol=1e-9)
         np.testing.assert_allclose(
             masks_p.reshape(4, 12), masks.reshape(4, 12)[:, perm], atol=1e-9
@@ -328,7 +326,7 @@ def test_extract_mask_normalization_and_convexity():
     cfg = TINY
     params = tiny_params(19, cfg)
     rng = np.random.default_rng(19)
-    from semroi.sampler import block_average_pool
+    from semroi.sampler import block_average_pool_vjp
 
     for _ in range(20):
         fmap = rng.standard_normal((4, 14, 14))
@@ -337,7 +335,7 @@ def test_extract_mask_normalization_and_convexity():
         result = sra_extract(fmap, box, params, cfg)
         assert (result.masks >= 0).all()
         np.testing.assert_allclose(result.masks.sum(axis=(1, 2)), 1.0, atol=1e-6)
-        f = block_average_pool(fmap, box, result.grid)
+        f = block_average_pool_vjp(fmap, box, result.grid)[0]
         lo = f.min(axis=(1, 2)) - 1e-9
         hi = f.max(axis=(1, 2)) + 1e-9
         assert (result.feature >= lo).all() and (result.feature <= hi).all()

@@ -8,9 +8,7 @@ from semroi.numerics import (
     bilinear_sample_many_vjp,
     check_vjp,
     conv1x1_vjp,
-    layer_norm,
     layer_norm_vjp,
-    linear,
     linear_vjp,
     norm_relu_linear_vjp,
     softmax_spatial,
@@ -22,32 +20,32 @@ from semroi.sampler import GridSize, RoIBox, block_average_pool_vjp
 
 def test_linear_identity():
     p = LinearParams(np.eye(2), np.zeros(2))
-    assert np.array_equal(linear(np.array([3.0, 4.0]), p), [3.0, 4.0])
+    assert np.array_equal(linear_vjp(np.array([3.0, 4.0]), p)[0], [3.0, 4.0])
 
 
 def test_linear_zero_weight_gives_bias():
     p = LinearParams(np.zeros((2, 2)), np.array([1.0, -1.0]))
-    assert np.array_equal(linear(np.array([9.0, 9.0]), p), [1.0, -1.0])
+    assert np.array_equal(linear_vjp(np.array([9.0, 9.0]), p)[0], [1.0, -1.0])
 
 
 def test_linear_hand_product():
     p = LinearParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
-    assert np.array_equal(linear(np.array([1.0, 1.0]), p), [3.0, 7.0])
+    assert np.array_equal(linear_vjp(np.array([1.0, 1.0]), p)[0], [3.0, 7.0])
 
 
 def test_linear_batched_rows_match_single():
     rng = np.random.default_rng(0)
     p = LinearParams(rng.standard_normal((3, 4)), rng.standard_normal(3))
     xs = rng.standard_normal((5, 4))
-    batched = linear(xs, p)
+    batched = linear_vjp(xs, p)[0]
     for i in range(5):
-        np.testing.assert_allclose(batched[i], linear(xs[i], p), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(batched[i], linear_vjp(xs[i], p)[0], rtol=0, atol=1e-14)
 
 
 def test_linear_dim_mismatch_names_both_dims():
     p = LinearParams(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ShapeError, match="4.*3|3.*4"):
-        linear(np.zeros(4), p)
+        linear_vjp(np.zeros(4), p)
 
 
 def test_linear_and_layer_norm_reject_a_heads_axis():
@@ -66,13 +64,13 @@ def test_linear_and_layer_norm_reject_a_heads_axis():
 
 def test_layer_norm_constant_input_is_zero():
     p = LayerNormParams(np.ones(4), np.zeros(4))
-    out = layer_norm(np.full(4, 7.3), p)
+    out = layer_norm_vjp(np.full(4, 7.3), p)[0]
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_layer_norm_hand_two_point():
     p = LayerNormParams(np.ones(2), np.zeros(2))
-    out = layer_norm(np.array([1.0, -1.0]), p)
+    out = layer_norm_vjp(np.array([1.0, -1.0]), p)[0]
     assert np.abs(out - np.array([1.0, -1.0])).max() < 1e-3
 
 
@@ -80,15 +78,15 @@ def test_layer_norm_shift_invariance():
     rng = np.random.default_rng(1)
     p = LayerNormParams(rng.standard_normal(6), rng.standard_normal(6))
     x = rng.standard_normal(6)
-    np.testing.assert_allclose(layer_norm(x + 17.5, p), layer_norm(x, p), atol=1e-10)
+    np.testing.assert_allclose(layer_norm_vjp(x + 17.5, p)[0], layer_norm_vjp(x, p)[0], atol=1e-10)
 
 
 def test_layer_norm_gain_equivariance():
     rng = np.random.default_rng(2)
     gain = rng.standard_normal(5)
     x = rng.standard_normal(5)
-    base = layer_norm(x, LayerNormParams(gain, np.zeros(5)))
-    scaled = layer_norm(x, LayerNormParams(3.0 * gain, np.zeros(5)))
+    base = layer_norm_vjp(x, LayerNormParams(gain, np.zeros(5)))[0]
+    scaled = layer_norm_vjp(x, LayerNormParams(3.0 * gain, np.zeros(5)))[0]
     np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-12)
 
 

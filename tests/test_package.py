@@ -1,4 +1,18 @@
+import importlib
+import inspect
+import pkgutil
+
 import semroi
+
+# a plain forward beside its ``_vjp``/``_recorded`` form: the public forward,
+# and three that perfbench/checks.py still calls (ROADMAP item 1 deletes them)
+PLAIN_FORWARDS = {"sra_extract", "roi_descriptor", "softmax_spatial", "block_average_pool"}
+
+TWINS = {
+    "linear", "layer_norm", "softmax_spatial", "block_average_pool", "project_embedding",
+    "roi_descriptor", "semantic_feature_map", "mask_logits", "sample_roi_feature",
+    "extract_on_grid",
+}
 
 
 def test_export_list_resolves_sorted_and_unique():
@@ -6,3 +20,18 @@ def test_export_list_resolves_sorted_and_unique():
     assert all(hasattr(semroi, name) for name in names)
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_one_form_per_op():
+    twins = set()
+    for info in pkgutil.iter_modules(semroi.__path__):
+        module = importlib.import_module(f"semroi.{info.name}")
+        public = {
+            name for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            and not name.startswith("_")
+        }
+        twins |= {name for name in public if {f"{name}_vjp", f"{name}_recorded"} & public}
+    assert twins <= PLAIN_FORWARDS
+    assert not TWINS & set(semroi.__all__)
+    assert len(semroi.__all__) == 41

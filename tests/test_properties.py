@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from semroi.core import (
     SraConfig,
-    extract_on_grid,
+    extract_on_grid_recorded,
     init_params,
     roi_descriptor_vjp,
     sample_roi_feature_vjp,
@@ -192,7 +192,8 @@ def test_masks_are_permutation_equivariant(seed, mode, h, w):
     params = init_params(cfg, 4, rng)
     f = rng.standard_normal((4, h, w))
     perm = rng.permutation(h * w)
-    _, masks = extract_on_grid(f, params, cfg)
-    _, masks_p = extract_on_grid(f.reshape(4, -1)[:, perm].reshape(4, h, w), params, cfg)
+    _, masks = extract_on_grid_recorded(f, params, cfg)[:2]
+    f_p = f.reshape(4, -1)[:, perm].reshape(4, h, w)
+    _, masks_p = extract_on_grid_recorded(f_p, params, cfg)[:2]
     want = masks.reshape(cfg.n_masks, -1)[:, perm].reshape(masks.shape)
     assert np.abs(masks_p - want).max() <= 1e-12
