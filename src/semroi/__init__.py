@@ -37,7 +37,6 @@ from .sampler import FIXED_GRID, GridSize, RoIBox, dynamic_grid_size
 from .synthetic import (
     Pose,
     SyntheticInstance,
-    TransformRanges,
     apply_transform,
     generate_dataset,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "SyntheticInstance",
     "TrainState",
     "TrainingDiverged",
-    "TransformRanges",
     "VjpRecord",
     "apply_transform",
     "area_embedding_raw",

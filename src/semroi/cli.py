@@ -24,34 +24,22 @@ import numpy as np
 
 from . import numerics
 from .core import SraConfig, choose_grid, param_leaves, parameter_count
-from .evaluate import flops_estimate, mask_diversity, require_mask_pairs
+from .evaluate import DIVERSITY_THRESHOLD, flops_estimate, mask_diversity, require_mask_pairs
 from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import save_checkpoint, stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
-from .synthetic import TransformRanges
 from .train import EXTRACTORS, compare_extractors, harness_dataset, harness_splits, train_toy
 
 
-def _section_defaults(prefix: str, cls: type) -> dict[str, object]:
-    """``prefix.<field>`` keys with the dataclass's own defaults."""
-    return {f"{prefix}.{f.name}": f.default for f in fields(cls)}
-
-
-def _section(config: dict, prefix: str, cls: type) -> dict[str, object]:
-    return {f.name: config[f"{prefix}.{f.name}"] for f in fields(cls)}
-
-
 # flat dotted-key configuration, grouped in the sections a command may read;
-# the sra.* and transform.* keys mirror SraConfig (the reference operating
-# point) and TransformRanges field by field, the desk-scale keys between
-# them size the synthetic harness
+# the sra.* keys mirror SraConfig (the reference operating point) field by
+# field, the desk-scale keys after them size the synthetic harness
 SECTIONS: dict[str, dict[str, object]] = {
-    "sra": _section_defaults("sra", SraConfig),
+    "sra": {f"sra.{f.name}": f.default for f in fields(SraConfig)},
     "data": {"data.n_classes": 4, "data.n_per_class": 200, "data.channels": 16},
     "train": {"train.epochs": 30, "train.lr": 0.02, "train.momentum": 0.9},
     "eval": {"eval.invariance_samples": 60, "eval.diversity_samples": 40},
-    "transform": _section_defaults("transform", TransformRanges),
 }
 
 
@@ -59,14 +47,15 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_grid(key: str, value: object) -> tuple[int, int] | None:
-    """A ``--set`` string ``'8x8'``/``'none'``, or a config file's ``[8, 8]``
-    or null; like every config-file value, the sides must already be ints."""
-    if value is None or str(value).lower() in ("none", ""):
+def _parse_grid(key: str, value: object, text: bool) -> tuple[int, int] | None:
+    """A ``--set`` string (``text``) ``'8x8'``/``'none'``, or a config file's
+    ``[8, 8]`` or null; like every config-file value, the sides must already
+    be ints, and a string is not parsed."""
+    if value is None or (text and value.lower() in ("none", "")):
         return None
     expected = f"{key}: grid must look like '8x8' or 'none', got {value!r}"
     try:
-        h, w = (int(v) for v in value.lower().split("x")) if isinstance(value, str) else value
+        h, w = (int(v) for v in value.lower().split("x")) if text else value
     except (TypeError, ValueError) as exc:
         raise UsageError(expected) from exc
     if type(h) is not int or type(w) is not int:
@@ -82,7 +71,7 @@ def _coerce(key: str, value: object, default: object, text: bool) -> object:
     for a float).  Every int key is a count, so it is at least 1; every float
     is finite."""
     if default is None:  # sra.fixed_grid
-        return _parse_grid(key, value)
+        return _parse_grid(key, value, text)
     kind = type(default)
     expected = f"{key}: expected {kind.__name__}, got {value!r}"
     if text and kind is not str:
@@ -140,17 +129,12 @@ def resolve_config(subcommand: str, config_file: str | None, overrides: list[str
 
 
 def sra_config_from(config: dict) -> SraConfig:
-    return SraConfig(**_section(config, "sra", SraConfig))
-
-
-def ranges_from(config: dict) -> TransformRanges:
-    return TransformRanges(**_section(config, "transform", TransformRanges))
+    return SraConfig(**{f.name: config[f"sra.{f.name}"] for f in fields(SraConfig)})
 
 
 def _dataset(config: dict, seed: int):
     return harness_dataset(
-        seed, config["data.n_classes"], config["data.n_per_class"], config["data.channels"],
-        ranges_from(config),
+        seed, config["data.n_classes"], config["data.n_per_class"], config["data.channels"]
     )
 
 
@@ -173,7 +157,7 @@ def _compare(config: dict, seed: int, families: tuple[str, ...] = ("rotation",))
         epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
         invariance_samples=config["eval.invariance_samples"],
         diversity_samples=config["eval.diversity_samples"],
-        ranges=ranges_from(config), channels=config["data.channels"], families=families,
+        channels=config["data.channels"], families=families,
     )
 
 
@@ -207,14 +191,18 @@ def cmd_oracles(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     return (0 if ok else 1), {"passed": ok, "checks": entries}
 
 
+SAMPLER_BOXES = 200
+
+
 def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
-    """Grid choice over random boxes, and the analytic cost of extracting
-    each box at its grid: the dynamic sampler, or ``sra.fixed_grid``."""
+    """Grid choice over ``SAMPLER_BOXES`` random boxes, and the analytic cost
+    of extracting each box at its grid: the dynamic sampler, or
+    ``sra.fixed_grid``."""
     cfg = sra_config_from(config)
     channels = config["data.channels"]
     rng = stream_rng(seed, "sampler-ablation")
     grids = []
-    for _ in range(config["sampler.n_boxes"]):
+    for _ in range(SAMPLER_BOXES):
         x0, y0 = rng.uniform(0, 30, 2)
         box = RoIBox(x0, y0, x0 + rng.uniform(1, 60), y0 + rng.uniform(1, 60))
         grids.append(choose_grid(box, cfg))
@@ -247,7 +235,7 @@ def _ablation(config: dict, seed: int, field: str, modes: tuple[str, ...]) -> tu
     # concatenation cannot follow a dynamic grid; pin the fixed size
     pins = {"concatenation": {"fixed_grid": FIXED_GRID}}
     variants = {mode: replace(base, **{field: mode}, **pins.get(mode, {})) for mode in modes}
-    splits = harness_splits(_dataset(config, seed), seed, ranges_from(config))
+    splits = harness_splits(_dataset(config, seed), seed)
     out = {}
     for mode, cfg in variants.items():
         _, history = _train(config, seed, "sra", splits, cfg)
@@ -273,7 +261,7 @@ def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
         return 0, _compare(config, seed)
     if kind not in EXTRACTORS:
         raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
-    splits = harness_splits(_dataset(config, seed), seed, ranges_from(config))
+    splits = harness_splits(_dataset(config, seed), seed)
     state, history = _train(config, seed, kind, splits)
     metrics: dict = {"kind": kind, "history": history}
     if state.params is not None:
@@ -298,13 +286,13 @@ def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     require_mask_pairs(sra_config_from(config))
     dataset = _dataset(config, seed)
-    state, _ = _train(config, seed, "sra", harness_splits(dataset, seed, ranges_from(config)))
+    state, _ = _train(config, seed, "sra", harness_splits(dataset, seed))
     report = mask_diversity(
         state.params, state.config, dataset, config["eval.diversity_samples"],
-        stream_rng(seed, "diversity"), threshold=config["diversity.threshold"],
+        stream_rng(seed, "diversity"),
     )
     return 0, {
-        "threshold": report.threshold,
+        "threshold": DIVERSITY_THRESHOLD,
         "fraction_below": report.fraction_below,
         "n_samples": report.n_samples,
         "mean_offdiagonal_cosine": float(
@@ -321,21 +309,20 @@ class Command(NamedTuple):
 
 
 ALL_SECTIONS = tuple(SECTIONS)
-ABLATION = ("sra", "data", "train", "transform"), {"train.epochs": 10, "data.n_per_class": 75}
+ABLATION = ("sra", "data", "train"), {"train.epochs": 10, "data.n_per_class": 75}
 
 # each command accepts, and its report embeds, exactly the keys of its row
 COMMANDS: dict[str, Command] = {
     "gradcheck": Command(cmd_gradcheck, (), {"gradcheck.seeds": 20}),
     "oracles": Command(cmd_oracles, (), {}),
-    "ablate-sampler": Command(cmd_ablate_sampler, ("sra", "data"), {"sampler.n_boxes": 200},
+    "ablate-sampler": Command(cmd_ablate_sampler, ("sra", "data"), {},
                               ("data.n_classes", "data.n_per_class")),
     "ablate-descriptor": Command(cmd_ablate_descriptor, *ABLATION),
     "ablate-embedding": Command(cmd_ablate_embedding, *ABLATION),
     "train-toy": Command(cmd_train_toy, ALL_SECTIONS, {"train.kind": "both"}),
     "invariance": Command(cmd_invariance, ALL_SECTIONS,
                           {"invariance.families": "rotation,reflection,scale_pan"}),
-    "diversity": Command(cmd_diversity, ALL_SECTIONS, {"diversity.threshold": 0.3},
-                         ("eval.invariance_samples",)),
+    "diversity": Command(cmd_diversity, ALL_SECTIONS, {}, ("eval.invariance_samples",)),
 }
 
 

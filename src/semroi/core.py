@@ -12,6 +12,7 @@ reverse-mode gradients for all parameters and the input feature map.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -38,6 +39,11 @@ DESCRIPTOR_MODES = ("concatenation", "maximum", "average")
 EMBEDDING_MODES = ("none", "position", "area")
 
 
+def _is_int(value: object) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SraConfig:
     """Hyperparameters of the extractor.
@@ -59,6 +65,11 @@ class SraConfig:
     fixed_grid: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("n_masks", "budget", "descriptor_dim", "embed_channels", "hidden"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.gamma, numbers.Real) or isinstance(self.gamma, bool):
+            raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
         if min(self.n_masks, self.descriptor_dim, self.hidden) < 1:
             raise ConfigError("n_masks, descriptor_dim and hidden must be >= 1")
         if self.budget < 1:
@@ -77,7 +88,10 @@ class SraConfig:
                 "cannot follow a dynamic grid"
             )
         if self.fixed_grid is not None:
-            self.fixed_grid = (int(self.fixed_grid[0]), int(self.fixed_grid[1]))
+            grid = self.fixed_grid
+            if not isinstance(grid, (tuple, list)) or len(grid) != 2 or not all(map(_is_int, grid)):
+                raise ConfigError(f"fixed_grid must be two ints, got {grid!r}")
+            self.fixed_grid = (int(grid[0]), int(grid[1]))
             if min(self.fixed_grid) < 1:
                 raise ConfigError(f"fixed_grid sides must be >= 1, got {self.fixed_grid}")
             # the area embedding upsamples each grid axis to length budget

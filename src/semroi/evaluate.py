@@ -10,9 +10,14 @@ import numpy as np
 from .baselines import DEFAULT_OUT, roi_align, roi_pool
 from .core import SraConfig, SraParams, sra_extract
 from .numerics import Array, ConfigError
-from .synthetic import Pose, SyntheticInstance, TransformRanges, apply_transform
+from .synthetic import (
+    PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance, apply_transform,
+)
 
 TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
+
+# a pair of masks counts as diverse when its mean cosine is below this
+DIVERSITY_THRESHOLD = 0.3
 
 FeatureFn = Callable[[SyntheticInstance], Array]
 
@@ -37,18 +42,18 @@ def make_feature_fn(
     raise ValueError(f"unknown extractor kind {kind!r}")
 
 
-def random_delta(family: str, rng: np.random.Generator, ranges: TransformRanges) -> Pose:
+def random_delta(family: str, rng: np.random.Generator) -> Pose:
     if family == "identity":
         return Pose()
     if family == "rotation":
-        return Pose(rotation_deg=float(rng.uniform(-ranges.rotation_max_deg, ranges.rotation_max_deg)))
+        return Pose(rotation_deg=float(rng.uniform(-ROTATION_MAX_DEG, ROTATION_MAX_DEG)))
     if family == "reflection":
         return Pose(reflected=True)
     if family == "scale_pan":
         return Pose(
-            scale=float(rng.uniform(ranges.scale_lo, ranges.scale_hi)),
-            pan_x=float(rng.uniform(-ranges.pan_frac, ranges.pan_frac)),
-            pan_y=float(rng.uniform(-ranges.pan_frac, ranges.pan_frac)),
+            scale=float(rng.uniform(SCALE_LO, SCALE_HI)),
+            pan_x=float(rng.uniform(-PAN_FRAC, PAN_FRAC)),
+            pan_y=float(rng.uniform(-PAN_FRAC, PAN_FRAC)),
         )
     raise ValueError(f"unknown transform family {family!r} (choose from {TRANSFORM_FAMILIES})")
 
@@ -74,7 +79,6 @@ def invariance_eval(
     family: str,
     n_samples: int,
     rng: np.random.Generator,
-    ranges: TransformRanges = TransformRanges(),
 ) -> InvarianceReport:
     """Mean cosine between features before and after a random transform.
 
@@ -91,7 +95,7 @@ def invariance_eval(
     for idx in picks:
         inst = dataset[int(idx)]
         before = feature_fn(inst)
-        after = feature_fn(apply_transform(inst, random_delta(family, rng, ranges)))
+        after = feature_fn(apply_transform(inst, random_delta(family, rng)))
         total += cosine(before, after)
     return InvarianceReport(family=family, mean_cosine=total / n_samples, n_samples=n_samples)
 
@@ -99,8 +103,7 @@ def invariance_eval(
 @dataclass
 class DiversityReport:
     mean_matrix: Array  # (N, N) mean pairwise cosine of flattened masks
-    fraction_below: float  # off-diagonal entries under the threshold
-    threshold: float
+    fraction_below: float  # off-diagonal entries under DIVERSITY_THRESHOLD
     n_samples: int
 
 
@@ -124,7 +127,6 @@ def mask_diversity(
     dataset: list[SyntheticInstance],
     n_samples: int,
     rng: np.random.Generator,
-    threshold: float = 0.3,
 ) -> DiversityReport:
     require_mask_pairs(config)
     if not dataset:
@@ -139,13 +141,8 @@ def mask_diversity(
         acc += pairwise_mask_cosines(masks)
     mean_matrix = acc / n_samples
     off = ~np.eye(config.n_masks, dtype=bool)
-    fraction = float((mean_matrix[off] < threshold).mean())
-    return DiversityReport(
-        mean_matrix=mean_matrix,
-        fraction_below=fraction,
-        threshold=threshold,
-        n_samples=n_samples,
-    )
+    fraction = float((mean_matrix[off] < DIVERSITY_THRESHOLD).mean())
+    return DiversityReport(mean_matrix=mean_matrix, fraction_below=fraction, n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------

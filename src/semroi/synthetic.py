@@ -8,10 +8,13 @@ The geometry is fixed: a 64x64 map, a 28-pixel proposal box, parts of
 width sigma 2.5 within 9 pixels of the center, and noise of standard
 deviation 0.05; only the class count, the seed and the channel count vary.
 Rotation and reflection act on the part layout (the object moves); scale and
-pan act only on the box (the proposal is off).  Rendering is a pure function
-of (class layout, pose, instance seed), so re-posing an instance is exact:
-a re-pose that keeps the rotation and reflection keeps the map too, and
-shares the source's read-only array with a new box instead of re-rendering.
+pan act only on the box (the proposal is off).  Their magnitudes are fixed
+too, and shared with the invariance protocol: rotations within 45 degrees
+either way, box scales from 0.8 to 1.25, pans within 0.1 of the box size.
+Rendering is a pure function of (class layout, pose, instance seed), so
+re-posing an instance is exact: a re-pose that keeps the rotation and
+reflection keeps the map too, and shares the source's read-only array with a
+new box instead of re-rendering.
 Batches of renders (``generate_dataset``, ``apply_transforms``) are shared
 out over every CPU by ``render_batch``, with the same bits as one render
 after another.
@@ -41,6 +44,12 @@ BOX_SIZE = 28.0
 LAYOUT_RADIUS = 9.0
 PART_SIGMA = 2.5
 NOISE_AMP = 0.05
+
+# the magnitudes of random poses and of the invariance protocol's families
+ROTATION_MAX_DEG = 45.0
+SCALE_LO = 0.8
+SCALE_HI = 1.25
+PAN_FRAC = 0.1  # of the box size
 
 
 @dataclass(frozen=True)
@@ -91,16 +100,6 @@ class RenderContext:
     classes: tuple[ClassSpec, ...]
     stem: Array  # (C, C, 3, 3) fixed mixing weights
     channels: int
-
-
-@dataclass(frozen=True)
-class TransformRanges:
-    """Magnitudes for random poses; also the invariance-protocol families."""
-
-    rotation_max_deg: float = 45.0
-    scale_lo: float = 0.8
-    scale_hi: float = 1.25
-    pan_frac: float = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,22 +332,18 @@ def make_render_context(n_classes: int, seed: int, channels: int = 16) -> Render
     return RenderContext(classes=tuple(classes), stem=stem, channels=channels)
 
 
-def random_pose(rng: np.random.Generator, ranges: TransformRanges) -> Pose:
+def random_pose(rng: np.random.Generator) -> Pose:
     return Pose(
-        rotation_deg=float(rng.uniform(-ranges.rotation_max_deg, ranges.rotation_max_deg)),
+        rotation_deg=float(rng.uniform(-ROTATION_MAX_DEG, ROTATION_MAX_DEG)),
         reflected=bool(rng.integers(0, 2)),
-        scale=float(rng.uniform(ranges.scale_lo, ranges.scale_hi)),
-        pan_x=float(rng.uniform(-ranges.pan_frac, ranges.pan_frac)),
-        pan_y=float(rng.uniform(-ranges.pan_frac, ranges.pan_frac)),
+        scale=float(rng.uniform(SCALE_LO, SCALE_HI)),
+        pan_x=float(rng.uniform(-PAN_FRAC, PAN_FRAC)),
+        pan_y=float(rng.uniform(-PAN_FRAC, PAN_FRAC)),
     )
 
 
 def generate_dataset(
-    n_classes: int,
-    n_instances: int,
-    seed: int,
-    ranges: TransformRanges = TransformRanges(),
-    channels: int = 16,
+    n_classes: int, n_instances: int, seed: int, channels: int = 16
 ) -> list[SyntheticInstance]:
     """Round-robin labelled instances at random poses, deterministic per seed."""
     if n_classes < 2:
@@ -356,7 +351,7 @@ def generate_dataset(
     ctx = make_render_context(n_classes, seed, channels)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
     jobs = [
-        (ctx, i % n_classes, random_pose(pose_rng, ranges), derive_seed(seed, f"instance/{i}"))
+        (ctx, i % n_classes, random_pose(pose_rng), derive_seed(seed, f"instance/{i}"))
         for i in range(n_instances)
     ]
     return render_batch(jobs)

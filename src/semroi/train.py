@@ -27,12 +27,7 @@ from .evaluate import (
 )
 from .numerics import Array, ConfigError, LinearParams, init_linear
 from .reporting import derive_seed, stream_rng
-from .synthetic import (
-    SyntheticInstance,
-    TransformRanges,
-    apply_transforms,
-    generate_dataset,
-)
+from .synthetic import SyntheticInstance, apply_transforms, generate_dataset
 
 
 class TrainingDiverged(RuntimeError):
@@ -170,24 +165,20 @@ def split_dataset(
     return [dataset[i] for i in sorted(train_idx)], [dataset[i] for i in sorted(test_idx)]
 
 
-def augment_rotation(
-    instances: list[SyntheticInstance],
-    seed: int,
-    ranges: TransformRanges = TransformRanges(),
-) -> list[SyntheticInstance]:
+def augment_rotation(instances: list[SyntheticInstance], seed: int) -> list[SyntheticInstance]:
     """Compose a fresh random rotation onto each instance (re-rendered)."""
     rng = stream_rng(seed, "test-augment")
-    return apply_transforms(instances, [random_delta("rotation", rng, ranges) for _ in instances])
+    return apply_transforms(instances, [random_delta("rotation", rng) for _ in instances])
 
 
 def harness_splits(
-    dataset: list[SyntheticInstance], seed: int, ranges: TransformRanges = TransformRanges()
+    dataset: list[SyntheticInstance], seed: int
 ) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
     """The train split of ``dataset`` and its rotation-augmented test split:
     what ``train_toy`` trains and scores on at this seed.  Every kind and
     variant trained at the seed shares the one rendered test split."""
     train_set, test_set = split_dataset(dataset, seed)
-    return train_set, augment_rotation(test_set, seed, ranges)
+    return train_set, augment_rotation(test_set, seed)
 
 
 def train_toy(
@@ -230,11 +221,7 @@ def train_toy(
 
 
 def harness_dataset(
-    seed: int,
-    n_classes: int = 4,
-    n_per_class: int = 200,
-    channels: int = 16,
-    ranges: TransformRanges = TransformRanges(),
+    seed: int, n_classes: int = 4, n_per_class: int = 200, channels: int = 16
 ) -> list[SyntheticInstance]:
     """The synthetic dataset every harness run at this seed trains on:
     ``n_per_class`` instances of each class, drawn from ``derive_seed(seed,
@@ -243,7 +230,7 @@ def harness_dataset(
     if n_per_class < 2:
         raise ConfigError(f"n_per_class must be at least 2, got {n_per_class}")
     return generate_dataset(
-        n_classes, n_classes * n_per_class, derive_seed(seed, "data"), ranges, channels=channels
+        n_classes, n_classes * n_per_class, derive_seed(seed, "data"), channels=channels
     )
 
 
@@ -260,7 +247,6 @@ def compare_extractors(
     momentum: float = 0.9,
     invariance_samples: int = 60,
     diversity_samples: int = 40,
-    ranges: TransformRanges = TransformRanges(),
     channels: int = 16,
     families: tuple[str, ...] = ("rotation",),
 ) -> dict:
@@ -279,8 +265,8 @@ def compare_extractors(
     require_mask_pairs(config)
     runs = []
     for seed in seeds:
-        dataset = harness_dataset(seed, n_classes, n_per_class, channels, ranges)
-        train_set, test_set = harness_splits(dataset, seed, ranges)
+        dataset = harness_dataset(seed, n_classes, n_per_class, channels)
+        train_set, test_set = harness_splits(dataset, seed)
         run: dict = {"seed": seed}
         states: dict[str, TrainState] = {}
         for kind in EXTRACTORS:
@@ -297,7 +283,7 @@ def compare_extractors(
                 "invariance": {
                     family: invariance_eval(
                         feature_fn, dataset, family, invariance_samples,
-                        stream_rng(seed, f"invariance/{family}"), ranges,
+                        stream_rng(seed, f"invariance/{family}"),
                     ).mean_cosine
                     for family in families
                 },

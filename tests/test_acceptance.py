@@ -21,7 +21,12 @@ from semroi.core import (
     sra_extract,
 )
 from semroi.embeddings import area_embedding_raw
-from semroi.oracles import full_pipeline_gradcheck, sample_roi_feature_loop
+from semroi.oracles import (
+    GRADCHECK_CHANNELS,
+    GRADCHECK_CONFIG,
+    full_pipeline_gradcheck,
+    sample_roi_feature_loop,
+)
 from semroi.sampler import GridSize, RoIBox, dynamic_grid_size
 from semroi.train import compare_extractors
 
@@ -121,10 +126,12 @@ def test_criterion_4_full_pipeline_gradients():
         n_masks=3, budget=9, descriptor_dim=8, embed_channels=4, hidden=8,
         fixed_grid=(3, 3),
     )
+    # the extractor full_pipeline_gradcheck differentiates is this one
+    assert GRADCHECK_CONFIG == cfg and GRADCHECK_CHANNELS == 4
     start = time.time()
     worst = 0.0
     for seed in range(20):
-        report = full_pipeline_gradcheck(seed, config=cfg, channels=4)
+        report = full_pipeline_gradcheck(seed)
         worst = max(worst, report.max_rel_err)
     elapsed = time.time() - start
     passed = worst < 1e-4 and elapsed < 60.0

@@ -1,11 +1,13 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from semroi.cli import COMMANDS, ranges_from, resolve_config, run, sra_config_from, UsageError
+from semroi.cli import (
+    COMMANDS, SAMPLER_BOXES, SECTIONS, resolve_config, run, sra_config_from, UsageError,
+)
 from semroi.core import SraConfig, parameter_count
-from semroi.synthetic import TransformRanges
 
 TINY_TRAIN = [
     "--set", "sra.n_masks=4",
@@ -28,13 +30,11 @@ def test_defaults_reproduce_reference_settings():
     config = resolve_config("train-toy", None, [])
     cfg = sra_config_from(config)
     assert (cfg.n_masks, cfg.budget, cfg.descriptor_dim, cfg.gamma) == (49, 128, 256, 50.0)
-    # the sra.* and transform.* keys are exactly the dataclass fields
+    # the sra.* keys are exactly the dataclass fields
     assert cfg == SraConfig()
-    assert ranges_from(config) == TransformRanges()
-    for prefix, cls in (("sra", SraConfig), ("transform", TransformRanges)):
-        assert {k for k in config if k.startswith(prefix + ".")} == {
-            f"{prefix}.{f.name}" for f in fields(cls)
-        }
+    assert {k for k in config if k.startswith("sra.")} == {
+        f"sra.{f.name}" for f in fields(SraConfig)
+    }
     pinned = resolve_config("train-toy", None, ["sra.fixed_grid=6x5"])
     assert sra_config_from(pinned).fixed_grid == (6, 5)
 
@@ -57,6 +57,10 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["ablate-sampler", "--out", str(tmp_path), "--format", "csv"]) == 2
     assert run(["gradcheck", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
     assert "unknown config key 'gradcheck.tolerance'" in capsys.readouterr().err
+    for command, key in (("ablate-sampler", "sampler.n_boxes"), ("diversity", "diversity.threshold"),
+                         ("train-toy", "transform.rotation_max_deg")):
+        assert run([command, "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -64,12 +68,12 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
 ACCEPTED_PREFIXES = {
     "gradcheck": {"gradcheck"},
     "oracles": set(),
-    "ablate-sampler": {"sra", "data", "sampler"},
-    "ablate-descriptor": {"sra", "data", "train", "transform"},
-    "ablate-embedding": {"sra", "data", "train", "transform"},
-    "train-toy": {"sra", "data", "train", "eval", "transform"},
-    "invariance": {"sra", "data", "train", "eval", "transform", "invariance"},
-    "diversity": {"sra", "data", "train", "eval", "transform", "diversity"},
+    "ablate-sampler": {"sra", "data"},
+    "ablate-descriptor": {"sra", "data", "train"},
+    "ablate-embedding": {"sra", "data", "train"},
+    "train-toy": {"sra", "data", "train", "eval"},
+    "invariance": {"sra", "data", "train", "eval", "invariance"},
+    "diversity": {"sra", "data", "train", "eval"},
 }
 
 
@@ -85,7 +89,26 @@ def test_command_table_pins_accepted_key_prefixes():
     assert [k for k in resolve_config("ablate-sampler", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 115
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 93
+
+
+def _table_first_cells(text, header):
+    """The first cell of each row of the markdown table under ``header``."""
+    lines = text[text.index(header):].splitlines()[2:]
+    return [line.split("|")[1].strip() for line in lines[: lines.index("")]]
+
+
+def test_readme_cli_tables_match_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_doc = readme[readme.index("## CLI"):]
+    cli_doc = cli_doc[: cli_doc.index("\n## ", 1)]
+    sections = _table_first_cells(cli_doc, "| section |")
+    assert sorted(sections) == sorted(f"`{name}`" for name in SECTIONS)
+    commands = _table_first_cells(cli_doc, "| command |")
+    assert sorted(c.strip("`") for cell in commands for c in cell.split(", ")) == sorted(COMMANDS)
+    for name, row in COMMANDS.items():
+        for key in row.own:
+            assert f"`{key}`" in cli_doc, (name, key)
 
 
 def test_ablations_default_to_their_own_epochs_and_dataset_size():
@@ -119,16 +142,15 @@ def test_gradcheck_fails_when_a_report_fails(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("value", [2.5, True, "3"])
 def test_config_file_value_of_the_wrong_type_exits_2(value, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"sampler.n_boxes": value}))
+    cfg_file.write_text(json.dumps({"data.channels": value}))
     assert run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
-    assert "sampler.n_boxes" in capsys.readouterr().err
+    assert "data.channels" in capsys.readouterr().err
 
 
 def test_config_file_int_stands_for_a_float(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"sra.gamma": 50}))
-    assert run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path),
-                "--set", "sampler.n_boxes=2"]) == 0
+    assert run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     config = load_report(tmp_path, "ablate-sampler")["config"]
     assert config["sra.gamma"] == 50.0
@@ -141,13 +163,13 @@ def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
     assert resolve_config("ablate-sampler", str(cfg_file), [])["sra.fixed_grid"] == (6, 5)
     assert (resolve_config("ablate-sampler", str(cfg_file), ["sra.fixed_grid=none"])
             ["sra.fixed_grid"] is None)
-    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.n_boxes=2",
-                "--set", "sra.fixed_grid=4x3"]) == 0
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sra.fixed_grid=4x3"]) == 0
     capsys.readouterr()
     assert load_report(tmp_path, "ablate-sampler")["config"]["sra.fixed_grid"] == [4, 3]
 
 
-@pytest.mark.parametrize("value", [[2.7, 3], [True, 5], ["4", 4]])
+# a config file's grid is a two-int list or null; only --set parses a string
+@pytest.mark.parametrize("value", [[2.7, 3], [True, 5], ["4", 4], "4x3", "none", ""])
 def test_config_file_grid_side_of_the_wrong_type_exits_2(value, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"sra.fixed_grid": value}))
@@ -179,7 +201,6 @@ def test_ablations_train_with_the_config_they_report(subcommand, tmp_path, capsy
 # every int key is a count; each with the cheapest command that reads it
 INT_KEYS = [
     ("gradcheck", "gradcheck.seeds"),
-    ("ablate-sampler", "sampler.n_boxes"),
     ("ablate-sampler", "sra.n_masks"),
     ("ablate-sampler", "sra.budget"),
     ("ablate-sampler", "sra.descriptor_dim"),
@@ -197,11 +218,6 @@ FLOAT_KEYS = [
     ("ablate-sampler", "sra.gamma"),
     ("ablate-descriptor", "train.lr"),
     ("ablate-descriptor", "train.momentum"),
-    ("ablate-descriptor", "transform.rotation_max_deg"),
-    ("ablate-descriptor", "transform.scale_lo"),
-    ("ablate-descriptor", "transform.scale_hi"),
-    ("ablate-descriptor", "transform.pan_frac"),
-    ("diversity", "diversity.threshold"),
 ]
 
 
@@ -350,14 +366,13 @@ def test_oracles_failure_exits_1(tmp_path, capsys, monkeypatch):
 def test_ablate_sampler_modes(tmp_path, capsys):
     out_fixed = tmp_path / "fixed"
     out_dyn = tmp_path / "dyn"
-    assert run(["ablate-sampler", "--set", "sra.fixed_grid=8x8", "--out", str(out_fixed),
-                "--set", "sampler.n_boxes=40"]) == 0
-    assert run(["ablate-sampler", "--out", str(out_dyn), "--set", "sampler.n_boxes=40"]) == 0
+    assert run(["ablate-sampler", "--set", "sra.fixed_grid=8x8", "--out", str(out_fixed)]) == 0
+    assert run(["ablate-sampler", "--out", str(out_dyn)]) == 0
     capsys.readouterr()
     fixed = load_report(out_fixed, "ablate-sampler")["metrics"]
     dyn = load_report(out_dyn, "ablate-sampler")["metrics"]
     assert (fixed["mode"], dyn["mode"]) == ("fixed", "dynamic")
-    assert fixed["top_grids"] == [["8x8", 40]]
+    assert fixed["top_grids"] == [["8x8", SAMPLER_BOXES]]
     assert dyn["budget_respected"] is True
     assert dyn["max_grid_area"] <= dyn["budget"]
     assert dyn["distinct_grids"] > 1
@@ -365,7 +380,7 @@ def test_ablate_sampler_modes(tmp_path, capsys):
 
 def test_fixed_grid_over_budget_is_reported(tmp_path, capsys):
     assert run(["ablate-sampler", "--set", "sra.fixed_grid=8x8", "--out", str(tmp_path),
-                "--set", "sampler.n_boxes=10", "--set", "sra.budget=16"]) == 0
+                "--set", "sra.budget=16"]) == 0
     capsys.readouterr()
     metrics = load_report(tmp_path, "ablate-sampler")["metrics"]
     assert metrics["max_grid_area"] == 64
@@ -373,12 +388,11 @@ def test_fixed_grid_over_budget_is_reported(tmp_path, capsys):
 
 
 def test_ablate_sampler_honours_the_fixed_grid(tmp_path, capsys):
-    assert run(["ablate-sampler", "--set", "sra.fixed_grid=4x3", "--out", str(tmp_path),
-                "--set", "sampler.n_boxes=10"]) == 0
+    assert run(["ablate-sampler", "--set", "sra.fixed_grid=4x3", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     metrics = load_report(tmp_path, "ablate-sampler")["metrics"]
     assert metrics["mode"] == "fixed"
-    assert metrics["top_grids"] == [["4x3", 10]]
+    assert metrics["top_grids"] == [["4x3", SAMPLER_BOXES]]
 
 
 TINY_ABLATE = TINY_TRAIN[:10] + ["--set", "train.epochs=1", "--set", "data.n_per_class=6"]
@@ -462,8 +476,7 @@ COST_MODEL = ["--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"]
 
 
 def test_ablate_sampler_reports_cost_model(tmp_path, capsys):
-    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.n_boxes=5",
-                *COST_MODEL]) == 0
+    assert run(["ablate-sampler", "--out", str(tmp_path), *COST_MODEL]) == 0
     capsys.readouterr()
     doc = load_report(tmp_path, "ablate-sampler")
     metrics = doc["metrics"]
@@ -487,12 +500,11 @@ def test_ablate_sampler_counts_the_chosen_grids(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(cli, "choose_grid", recorded)
         out = tmp_path / arm
-        assert run(["ablate-sampler", "--out", str(out), "--set", "sampler.n_boxes=6",
-                    *COST_MODEL, *args]) == 0
+        assert run(["ablate-sampler", "--out", str(out), *COST_MODEL, *args]) == 0
         capsys.readouterr()
         doc = load_report(out, "ablate-sampler")
         assert doc["metrics"]["mode"] == arm
-        assert len(grids) == 6 and (len(set(grids)) == 1) == (arm == "fixed")
+        assert len(grids) == SAMPLER_BOXES and (len(set(grids)) == 1) == (arm == "fixed")
         cfg = sra_config_from(doc["config"])
         want = [flops_estimate(cfg, doc["metrics"]["channels"], g).per_roi for g in grids]
         assert doc["metrics"]["multiply_adds_per_roi"] == pytest.approx(
@@ -500,26 +512,24 @@ def test_ablate_sampler_counts_the_chosen_grids(tmp_path, capsys, monkeypatch):
 
 
 def test_reports_embed_resolved_config_and_seed(tmp_path, capsys):
-    run(["ablate-sampler", "--seed", "123", "--out", str(tmp_path),
-         "--set", "sampler.n_boxes=10", "--set", "sra.budget=64"])
+    run(["ablate-sampler", "--seed", "123", "--out", str(tmp_path), "--set", "sra.budget=64"])
     capsys.readouterr()
     doc = load_report(tmp_path, "ablate-sampler")
     assert doc["seed"] == 123
     assert doc["config"]["sra.budget"] == 64
     # identical invocation reproduces identical metrics
     other = tmp_path / "again"
-    run(["ablate-sampler", "--seed", "123", "--out", str(other),
-         "--set", "sampler.n_boxes=10", "--set", "sra.budget=64"])
+    run(["ablate-sampler", "--seed", "123", "--out", str(other), "--set", "sra.budget=64"])
     capsys.readouterr()
     assert load_report(other, "ablate-sampler")["metrics"] == doc["metrics"]
 
 
 def test_config_file_merging(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"sampler.n_boxes": 15, "sra.budget": 32}))
+    cfg_file.write_text(json.dumps({"data.channels": 8, "sra.budget": 32}))
     run(["ablate-sampler", "--config", str(cfg_file), "--out", str(tmp_path),
          "--set", "sra.budget=64"])
     capsys.readouterr()
     doc = load_report(tmp_path, "ablate-sampler")
-    assert doc["config"]["sampler.n_boxes"] == 15
+    assert doc["config"]["data.channels"] == 8
     assert doc["config"]["sra.budget"] == 64  # --set wins over the file

@@ -56,6 +56,14 @@ def test_config_rejects_bad_values():
         SraConfig(descriptor_mode="median")
     with pytest.raises(ConfigError):
         SraConfig(embedding_mode="fourier")
+    # counts are ints (numpy's too) and never bools; gamma is a real number
+    for name, value in (("budget", True), ("budget", 16.5), ("n_masks", 2.5),
+                        ("hidden", 8.0), ("descriptor_dim", "8"), ("embed_channels", None),
+                        ("gamma", "50"), ("gamma", True)):
+        with pytest.raises(ConfigError, match=name):
+            SraConfig(**{name: value})
+    cfg = SraConfig(n_masks=np.int64(3), budget=np.int32(16), gamma=np.float32(2.0))
+    assert (cfg.n_masks, cfg.budget, cfg.gamma) == (3, 16, 2.0)
 
 
 def test_config_has_no_independent_heads_option():
@@ -68,6 +76,8 @@ def test_concatenation_requires_fixed_grid():
         SraConfig(descriptor_mode="concatenation")
     cfg = SraConfig(descriptor_mode="concatenation", fixed_grid=(4, 4))
     assert cfg.fixed_grid == (4, 4)
+    grid = SraConfig(fixed_grid=[np.int64(5), 3]).fixed_grid
+    assert grid == (5, 3) and type(grid[0]) is int
 
 
 @pytest.mark.parametrize(
@@ -77,6 +87,11 @@ def test_concatenation_requires_fixed_grid():
         {"fixed_grid": (4, -1)},
         {"fixed_grid": (17, 4), "budget": 16},
         {"fixed_grid": (4, 17), "budget": 16},
+        {"fixed_grid": (2.7, 3)},
+        {"fixed_grid": (True, 5)},
+        {"fixed_grid": (4, "4")},
+        {"fixed_grid": (4, 4, 4)},
+        {"fixed_grid": 4},
     ],
 )
 def test_config_rejects_bad_fixed_grid(kwargs):

@@ -12,7 +12,7 @@ from semroi.evaluate import (
     random_delta,
 )
 from semroi.numerics import ConfigError
-from semroi.synthetic import TransformRanges, generate_dataset
+from semroi.synthetic import generate_dataset
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
@@ -41,11 +41,13 @@ def test_identity_family_similarity_is_one():
     assert abs(report.mean_cosine - 1.0) < 1e-9
 
 
-def test_zero_rotation_family_is_identity():
+def test_zero_rotation_family_is_identity(monkeypatch):
+    from semroi import evaluate
+
     ds = dataset()
-    ranges = TransformRanges(rotation_max_deg=0.0)
+    monkeypatch.setattr(evaluate, "ROTATION_MAX_DEG", 0.0)
     report = invariance_eval(
-        make_feature_fn("roi_align"), ds, "rotation", 6, np.random.default_rng(4), ranges
+        make_feature_fn("roi_align"), ds, "rotation", 6, np.random.default_rng(4)
     )
     assert abs(report.mean_cosine - 1.0) < 1e-9
 
@@ -64,7 +66,7 @@ def test_invariance_rejects_fewer_than_one_sample():
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
-        random_delta("shear", np.random.default_rng(0), TransformRanges())
+        random_delta("shear", np.random.default_rng(0))
 
 
 def test_pairwise_cosines_identical_masks():

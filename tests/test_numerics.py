@@ -14,6 +14,7 @@ from semroi.numerics import (
     softmax_spatial,
     softmax_spatial_vjp,
 )
+from semroi.core import roi_descriptor_vjp
 from semroi.oracles import relu_vjp
 from semroi.sampler import GridSize, RoIBox, block_average_pool_vjp
 
@@ -329,6 +330,26 @@ def _block_average_pool_case(seed):
     return fn, args
 
 
+def _descriptor_case(mode):
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        c, h, w = 3, 2, 3
+        in_dim = c * h * w if mode == "concatenation" else c
+        args = {
+            "f": rng.standard_normal((c, h, w)),
+            "weight": rng.standard_normal((4, in_dim)),
+            "bias": rng.standard_normal(4),
+        }
+
+        def fn(f, weight, bias):
+            y, rec = roi_descriptor_vjp(f, mode, LinearParams(weight, bias))
+            return y, lambda g: dict(zip(("f", "weight", "bias"), rec.backward(g)))
+
+        return fn, args
+
+    return case
+
+
 OP_CASES = {
     "linear": _linear_case,
     "layer_norm": _layer_norm_case,
@@ -338,6 +359,8 @@ OP_CASES = {
     "conv1x1": _conv1x1_case,
     "bilinear_sample_many": _bilinear_case,
     "block_average_pool": _block_average_pool_case,
+    **{f"roi_descriptor_{mode}": _descriptor_case(mode)
+       for mode in ("average", "maximum", "concatenation")},
 }
 
 

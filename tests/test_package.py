@@ -34,4 +34,4 @@ def test_one_form_per_op():
         twins |= {name for name in public if {f"{name}_vjp", f"{name}_recorded"} & public}
     assert twins <= PLAIN_FORWARDS
     assert not TWINS & set(semroi.__all__)
-    assert len(semroi.__all__) == 41
+    assert len(semroi.__all__) == 40

@@ -17,7 +17,6 @@ from semroi.oracles import apply_stem_einsum, render_map_loop
 from semroi.reporting import derive_seed, stream_rng
 from semroi.synthetic import (
     Pose,
-    TransformRanges,
     apply_stem,
     apply_transform,
     apply_transforms,
@@ -109,7 +108,7 @@ def test_generate_dataset_matches_a_render_loop(n_threads):
     dataset = generate_dataset(n_classes, 7, seed)
     assert len(dataset) == 7
     for i, inst in enumerate(dataset):
-        pose = random_pose(pose_rng, TransformRanges())
+        pose = random_pose(pose_rng)
         assert_same_instance(inst, render_instance(ctx, i % n_classes, pose, derive_seed(seed, f"instance/{i}")))
 
 
@@ -119,14 +118,14 @@ def test_augment_rotation_matches_per_instance_transforms(n_threads):
     got = augment_rotation(dataset, 4)
     assert len(got) == len(dataset)
     for inst, out in zip(dataset, got):
-        assert_same_instance(out, apply_transform(inst, random_delta("rotation", rng, TransformRanges())))
+        assert_same_instance(out, apply_transform(inst, random_delta("rotation", rng)))
 
 
 def test_apply_transforms_keeps_order_across_shared_and_rendered_maps(n_threads):
     dataset = generate_dataset(3, 6, seed=2)
     rng = np.random.default_rng(0)
     families = ["identity", "rotation", "scale_pan", "reflection", "scale_pan", "rotation"]
-    deltas = [random_delta(f, rng, TransformRanges()) for f in families]
+    deltas = [random_delta(f, rng) for f in families]
     got = apply_transforms(dataset, deltas)
     for inst, delta, out, family in zip(dataset, deltas, got, families):
         assert_same_instance(out, apply_transform(inst, delta))

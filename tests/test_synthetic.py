@@ -7,7 +7,6 @@ from semroi.numerics import ConfigError
 from semroi.synthetic import (
     MAX_CROSS_CLASS_COSINE,
     Pose,
-    TransformRanges,
     apply_transform,
     compose_pose,
     generate_dataset,
@@ -123,7 +122,7 @@ def test_transform_equals_render_at_the_composed_pose(family):
     # fresh render at the composed pose, for random base poses
     rng = np.random.default_rng(31)
     for inst in small_dataset(seed=12, n=6):
-        delta = random_delta(family, rng, TransformRanges())
+        delta = random_delta(family, rng)
         got = apply_transform(inst, delta)
         want = render_instance(inst.ctx, inst.label, compose_pose(inst.pose, delta), inst.seed)
         assert np.array_equal(got.feature_map, want.feature_map)
