@@ -29,6 +29,7 @@ from .numerics import (
     conv1x1_vjp,
     init_layer_norm,
     init_linear,
+    is_int,
     linear_vjp,
     norm_relu_linear_vjp,
     softmax_spatial_vjp,
@@ -37,11 +38,6 @@ from .sampler import GridSize, RoIBox, block_average_pool_vjp, dynamic_grid_size
 
 DESCRIPTOR_MODES = ("concatenation", "maximum", "average")
 EMBEDDING_MODES = ("none", "position", "area")
-
-
-def _is_int(value: object) -> bool:
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -66,7 +62,7 @@ class SraConfig:
 
     def __post_init__(self):
         for name in ("n_masks", "budget", "descriptor_dim", "embed_channels", "hidden"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not isinstance(self.gamma, numbers.Real) or isinstance(self.gamma, bool):
             raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
@@ -89,7 +85,7 @@ class SraConfig:
             )
         if self.fixed_grid is not None:
             grid = self.fixed_grid
-            if not isinstance(grid, (tuple, list)) or len(grid) != 2 or not all(map(_is_int, grid)):
+            if not isinstance(grid, (tuple, list)) or len(grid) != 2 or not all(map(is_int, grid)):
                 raise ConfigError(f"fixed_grid must be two ints, got {grid!r}")
             self.fixed_grid = (int(grid[0]), int(grid[1]))
             if min(self.fixed_grid) < 1:

@@ -9,15 +9,18 @@ import numpy as np
 
 from .baselines import DEFAULT_OUT, roi_align, roi_pool
 from .core import SraConfig, SraParams, sra_extract
-from .numerics import Array, ConfigError
+from .numerics import Array, ConfigError, require_count
 from .synthetic import (
-    PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance, apply_transform,
+    PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance, apply_transforms,
 )
 
 TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
 
 # a pair of masks counts as diverse when its mean cosine is below this
 DIVERSITY_THRESHOLD = 0.3
+
+# the re-posed maps one invariance batch may hold: 64 maps at C=16, 4 at C=256
+_REPOSE_BYTES = 32 << 20
 
 FeatureFn = Callable[[SyntheticInstance], Array]
 
@@ -85,18 +88,26 @@ def invariance_eval(
     Pairing contract: the draws (all instance picks, then one delta per pick)
     depend on ``rng`` and never on ``feature_fn``, and rendering is pure, so
     generators in the same state give every extractor the same instances
-    under the same deltas."""
+    under the same deltas.
+
+    The re-poses are made in batches of as many maps as ``_REPOSE_BYTES``
+    holds, each rendered on every CPU by ``apply_transforms``; then each
+    (source, re-pose) pair of the batch is extracted back to back.  Nothing
+    extracts while a batch renders.  The cosines are summed in pick order,
+    so the report is bit for bit that of ``oracles.invariance_eval_loop``,
+    which re-poses one pick at a time between its two extractions."""
     if not dataset:
         raise ValueError("invariance_eval: empty dataset")
-    if n_samples < 1:
-        raise ConfigError(f"invariance_eval: n_samples must be >= 1, got {n_samples}")
+    require_count("n_samples", n_samples, 1)
     picks = rng.integers(0, len(dataset), size=n_samples)
+    sources = [dataset[int(idx)] for idx in picks]
+    deltas = [random_delta(family, rng) for _ in sources]
+    batch = max(1, _REPOSE_BYTES // max(inst.feature_map.nbytes for inst in sources))
     total = 0.0
-    for idx in picks:
-        inst = dataset[int(idx)]
-        before = feature_fn(inst)
-        after = feature_fn(apply_transform(inst, random_delta(family, rng)))
-        total += cosine(before, after)
+    for start in range(0, n_samples, batch):
+        chunk = sources[start : start + batch]
+        for inst, moved in zip(chunk, apply_transforms(chunk, deltas[start : start + batch])):
+            total += cosine(feature_fn(inst), feature_fn(moved))
     return InvarianceReport(family=family, mean_cosine=total / n_samples, n_samples=n_samples)
 
 
@@ -131,8 +142,7 @@ def mask_diversity(
     require_mask_pairs(config)
     if not dataset:
         raise ValueError("mask_diversity: empty dataset")
-    if n_samples < 1:
-        raise ConfigError(f"mask_diversity: n_samples must be >= 1, got {n_samples}")
+    require_count("n_samples", n_samples, 1)
     picks = rng.integers(0, len(dataset), size=n_samples)
     acc = np.zeros((config.n_masks, config.n_masks))
     for idx in picks:

@@ -23,6 +23,7 @@ forward passes in ``np.longdouble``; checkpoints store tensors in the tjson form
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +38,20 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Raised for inconsistent configuration (e.g. grid exceeding a budget)."""
+
+
+def is_int(value: object) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_count(name: str, value: object, minimum: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer (see ``is_int``)
+    of at least ``minimum``."""
+    if not is_int(value):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass

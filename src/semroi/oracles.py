@@ -30,7 +30,7 @@ from .core import (
     sra_extract_recorded,
 )
 from .embeddings import area_embedding_raw
-from .evaluate import flops_estimate
+from .evaluate import FeatureFn, InvarianceReport, cosine, flops_estimate, random_delta
 from .numerics import (
     Array,
     LayerNormParams,
@@ -56,7 +56,9 @@ from .synthetic import (
     PART_SIGMA,
     Pose,
     RenderContext,
+    SyntheticInstance,
     apply_stem,
+    apply_transform,
     make_render_context,
     part_layout,
     render_instance,
@@ -240,6 +242,26 @@ def render_map_loop(ctx: RenderContext, label: int, pose: Pose, seed: int) -> Ar
         blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * PART_SIGMA**2))
         fmap += signature[:, None, None] * blob
     return apply_stem_einsum(fmap, ctx.stem)
+
+
+def invariance_eval_loop(
+    feature_fn: FeatureFn,
+    dataset: list[SyntheticInstance],
+    family: str,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> InvarianceReport:
+    """``evaluate.invariance_eval`` one pick at a time: each pick is
+    re-posed by ``apply_transform``, its delta drawn, between its two
+    extractions."""
+    picks = rng.integers(0, len(dataset), size=n_samples)
+    total = 0.0
+    for idx in picks:
+        inst = dataset[int(idx)]
+        before = feature_fn(inst)
+        after = feature_fn(apply_transform(inst, random_delta(family, rng)))
+        total += cosine(before, after)
+    return InvarianceReport(family=family, mean_cosine=total / n_samples, n_samples=n_samples)
 
 
 # the small extractor the full-pipeline gradcheck differentiates, on an

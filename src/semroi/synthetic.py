@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Array, ConfigError
+from .numerics import Array, ConfigError, is_int, require_count
 from .reporting import derive_seed
 from .sampler import RoIBox
 
@@ -301,8 +301,7 @@ def _class_signatures(
 
 
 def make_render_context(n_classes: int, seed: int, channels: int = 16) -> RenderContext:
-    if channels < 1:
-        raise ConfigError(f"channels must be at least 1, got {channels}")
+    require_count("channels", channels, 1)
     rng = np.random.default_rng(derive_seed(seed, "layout"))
     classes = []
     previous: list[Array] = []
@@ -346,8 +345,9 @@ def generate_dataset(
     n_classes: int, n_instances: int, seed: int, channels: int = 16
 ) -> list[SyntheticInstance]:
     """Round-robin labelled instances at random poses, deterministic per seed."""
-    if n_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {n_classes}")
+    if not is_int(n_classes) or n_classes < 2:
+        raise ConfigError(f"need at least 2 classes, got {n_classes!r}")
+    require_count("n_instances", n_instances, 1)
     ctx = make_render_context(n_classes, seed, channels)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
     jobs = [

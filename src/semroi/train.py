@@ -25,7 +25,7 @@ from .evaluate import (
     random_delta,
     require_mask_pairs,
 )
-from .numerics import Array, ConfigError, LinearParams, init_linear
+from .numerics import Array, ConfigError, LinearParams, init_linear, require_count
 from .reporting import derive_seed, stream_rng
 from .synthetic import SyntheticInstance, apply_transforms, generate_dataset
 
@@ -227,8 +227,7 @@ def harness_dataset(
     ``n_per_class`` instances of each class, drawn from ``derive_seed(seed,
     "data")``.  The split puts at least one instance of each class in the
     test split, so a class needs two for the train split to hold one."""
-    if n_per_class < 2:
-        raise ConfigError(f"n_per_class must be at least 2, got {n_per_class}")
+    require_count("n_per_class", n_per_class, 2)
     return generate_dataset(
         n_classes, n_classes * n_per_class, derive_seed(seed, "data"), channels=channels
     )

@@ -1,5 +1,10 @@
-"""Shared pytest hooks: collects acceptance-criterion verdicts and prints
-one line per criterion in the terminal summary."""
+"""Shared pytest hooks and fixtures: collects acceptance-criterion verdicts
+and prints one line per criterion in the terminal summary; ``n_threads``
+fixes the number of threads batch renders use."""
+
+import pytest
+
+from semroi import synthetic
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -15,3 +20,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(params=[1, 2], ids=["one_thread", "two_threads"])
+def n_threads(request, monkeypatch):
+    """Batch renders spread over this many threads, whatever the host has."""
+    monkeypatch.setattr(synthetic, "_cpu_count", lambda: request.param)
+    return request.param

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from semroi import evaluate, synthetic
 from semroi.core import SraConfig, init_params, param_leaves
 from semroi.evaluate import (
+    TRANSFORM_FAMILIES,
     cosine,
     flops_estimate,
     invariance_eval,
@@ -12,6 +14,7 @@ from semroi.evaluate import (
     random_delta,
 )
 from semroi.numerics import ConfigError
+from semroi.oracles import invariance_eval_loop
 from semroi.synthetic import generate_dataset
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
@@ -64,6 +67,78 @@ def test_invariance_rejects_fewer_than_one_sample():
         )
 
 
+# counts that are not ints; a bool is not a count either
+NOT_INTS = [2.5, True, "3", None]
+
+
+@pytest.mark.parametrize("n_samples", NOT_INTS)
+def test_invariance_rejects_a_sample_count_that_is_not_an_int(n_samples):
+    with pytest.raises(ConfigError, match="n_samples"):
+        invariance_eval(
+            make_feature_fn("roi_align"), dataset(), "rotation", n_samples, np.random.default_rng(0)
+        )
+
+
+def test_invariance_accepts_a_numpy_sample_count():
+    ds = dataset()
+    fn = make_feature_fn("roi_align")
+    got = invariance_eval(fn, ds, "rotation", np.int64(3), np.random.default_rng(5))
+    assert got == invariance_eval(fn, ds, "rotation", 3, np.random.default_rng(5))
+
+
+def recorded_batches(monkeypatch):
+    """The job count of every ``render_batch`` call from here on."""
+    sizes = []
+    batch = synthetic.render_batch
+
+    def recorded(jobs):
+        sizes.append(len(jobs))
+        return batch(jobs)
+
+    monkeypatch.setattr(synthetic, "render_batch", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("n_samples", [3, 4, 11], ids=["below_a_batch", "one_batch", "three_batches"])
+@pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
+@pytest.mark.parametrize("kind", ["roi_align", "sra"])
+def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_threads, monkeypatch):
+    # a budget of 4 maps: 11 samples make batches of 4, 4 and 3
+    ds = dataset()
+    monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * ds[0].feature_map.nbytes)
+    params = init_params(CFG, 16, np.random.default_rng(2))
+    fn = make_feature_fn(kind, params, CFG)
+    want = invariance_eval_loop(fn, ds, family, n_samples, np.random.default_rng(n_samples))
+    seen = []
+
+    def fn_recorded(inst):
+        seen.append(inst)
+        return fn(inst)
+
+    sizes = recorded_batches(monkeypatch)
+    got = invariance_eval(fn_recorded, ds, family, n_samples, np.random.default_rng(n_samples))
+    assert got == want
+    assert max(sizes) <= 4 and len(sizes) == -(-n_samples // 4)
+    sources, moved = seen[0::2], seen[1::2]
+    assert len(moved) == n_samples
+    shared = [np.shares_memory(a.feature_map, b.feature_map) for a, b in zip(sources, moved)]
+    if family in ("identity", "scale_pan"):
+        assert sum(sizes) == 0 and all(shared)
+    else:
+        assert sum(sizes) == n_samples and not any(shared)
+
+
+def test_the_protocol_draws_form_one_batch_at_sixteen_channels(monkeypatch):
+    # 60 maps of 512 KiB fit the default budget
+    ds = dataset()
+    assert ds[0].feature_map.nbytes == 512 << 10
+    sizes = recorded_batches(monkeypatch)
+    fn = make_feature_fn("roi_align")
+    got = invariance_eval(fn, ds, "reflection", 60, np.random.default_rng(6))
+    assert sizes == [60]
+    assert got == invariance_eval_loop(fn, ds, "reflection", 60, np.random.default_rng(6))
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="family"):
         random_delta("shear", np.random.default_rng(0))
@@ -107,6 +182,13 @@ def test_mask_diversity_rejects_fewer_than_one_sample():
     params = init_params(CFG, 16, np.random.default_rng(8))
     with pytest.raises(ConfigError, match="n_samples"):
         mask_diversity(params, CFG, dataset(), 0, np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("n_samples", NOT_INTS)
+def test_mask_diversity_rejects_a_sample_count_that_is_not_an_int(n_samples):
+    params = init_params(CFG, 16, np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="n_samples"):
+        mask_diversity(params, CFG, dataset(), n_samples, np.random.default_rng(9))
 
 
 # ---------------------------------------------------------------------------

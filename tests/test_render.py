@@ -88,13 +88,6 @@ def test_render_is_pure():
     assert a.box == b.box
 
 
-@pytest.fixture(params=[1, 2], ids=["one_thread", "two_threads"])
-def n_threads(request, monkeypatch):
-    """Batch renders spread over this many threads, whatever the host has."""
-    monkeypatch.setattr(synthetic, "_cpu_count", lambda: request.param)
-    return request.param
-
-
 def assert_same_instance(got, want):
     assert np.array_equal(got.feature_map, want.feature_map)
     assert (got.box, got.pose, got.label, got.seed) == (want.box, want.pose, want.label, want.seed)

@@ -159,3 +159,20 @@ def test_rendered_map_is_read_only():
 def test_render_context_rejects_bad_arguments(kwargs, match):
     with pytest.raises(ConfigError, match=match):
         make_render_context(3, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        ((2, 2.5, 0), {}, "n_instances"),
+        ((2, True, 0), {}, "n_instances"),
+        ((2, 0, 0), {}, "n_instances"),
+        ((2, -1, 0), {}, "n_instances"),
+        ((2.5, 4, 0), {}, "2 classes"),
+        ((2, 4, 0), {"channels": 2.5}, "channels"),
+        ((2, 4, 0), {"channels": True}, "channels"),
+    ],
+)
+def test_generate_rejects_bad_counts(args, kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        generate_dataset(*args, **kwargs)

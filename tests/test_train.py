@@ -162,18 +162,18 @@ def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
 
     events = []
     fit = train.train_toy
-    transform = evaluate.apply_transform
+    transforms = evaluate.apply_transforms
 
     def fit_marked(kind, *args, **kwargs):
         events.append(kind)
         return fit(kind, *args, **kwargs)
 
-    def transform_recorded(inst, delta):
-        events.append((inst.seed, delta))
-        return transform(inst, delta)
+    def transforms_recorded(instances, deltas):
+        events.extend((inst.seed, delta) for inst, delta in zip(instances, deltas))
+        return transforms(instances, deltas)
 
     monkeypatch.setattr(train, "train_toy", fit_marked)
-    monkeypatch.setattr(evaluate, "apply_transform", transform_recorded)
+    monkeypatch.setattr(evaluate, "apply_transforms", transforms_recorded)
     result = train.compare_extractors(
         CFG, seeds=[3], n_classes=3, n_per_class=4, epochs=1,
         invariance_samples=5, diversity_samples=2,
@@ -217,3 +217,12 @@ def test_compare_extractors_rejects_unknown_family_before_training(monkeypatch):
     monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(ConfigError, match="shear"):
         train.compare_extractors(CFG, seeds=[0], families=("rotation", "shear"))
+
+
+@pytest.mark.parametrize("n_per_class", [2.5, True, "4"])
+def test_harness_dataset_rejects_a_bad_class_size(n_per_class):
+    from semroi import train
+    from semroi.numerics import ConfigError
+
+    with pytest.raises(ConfigError, match="n_per_class"):
+        train.harness_dataset(0, 2, n_per_class)
