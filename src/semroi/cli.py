@@ -23,13 +23,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import numerics
-from .core import SraConfig, choose_grid, param_leaves, parameter_count
+from .core import SraConfig, choose_grid, parameter_count
 from .evaluate import DIVERSITY_THRESHOLD, flops_estimate, mask_diversity, require_mask_pairs
 from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
-from .reporting import save_checkpoint, stream_rng, write_report
+from .reporting import stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
-from .train import EXTRACTORS, compare_extractors, harness_dataset, harness_splits, train_toy
+from .train import (
+    EXTRACTORS, accuracy, compare_extractors, harness_dataset, harness_splits, split_dataset,
+    train_toy,
+)
 
 
 # flat dotted-key configuration, grouped in the sections a command may read;
@@ -138,12 +141,10 @@ def _dataset(config: dict, seed: int):
     )
 
 
-def _train(config: dict, seed: int, kind: str, splits, cfg: SraConfig | None = None):
-    """``train_toy`` on the (train, test) ``splits`` with the train section:
-    (state, history)."""
-    train_set, test_set = splits
+def _train(config: dict, seed: int, kind: str, train_set, cfg: SraConfig | None = None):
+    """``train_toy`` on ``train_set`` with the train section: (state, history)."""
     return train_toy(
-        kind, cfg or sra_config_from(config), train_set, test_set, epochs=config["train.epochs"],
+        kind, cfg or sra_config_from(config), train_set, epochs=config["train.epochs"],
         lr=config["train.lr"], momentum=config["train.momentum"], seed=seed,
     )
 
@@ -162,11 +163,10 @@ def _compare(config: dict, seed: int, families: tuple[str, ...] = ("rotation",))
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each takes (config, seed, out_dir) and returns
-# (exit_code, metrics)
+# subcommand bodies: each takes (config, seed) and returns (exit_code, metrics)
 
 
-def cmd_gradcheck(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_gradcheck(config: dict, seed: int) -> tuple[int, dict]:
     reports = [full_pipeline_gradcheck(seed + i) for i in range(config["gradcheck.seeds"])]
     per_seed = [
         {"seed": seed + i, "max_rel_err": r.max_rel_err, "worst": r.worst}
@@ -181,7 +181,7 @@ def cmd_gradcheck(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     }
 
 
-def cmd_oracles(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_oracles(config: dict, seed: int) -> tuple[int, dict]:
     results = run_all(seed)
     entries = [
         {"name": r.name, "passed": r.passed, "max_err": r.max_err, "detail": r.detail}
@@ -194,7 +194,7 @@ def cmd_oracles(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 SAMPLER_BOXES = 200
 
 
-def cmd_ablate_sampler(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
     """Grid choice over ``SAMPLER_BOXES`` random boxes, and the analytic cost
     of extracting each box at its grid: the dynamic sampler, or
     ``sra.fixed_grid``."""
@@ -235,44 +235,38 @@ def _ablation(config: dict, seed: int, field: str, modes: tuple[str, ...]) -> tu
     # concatenation cannot follow a dynamic grid; pin the fixed size
     pins = {"concatenation": {"fixed_grid": FIXED_GRID}}
     variants = {mode: replace(base, **{field: mode}, **pins.get(mode, {})) for mode in modes}
-    splits = harness_splits(_dataset(config, seed), seed)
+    train_set, test_set = harness_splits(_dataset(config, seed), seed)
     out = {}
     for mode, cfg in variants.items():
-        _, history = _train(config, seed, "sra", splits, cfg)
+        state, history = _train(config, seed, "sra", train_set, cfg)
         out[mode] = {
-            "final_test_accuracy": history[-1]["test_accuracy"],
+            "final_test_accuracy": accuracy(state, test_set),
             "final_train_accuracy": history[-1]["train_accuracy"],
             "final_train_loss": history[-1]["train_loss"],
         }
     return 0, {"modes": out}
 
 
-def cmd_ablate_descriptor(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_ablate_descriptor(config: dict, seed: int) -> tuple[int, dict]:
     return _ablation(config, seed, "descriptor_mode", ("average", "maximum", "concatenation"))
 
 
-def cmd_ablate_embedding(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_ablate_embedding(config: dict, seed: int) -> tuple[int, dict]:
     return _ablation(config, seed, "embedding_mode", ("none", "position", "area"))
 
 
-def cmd_train_toy(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_train_toy(config: dict, seed: int) -> tuple[int, dict]:
     kind = config["train.kind"]
     if kind == "both":
         return 0, _compare(config, seed)
     if kind not in EXTRACTORS:
         raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
-    splits = harness_splits(_dataset(config, seed), seed)
-    state, history = _train(config, seed, kind, splits)
-    metrics: dict = {"kind": kind, "history": history}
-    if state.params is not None:
-        ckpt = out_dir / f"trained_{kind}_seed{seed}.tjson"
-        meta = {"seed": seed, "channels": config["data.channels"]}
-        save_checkpoint(ckpt, param_leaves(state.params), meta=meta)
-        metrics["checkpoint"] = str(ckpt)
-    return 0, metrics
+    train_set, test_set = harness_splits(_dataset(config, seed), seed)
+    state, history = _train(config, seed, kind, train_set)
+    return 0, {"kind": kind, "history": history, "test_accuracy": accuracy(state, test_set)}
 
 
-def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_invariance(config: dict, seed: int) -> tuple[int, dict]:
     families = tuple(f.strip() for f in str(config["invariance.families"]).split(",") if f.strip())
     if not families:
         raise UsageError("invariance.families must name at least one transform family")
@@ -283,10 +277,11 @@ def cmd_invariance(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
     }
 
 
-def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
+def cmd_diversity(config: dict, seed: int) -> tuple[int, dict]:
     require_mask_pairs(sra_config_from(config))
     dataset = _dataset(config, seed)
-    state, _ = _train(config, seed, "sra", harness_splits(dataset, seed))
+    # trains as train-toy does, but scores no test split, so renders none
+    state, _ = _train(config, seed, "sra", split_dataset(dataset, seed)[0])
     report = mask_diversity(
         state.params, state.config, dataset, config["eval.diversity_samples"],
         stream_rng(seed, "diversity"),
@@ -302,7 +297,7 @@ def cmd_diversity(config: dict, seed: int, out_dir: Path) -> tuple[int, dict]:
 
 
 class Command(NamedTuple):
-    handler: Callable[[dict, int, Path], tuple[int, dict]]
+    handler: Callable[[dict, int], tuple[int, dict]]
     sections: tuple[str, ...]  # the SECTIONS it reads
     own: dict[str, object]  # its own keys, and section defaults it overrides
     unread: tuple[str, ...] = ()  # keys of those sections it does not read
@@ -351,8 +346,11 @@ def run(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(args.subcommand, args.config, args.overrides)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        code, metrics = COMMANDS[args.subcommand].handler(config, args.seed, out_dir)
+        try:  # before the handler: a report that cannot be written fails fast
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot use --out {args.out}: {exc}") from exc
+        code, metrics = COMMANDS[args.subcommand].handler(config, args.seed)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,7 @@ not on the pipeline's path: they serve the reference compositions in
 :mod:`semroi.oracles`, and the benchmark's span tracer binds them by name.
 
 All arrays are numpy ndarrays in float64, except that ``check_vjp`` runs
-forward passes in ``np.longdouble``; checkpoints store tensors in the tjson format
-(see :mod:`semroi.reporting`).
+forward passes in ``np.longdouble``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""Serialization and reproducibility plumbing.
+"""Reports and reproducibility plumbing.
 
-tjson is the tensor format of parameter checkpoints, the only tensors
-written to disk: a JSON document ``{"dims": [...], "data": [...]}`` with
-row-major flattening.  A checkpoint is a single JSON manifest of named tjson
-tensors, written as strict JSON: a NaN or infinite value raises
-``ValueError`` rather than writing a bare ``NaN``, which is not JSON.  All
+A CLI run writes one file, its JSON report.  A report is strict JSON: a NaN or
+infinite value raises ``ValueError`` rather than writing a bare ``NaN``,
+which is not JSON.  No tensor is written to disk; trained weights and
+datasets are re-made from the seed and config a report embeds.  All
 randomness flows from one master seed through named streams so subsystems
 are independently reproducible.
 """
@@ -17,27 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Array
-
 REPORT_SCHEMA = "semroi-report/1"
-CHECKPOINT_FORMAT = "semroi-params/3"
-
-
-def tensor_to_tjson(arr: Array) -> dict:
-    arr = np.asarray(arr, dtype=float)
-    return {"dims": list(arr.shape), "data": arr.ravel().tolist()}
-
-
-def tensor_from_tjson(doc: dict) -> Array:
-    dims = [int(d) for d in doc["dims"]]
-    data = np.asarray(doc["data"], dtype=float)
-    expected = int(np.prod(dims)) if dims else 1
-    if data.size != expected:
-        raise ValueError(
-            f"tjson: {len(doc['data'])} values do not fill dims {dims} "
-            f"(expected {expected})"
-        )
-    return data.reshape(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -77,45 +56,3 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
-# ---------------------------------------------------------------------------
-# parameter checkpoints
-
-
-def save_checkpoint(path: str | Path, named_tensors: list[tuple[str, Array]], meta: dict | None = None) -> None:
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "meta": meta or {},
-        "tensors": {name: tensor_to_tjson(arr) for name, arr in named_tensors},
-    }
-    Path(path).write_text(json.dumps(doc, allow_nan=False))
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {doc.get('format')!r} "
-            f"(expected {CHECKPOINT_FORMAT})"
-        )
-    tensors = {name: tensor_from_tjson(t) for name, t in doc["tensors"].items()}
-    return tensors, doc.get("meta", {})
-
-
-def assign_leaves(leaves: list[tuple[str, Array]], tensors: dict[str, Array]) -> None:
-    """Copy checkpoint tensors into existing parameter arrays, by name."""
-    names = {name for name, _ in leaves}
-    missing = names - tensors.keys()
-    extra = tensors.keys() - names
-    if missing or extra:
-        raise ValueError(
-            f"checkpoint mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    for name, arr in leaves:
-        src = tensors[name]
-        if src.shape != arr.shape:
-            raise ValueError(
-                f"checkpoint tensor {name}: shape {src.shape} != expected {arr.shape}"
-            )
-        arr[...] = src

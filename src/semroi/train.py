@@ -175,8 +175,9 @@ def harness_splits(
     dataset: list[SyntheticInstance], seed: int
 ) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
     """The train split of ``dataset`` and its rotation-augmented test split:
-    what ``train_toy`` trains and scores on at this seed.  Every kind and
-    variant trained at the seed shares the one rendered test split."""
+    what ``train_toy`` trains on and ``accuracy`` then scores at this seed.
+    Every kind and variant trained at the seed shares the one rendered test
+    split."""
     train_set, test_set = split_dataset(dataset, seed)
     return train_set, augment_rotation(test_set, seed)
 
@@ -185,18 +186,18 @@ def train_toy(
     kind: str,
     config: SraConfig,
     train_set: list[SyntheticInstance],
-    test_set: list[SyntheticInstance],
     epochs: int,
     lr: float = 0.02,
     momentum: float = 0.9,
     seed: int = 0,
 ) -> tuple[TrainState, list[dict]]:
     """Train a linear head (plus extractor parameters for the semantic kind)
-    on ``train_set`` and report per-epoch train accuracy and accuracy on
-    ``test_set`` (see ``harness_splits``).  Deterministic per seed; train
-    accuracy is the online accuracy of predictions made during the epoch."""
+    on ``train_set``: (trained state, per-epoch history).  Deterministic per
+    seed.  A history entry holds the epoch's mean train loss and its train
+    accuracy, the online accuracy of the predictions made during the epoch;
+    callers score a test split once, with ``accuracy``, after training."""
     channels = train_set[0].feature_map.shape[0]
-    n_classes = max(inst.label for inst in train_set + test_set) + 1
+    n_classes = max(inst.label for inst in train_set) + 1
     state = init_train_state(kind, config, channels, n_classes, seed)
     shuffle_rng = stream_rng(seed, "shuffle")
     history: list[dict] = []
@@ -214,7 +215,6 @@ def train_toy(
                 "epoch": epoch,
                 "train_loss": losses / len(train_set),
                 "train_accuracy": hits / len(train_set),
-                "test_accuracy": accuracy(state, test_set),
             }
         )
     return state, history
@@ -270,15 +270,14 @@ def compare_extractors(
         states: dict[str, TrainState] = {}
         for kind in EXTRACTORS:
             state, history = train_toy(
-                kind, config, train_set, test_set, epochs, lr=lr, momentum=momentum, seed=seed
+                kind, config, train_set, epochs, lr=lr, momentum=momentum, seed=seed
             )
             states[kind] = state
             feature_fn = make_feature_fn(kind, state.params, state.config)
             run[kind] = {
-                "final_test_accuracy": history[-1]["test_accuracy"],
+                "final_test_accuracy": accuracy(state, test_set),
                 "final_train_accuracy": history[-1]["train_accuracy"],
                 "loss_curve": [h["train_loss"] for h in history],
-                "test_curve": [h["test_accuracy"] for h in history],
                 "invariance": {
                     family: invariance_eval(
                         feature_fn, dataset, family, invariance_samples,

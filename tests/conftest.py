@@ -1,8 +1,18 @@
-"""Shared pytest hooks and fixtures: collects acceptance-criterion verdicts
-and prints one line per criterion in the terminal summary; ``n_threads``
-fixes the number of threads batch renders use."""
+"""Shared pytest hooks and fixtures: pins BLAS to one thread unless the
+caller set a count, collects acceptance-criterion verdicts and prints one
+line per criterion in the terminal summary; ``n_threads`` fixes the number
+of threads batch renders use."""
+
+import os
+import sys
 
 import pytest
+
+# OpenBLAS reads its thread count once, when numpy loads; unpinned, its
+# threads oversubscribe the CPUs that batch renders already use
+assert "numpy" not in sys.modules, "numpy loaded before the BLAS thread pin"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from semroi import synthetic
 

@@ -183,17 +183,23 @@ def test_ablations_train_with_the_config_they_report(subcommand, tmp_path, capsy
 
     calls = []
 
-    def recorded(kind, config, train_set, test_set, epochs, **kwargs):
-        calls.append((epochs, len(train_set) + len(test_set)))
-        history = [{"test_accuracy": 0.5, "train_accuracy": 0.5, "train_loss": 1.0}]
-        return None, history
+    def recorded(kind, config, train_set, epochs, **kwargs):
+        calls.append((epochs, len(train_set)))
+        return "state", [{"train_accuracy": 0.5, "train_loss": 1.0}]
+
+    def scored(state, test_set):
+        calls.append((state, len(test_set)))
+        return 0.5
 
     monkeypatch.setattr(cli, "train_toy", recorded)
+    monkeypatch.setattr(cli, "accuracy", scored)
     code = run([subcommand, "--out", str(tmp_path), "--set", "train.epochs=1",
                 "--set", "data.n_per_class=6"])
     capsys.readouterr()
     assert code == 0
-    assert calls == [(1, 24)] * 3
+    # 4 classes x 6: 16 train instances, and each trained variant scores the
+    # 8 test instances once
+    assert calls == [(1, 16), ("state", 8)] * 3
     config = load_report(tmp_path, subcommand)["config"]
     assert (config["train.epochs"], config["data.n_per_class"]) == (1, 6)
 
@@ -287,6 +293,18 @@ def test_single_mask_exits_2_before_training(subcommand, tmp_path, capsys, monke
     monkeypatch.setattr(cli, "train_toy", _fail_if_run)
     assert run([subcommand, "--out", str(tmp_path), "--set", "sra.n_masks=1"]) == 2
     assert "2 masks" in capsys.readouterr().err
+
+
+def test_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    monkeypatch.setattr(cli, "run_all", _fail_if_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert run(["oracles", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(out) in err
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -414,16 +432,16 @@ def test_ablate_embedding_covers_all_modes(tmp_path, capsys):
     assert set(modes) == {"none", "position", "area"}
 
 
-def test_train_toy_single_kind_saves_checkpoint(tmp_path, capsys):
+def test_train_toy_single_kind_writes_only_its_report(tmp_path, capsys):
     code = run(["train-toy", "--out", str(tmp_path), "--set", "train.kind=sra", *TINY_TRAIN])
     capsys.readouterr()
     assert code == 0
-    doc = load_report(tmp_path, "train-toy")
-    assert doc["metrics"]["kind"] == "sra"
-    assert len(doc["metrics"]["history"]) == 1
-    ckpt = json.loads((tmp_path / "trained_sra_seed0.tjson").read_text())
-    assert ckpt["format"].startswith("semroi-params/")
-    assert "psi.weight" in ckpt["tensors"]
+    assert [p.name for p in tmp_path.iterdir()] == ["train-toy.json"]
+    metrics = load_report(tmp_path, "train-toy")["metrics"]
+    assert set(metrics) == {"kind", "history", "test_accuracy"}
+    assert metrics["kind"] == "sra"
+    assert [set(h) for h in metrics["history"]] == [{"epoch", "train_loss", "train_accuracy"}]
+    assert 0.0 <= metrics["test_accuracy"] <= 1.0
 
 
 def test_train_toy_single_kind_trains_on_the_both_dataset(tmp_path, capsys):
@@ -432,9 +450,10 @@ def test_train_toy_single_kind_trains_on_the_both_dataset(tmp_path, capsys):
     assert run(["train-toy", "--out", str(tmp_path / "sra"), "--set", "train.kind=sra", *tiny]) == 0
     assert run(["train-toy", "--out", str(tmp_path / "both"), *tiny]) == 0
     capsys.readouterr()
-    single = load_report(tmp_path / "sra", "train-toy")["metrics"]["history"]
+    single = load_report(tmp_path / "sra", "train-toy")["metrics"]
     both = load_report(tmp_path / "both", "train-toy")["metrics"]["runs"][0]["sra"]
-    assert [h["train_loss"] for h in single] == both["loss_curve"]
+    assert [h["train_loss"] for h in single["history"]] == both["loss_curve"]
+    assert single["test_accuracy"] == both["final_test_accuracy"]
 
 
 def test_invariance_report_structure(tmp_path, capsys):
@@ -459,6 +478,18 @@ def test_invariance_reproduces_train_toy_both(families, tmp_path, capsys):
     for kind in ("sra", "roi_align"):
         assert set(inv[kind]) == set(families.split(","))
         assert inv[kind]["rotation"] == both[kind]["invariance"]["rotation"]
+
+
+def test_diversity_renders_no_test_split(tmp_path, capsys, monkeypatch):
+    # diversity trains on the train split and scores no test split, so it
+    # re-poses nothing for one
+    from semroi import train
+
+    monkeypatch.setattr(train, "apply_transforms", _fail_if_run)
+    i = TINY_TRAIN.index("eval.invariance_samples=4")
+    code = run(["diversity", "--out", str(tmp_path), *TINY_TRAIN[: i - 1], *TINY_TRAIN[i + 1 :]])
+    capsys.readouterr()
+    assert code == 0
 
 
 def test_diversity_report_structure(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from semroi.oracles import (
     mask_logits_loop,
     sample_roi_feature_loop,
 )
-from semroi.reporting import load_checkpoint, save_checkpoint, assign_leaves
 from semroi.sampler import GridSize, RoIBox
 
 TINY = SraConfig(n_masks=3, budget=16, descriptor_dim=5, embed_channels=3, hidden=6)
@@ -436,44 +434,3 @@ def test_mask_regressor_bank_is_one_shared_trunk():
         (d_in,), (d_in,), (6, d_in), (6,), (6,), (6,), (3, 6), (3,)
     ]
     assert parameter_count(SraConfig(), 256) == 217_233
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    cfg = TINY
-    params = tiny_params(23, cfg)
-    path = tmp_path / "params.tjson"
-    save_checkpoint(path, param_leaves(params), meta={"channels": 4})
-    tensors, meta = load_checkpoint(path)
-    assert meta == {"channels": 4}
-    fresh = tiny_params(99, cfg)
-    assign_leaves(param_leaves(fresh), tensors)
-    fmap = np.random.default_rng(23).standard_normal((4, 10, 10))
-    box = RoIBox(1, 1, 8, 8)
-    a = sra_extract(fmap, box, params, cfg)
-    b = sra_extract(fmap, box, fresh, cfg)
-    np.testing.assert_array_equal(a.feature, b.feature)
-
-
-def test_checkpoint_rejects_mismatch(tmp_path):
-    params = tiny_params(24)
-    path = tmp_path / "params.tjson"
-    save_checkpoint(path, param_leaves(params))
-    tensors, _ = load_checkpoint(path)
-    tensors.pop("psi.weight")
-    with pytest.raises(ValueError, match="psi.weight"):
-        assign_leaves(param_leaves(tiny_params(25)), tensors)
-
-
-def test_checkpoint_of_the_stacked_heads_format_is_rejected(tmp_path):
-    # semroi-params/2 stored every mask-regressor tensor with a heads axis
-    path = tmp_path / "params.tjson"
-    save_checkpoint(path, param_leaves(tiny_params(26)))
-    doc = json.loads(path.read_text())
-    doc["format"] = "semroi-params/2"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="semroi-params/2.*semroi-params/3"):
-        load_checkpoint(path)

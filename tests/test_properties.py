@@ -1,8 +1,8 @@
 """Property tests: the grid table lookup against exhaustive search
 over the whole (h, w) lattice, the adjointness of every kernel's backward
-pass, the fused norm-relu-linear block against its composition, mask
-normalization over the amplification range, and the masks' permutation
-equivariance."""
+pass, finite-difference Jacobians on random shapes, the fused
+norm-relu-linear block against its composition, mask normalization over the
+amplification range, and the masks' permutation equivariance."""
 
 from dataclasses import replace
 
@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from semroi.core import (
+    DESCRIPTOR_MODES,
     SraConfig,
     extract_on_grid_recorded,
     init_params,
@@ -18,7 +19,8 @@ from semroi.core import (
     sra_extract,
 )
 from semroi.numerics import (
-    LayerNormParams, LinearParams, conv1x1_vjp, linear_vjp, norm_relu_linear_vjp,
+    LayerNormParams, LinearParams, check_vjp, conv1x1_vjp, layer_norm_vjp, linear_vjp,
+    norm_relu_linear_vjp, softmax_spatial_vjp,
 )
 from semroi.oracles import grid_size_exhaustive, norm_relu_linear_composed
 from semroi.sampler import RoIBox, dynamic_grid_size
@@ -134,6 +136,58 @@ def test_roi_descriptor_backward_is_adjoint(seed, mode, h, w):
     zero, rec = roi_descriptor_vjp(np.zeros((c, h, w)), mode, psi)
     assert_adjoint(lambda u: roi_descriptor_vjp(u, mode, psi)[0] - zero,
                    lambda v: rec.backward(v)[0], rng.standard_normal((c, h, w)), rng)
+
+
+# ---------------------------------------------------------------------------
+# Jacobians on random shapes: the fixed-shape finite-difference cases of
+# tests/test_numerics.py on a drawn (c, h, w), at check_vjp's fixed step and
+# tolerance.  The maximum descriptor's input keeps each channel's top entry
+# 0.5 above the rest, so no step of the difference moves the argmax.
+
+JACOBIAN = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def layer_norm_fn(x, gain, shift):
+    y, rec = layer_norm_vjp(x, LayerNormParams(gain, shift))
+    return y, lambda g: dict(zip(("x", "gain", "shift"), rec.backward(g)))
+
+
+def softmax_fn(logits):
+    y, rec = softmax_spatial_vjp(logits, gamma=50.0)
+    return y, lambda g: {"logits": rec.backward(g)[0]}
+
+
+def descriptor_fn(mode):
+    def fn(f, weight, bias):
+        y, rec = roi_descriptor_vjp(f, mode, LinearParams(weight, bias))
+        return y, lambda g: dict(zip(("f", "weight", "bias"), rec.backward(g)))
+
+    return fn
+
+
+@JACOBIAN
+@given(seed=seeds, c=st.integers(1, 6), h=st.integers(1, 6), w=st.integers(1, 6))
+def test_vjps_match_finite_differences_on_random_shapes(seed, c, h, w):
+    rng = np.random.default_rng(seed)
+    cases = {
+        # one row per grid position, normalized over its c channels
+        "layer_norm": (layer_norm_fn, {"x": rng.standard_normal((h * w, c)),
+                                       "gain": rng.standard_normal(c),
+                                       "shift": rng.standard_normal(c)}),
+        "softmax_spatial": (softmax_fn, {"logits": 0.5 * rng.standard_normal((c, h, w))}),
+    }
+    for mode in DESCRIPTOR_MODES:
+        f = rng.standard_normal((c, h, w))
+        if mode == "maximum":
+            flat = f.reshape(c, h * w)
+            flat[np.arange(c), flat.argmax(axis=1)] += 0.5
+        in_dim = f.size if mode == "concatenation" else c
+        cases[f"roi_descriptor_{mode}"] = (descriptor_fn(mode), {
+            "f": f, "weight": rng.standard_normal((4, in_dim)), "bias": rng.standard_normal(4),
+        })
+    for name, (fn, args) in cases.items():
+        report = check_vjp(fn, args, seed=seed)
+        assert report.passed, f"{name} at (c, h, w) = {(c, h, w)}: {report}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recor
 from semroi.train import (
     TrainingDiverged,
     augment_rotation,
-    harness_splits,
     init_train_state,
     split_dataset,
     train_step,
@@ -78,15 +77,15 @@ def test_momentum_accumulates_across_steps():
 
 def test_same_seed_identical_curves():
     ds = dataset(n=24)
-    _, hist_a = train_toy("sra", CFG, *harness_splits(ds, 5), epochs=2, seed=5)
-    _, hist_b = train_toy("sra", CFG, *harness_splits(ds, 5), epochs=2, seed=5)
+    _, hist_a = train_toy("sra", CFG, split_dataset(ds, 5)[0], epochs=2, seed=5)
+    _, hist_b = train_toy("sra", CFG, split_dataset(ds, 5)[0], epochs=2, seed=5)
     assert hist_a == hist_b
 
 
 def test_different_seed_differs():
     ds = dataset(n=24)
-    _, hist_a = train_toy("sra", CFG, *harness_splits(ds, 5), epochs=1, seed=5)
-    _, hist_b = train_toy("sra", CFG, *harness_splits(ds, 6), epochs=1, seed=6)
+    _, hist_a = train_toy("sra", CFG, split_dataset(ds, 5)[0], epochs=1, seed=5)
+    _, hist_b = train_toy("sra", CFG, split_dataset(ds, 6)[0], epochs=1, seed=6)
     assert hist_a != hist_b
 
 
@@ -147,7 +146,7 @@ def test_augment_rotation_changes_content_keeps_labels():
 
 def test_loss_decreases_over_first_epochs_smoke():
     ds = dataset(n=48, seed=23)
-    _, hist = train_toy("sra", CFG, *harness_splits(ds, 0), epochs=5, lr=0.02, momentum=0.9, seed=0)
+    _, hist = train_toy("sra", CFG, split_dataset(ds, 0)[0], epochs=5, lr=0.02, momentum=0.9, seed=0)
     losses = [h["train_loss"] for h in hist]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -208,6 +207,38 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
         split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
     ]
     assert augmented == [inst.seed for split in test_splits for inst in split]
+
+
+def test_compare_extractors_scores_the_test_split_once_per_kind(monkeypatch):
+    # training reports train statistics only; the test split is scored once,
+    # after the last epoch: one prediction per test instance, kind and seed
+    from semroi import train
+
+    predicted = []
+    predict = train.predict
+
+    def predict_counted(state, inst):
+        predicted.append((state.kind, inst.seed))
+        return predict(state, inst)
+
+    monkeypatch.setattr(train, "predict", predict_counted)
+    seeds = [3, 4]
+    result = train.compare_extractors(
+        CFG, seeds=seeds, n_classes=3, n_per_class=4, epochs=2,
+        invariance_samples=2, diversity_samples=2,
+    )
+    test_splits = [
+        split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
+    ]
+    assert predicted == [
+        (kind, inst.seed) for split in test_splits for kind in train.EXTRACTORS for inst in split
+    ]
+    for run in result["runs"]:
+        for kind in train.EXTRACTORS:
+            assert set(run[kind]) == {
+                "final_test_accuracy", "final_train_accuracy", "loss_curve", "invariance"
+            }
+            assert len(run[kind]["loss_curve"]) == 2
 
 
 def test_compare_extractors_rejects_unknown_family_before_training(monkeypatch):
