@@ -11,7 +11,8 @@ from .baselines import DEFAULT_OUT, roi_align, roi_pool
 from .core import SraConfig, SraParams, sra_extract
 from .numerics import Array, ConfigError, require_count
 from .synthetic import (
-    PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance, apply_transforms,
+    MAP_SIZE, PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance,
+    apply_transform, render_maps,
 )
 
 TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
@@ -19,7 +20,8 @@ TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
 # a pair of masks counts as diverse when its mean cosine is below this
 DIVERSITY_THRESHOLD = 0.3
 
-# the re-posed maps one invariance batch may hold: 64 maps at C=16, 4 at C=256
+# the re-posed maps one invariance batch may hold: 64 float64 maps at C=16,
+# 4 at C=256
 _REPOSE_BYTES = 32 << 20
 
 FeatureFn = Callable[[SyntheticInstance], Array]
@@ -90,9 +92,10 @@ def invariance_eval(
     generators in the same state give every extractor the same instances
     under the same deltas.
 
-    The re-poses are made in batches of as many maps as ``_REPOSE_BYTES``
-    holds, each rendered on every CPU by ``apply_transforms``; then each
-    (source, re-pose) pair of the batch is extracted back to back.  Nothing
+    The picks are re-posed in chunks of as many maps as ``_REPOSE_BYTES``
+    holds.  One ``render_maps`` batch per chunk renders, on every CPU, the
+    chunk's re-poses and those of its sources not rendered yet; then each
+    (source, re-pose) pair of the chunk is extracted back to back.  Nothing
     extracts while a batch renders.  The cosines are summed in pick order,
     so the report is bit for bit that of ``oracles.invariance_eval_loop``,
     which re-poses one pick at a time between its two extractions."""
@@ -102,12 +105,15 @@ def invariance_eval(
     picks = rng.integers(0, len(dataset), size=n_samples)
     sources = [dataset[int(idx)] for idx in picks]
     deltas = [random_delta(family, rng) for _ in sources]
-    batch = max(1, _REPOSE_BYTES // max(inst.feature_map.nbytes for inst in sources))
+    map_bytes = 8 * MAP_SIZE * MAP_SIZE * max(inst.ctx.channels for inst in sources)
+    batch = max(1, _REPOSE_BYTES // map_bytes)
     total = 0.0
     for start in range(0, n_samples, batch):
         chunk = sources[start : start + batch]
-        for inst, moved in zip(chunk, apply_transforms(chunk, deltas[start : start + batch])):
-            total += cosine(feature_fn(inst), feature_fn(moved))
+        moved = [apply_transform(i, d) for i, d in zip(chunk, deltas[start : start + batch])]
+        render_maps(chunk + moved)
+        for inst, after in zip(chunk, moved):
+            total += cosine(feature_fn(inst), feature_fn(after))
     return InvarianceReport(family=family, mean_cosine=total / n_samples, n_samples=n_samples)
 
 
@@ -139,14 +145,17 @@ def mask_diversity(
     n_samples: int,
     rng: np.random.Generator,
 ) -> DiversityReport:
+    """Mean pairwise cosine of the masks over ``n_samples`` random picks of
+    ``dataset``, whose maps are rendered in one ``render_maps`` batch
+    before the first extraction."""
     require_mask_pairs(config)
     if not dataset:
         raise ValueError("mask_diversity: empty dataset")
     require_count("n_samples", n_samples, 1)
-    picks = rng.integers(0, len(dataset), size=n_samples)
+    picks = [dataset[int(idx)] for idx in rng.integers(0, len(dataset), size=n_samples)]
+    render_maps(picks)
     acc = np.zeros((config.n_masks, config.n_masks))
-    for idx in picks:
-        inst = dataset[int(idx)]
+    for inst in picks:
         masks = sra_extract(inst.feature_map, inst.box, params, config).masks
         acc += pairwise_mask_cosines(masks)
     mean_matrix = acc / n_samples

@@ -12,12 +12,16 @@ pan act only on the box (the proposal is off).  Their magnitudes are fixed
 too, and shared with the invariance protocol: rotations within 45 degrees
 either way, box scales from 0.8 to 1.25, pans within 0.1 of the box size.
 Rendering is a pure function of (class layout, pose, instance seed), so
-re-posing an instance is exact: a re-pose that keeps the rotation and
-reflection keeps the map too, and shares the source's read-only array with a
-new box instead of re-rendering.
-Batches of renders (``generate_dataset``, ``apply_transforms``) are shared
-out over every CPU by ``render_batch``, with the same bits as one render
-after another.
+re-posing an instance is exact, and a map can wait until it is read.  Each
+instance holds a map slot, one per (class, rotation, reflection, seed): the
+first read of ``feature_map`` renders the slot's read-only map and keeps it.
+A re-pose that keeps the rotation and reflection keeps the map too, so it
+shares its source's slot with a new box, and the two render at most once.
+``generate_dataset`` and ``apply_transform`` render nothing; readers of many
+maps render the ones they will read with ``render_maps`` first, and
+``apply_transforms`` renders its re-poses.  Both share their renders out over
+every CPU by ``render_batch``, with the same bits as one render after
+another.
 """
 
 from __future__ import annotations
@@ -102,14 +106,48 @@ class RenderContext:
     channels: int
 
 
+Job = tuple[RenderContext, int, Pose, int]  # (ctx, label, pose, seed) of one render
+
+
+class _MapSlot:
+    """The map of one (class, rotation, reflection, seed), held by every
+    instance that shares it: None until the first read renders ``job``."""
+
+    __slots__ = ("job", "map")
+
+    def __init__(self, job: Job, fmap: Array | None = None):
+        self.job = job
+        self.map = fmap
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticInstance:
-    feature_map: Array  # (C, H, W)
     box: RoIBox
     label: int
     pose: Pose
     seed: int
     ctx: RenderContext = field(repr=False)
+    slot: _MapSlot = field(repr=False)
+
+    @property
+    def feature_map(self) -> Array:
+        """The (C, H, W) read-only map, rendered on the first read of any
+        instance sharing its slot.  Rendering is pure, so two threads that
+        race on a first read keep the same bits."""
+        slot = self.slot
+        if slot.map is None:
+            slot.map = _render(*slot.job, apply_stem).feature_map
+        return slot.map
+
+
+def _instance(
+    ctx: RenderContext, label: int, pose: Pose, seed: int, fmap: Array | None = None
+) -> SyntheticInstance:
+    """The instance of one job, with ``fmap`` as its map, or none rendered yet."""
+    return SyntheticInstance(
+        box=_proposal_box(pose), label=label, pose=pose, seed=seed, ctx=ctx,
+        slot=_MapSlot((ctx, label, pose, seed), fmap),
+    )
 
 
 def _rotate_reflect(offsets: Array, pose: Pose) -> Array:
@@ -178,10 +216,10 @@ def _proposal_box(pose: Pose) -> RoIBox:
     half = BOX_SIZE * pose.scale / 2.0
     bx = center + pose.pan_x * BOX_SIZE
     by = center + pose.pan_y * BOX_SIZE
-    x0 = float(np.clip(bx - half, 0.0, MAP_SIZE - 2.0))
-    y0 = float(np.clip(by - half, 0.0, MAP_SIZE - 2.0))
-    x1 = float(np.clip(bx + half, x0 + 1.0, MAP_SIZE - 1.0))
-    y1 = float(np.clip(by + half, y0 + 1.0, MAP_SIZE - 1.0))
+    x0 = min(max(bx - half, 0.0), MAP_SIZE - 2.0)
+    y0 = min(max(by - half, 0.0), MAP_SIZE - 2.0)
+    x1 = min(max(bx + half, x0 + 1.0), MAP_SIZE - 1.0)
+    y1 = min(max(by + half, y0 + 1.0), MAP_SIZE - 1.0)
     return RoIBox(x0, y0, x1, y1)
 
 
@@ -196,10 +234,13 @@ def render_instance(
 def _render(
     ctx: RenderContext, label: int, pose: Pose, seed: int, stem_fn: Callable[[Array, Array], Array]
 ) -> SyntheticInstance:
-    """The body of ``render_instance``, with the stem applied by ``stem_fn``:
-    the public ``apply_stem`` for a single render, its body for a batch."""
+    """The body of every render, with the stem applied by ``stem_fn``: the
+    public ``apply_stem`` for a single render, its body for a batch."""
     rng = np.random.default_rng(seed)
-    fmap = rng.normal(0.0, NOISE_AMP, size=(ctx.channels, MAP_SIZE, MAP_SIZE))
+    # the bits of rng.normal(0.0, NOISE_AMP, shape), which computes
+    # 0.0 + NOISE_AMP * z, in less time
+    fmap = rng.standard_normal((ctx.channels, MAP_SIZE, MAP_SIZE))
+    fmap *= NOISE_AMP
     centers, signatures = part_layout(ctx, label, pose)
     # each blob is separable: a row profile times a column profile
     pix = np.arange(MAP_SIZE)
@@ -210,14 +251,7 @@ def _render(
     fmap += (signatures.T @ blobs).reshape(fmap.shape)
     fmap = stem_fn(fmap, ctx.stem)
     fmap.setflags(write=False)
-    return SyntheticInstance(
-        feature_map=fmap,
-        box=_proposal_box(pose),
-        label=label,
-        pose=pose,
-        seed=seed,
-        ctx=ctx,
-    )
+    return _instance(ctx, label, pose, seed, fmap)
 
 
 def _cpu_count() -> int:
@@ -228,7 +262,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def render_batch(jobs: Sequence[tuple[RenderContext, int, Pose, int]]) -> list[SyntheticInstance]:
+def render_batch(jobs: Sequence[Job]) -> list[SyntheticInstance]:
     """``[render_instance(*job) for job in jobs]``, bit for bit, on every CPU.
 
     Job k is rendered by thread k mod W, where W is the number of CPUs this
@@ -269,6 +303,15 @@ def render_batch(jobs: Sequence[tuple[RenderContext, int, Pose, int]]) -> list[S
     if errors:
         raise errors[min(errors)]
     return out
+
+
+def render_maps(instances: Sequence[SyntheticInstance]) -> None:
+    """Render every map of ``instances`` not rendered yet, each shared slot
+    once, in one ``render_batch``; with nothing to render, no batch."""
+    slots = list(dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None))
+    if slots:
+        for slot, done in zip(slots, render_batch([slot.job for slot in slots])):
+            slot.map = done.slot.map
 
 
 def _cosine_ok(v: Array, others: list[Array]) -> bool:
@@ -344,57 +387,40 @@ def random_pose(rng: np.random.Generator) -> Pose:
 def generate_dataset(
     n_classes: int, n_instances: int, seed: int, channels: int = 16
 ) -> list[SyntheticInstance]:
-    """Round-robin labelled instances at random poses, deterministic per seed."""
+    """Round-robin labelled instances at random poses, deterministic per
+    seed.  No map is rendered: each renders on its first read, or in a
+    ``render_maps`` batch."""
     if not is_int(n_classes) or n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes!r}")
     require_count("n_instances", n_instances, 1)
     ctx = make_render_context(n_classes, seed, channels)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
-    jobs = [
-        (ctx, i % n_classes, random_pose(pose_rng), derive_seed(seed, f"instance/{i}"))
+    return [
+        _instance(ctx, i % n_classes, random_pose(pose_rng), derive_seed(seed, f"instance/{i}"))
         for i in range(n_instances)
     ]
-    return render_batch(jobs)
-
-
-def _share_map(inst: SyntheticInstance, pose: Pose) -> SyntheticInstance | None:
-    """The instance at ``pose`` sharing ``inst``'s map with a new box, when
-    ``pose`` keeps its rotation and reflection; else None (a re-render).
-
-    The map depends on the pose only through its rotation and reflection
-    (``part_layout``), so only the box needs computing."""
-    if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
-        return replace(inst, pose=pose, box=_proposal_box(pose))
-    return None
 
 
 def apply_transform(inst: SyntheticInstance, delta: Pose) -> SyntheticInstance:
-    """The instance with ``delta`` composed onto its pose: the source's map
-    with a new box when the composed pose keeps the rotation and reflection,
-    else a re-render."""
+    """The instance with ``delta`` composed onto its pose.  When the composed
+    pose keeps the rotation and reflection, it shares the source's map slot
+    with a new box: the map depends on the pose only through those two
+    (``part_layout``).  Else it gets a slot of its own.  Nothing renders
+    here."""
     pose = compose_pose(inst.pose, delta)
-    shared = _share_map(inst, pose)
-    if shared is not None:
-        return shared
-    return render_instance(inst.ctx, inst.label, pose, inst.seed)
+    if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
+        return replace(inst, pose=pose, box=_proposal_box(pose))
+    return _instance(inst.ctx, inst.label, pose, inst.seed)
 
 
 def apply_transforms(
     instances: Sequence[SyntheticInstance], deltas: Sequence[Pose]
 ) -> list[SyntheticInstance]:
-    """``[apply_transform(i, d) for i, d in zip(instances, deltas)]``, bit
-    for bit, with the re-renders shared out by ``render_batch``."""
+    """``[apply_transform(i, d) for i, d in zip(instances, deltas)]``, with
+    their maps rendered by ``render_maps``: the re-renders, and the shared
+    slots of sources not rendered yet."""
     if len(instances) != len(deltas):
         raise ValueError(f"{len(instances)} instances but {len(deltas)} deltas")
-    out: list = []
-    jobs, slots = [], []
-    for inst, delta in zip(instances, deltas):
-        pose = compose_pose(inst.pose, delta)
-        shared = _share_map(inst, pose)
-        if shared is None:
-            slots.append(len(out))
-            jobs.append((inst.ctx, inst.label, pose, inst.seed))
-        out.append(shared)
-    for k, rendered in zip(slots, render_batch(jobs)):
-        out[k] = rendered
+    out = [apply_transform(inst, delta) for inst, delta in zip(instances, deltas)]
+    render_maps(out)
     return out

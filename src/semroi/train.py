@@ -27,7 +27,7 @@ from .evaluate import (
 )
 from .numerics import Array, ConfigError, LinearParams, init_linear, require_count
 from .reporting import derive_seed, stream_rng
-from .synthetic import SyntheticInstance, apply_transforms, generate_dataset
+from .synthetic import SyntheticInstance, apply_transforms, generate_dataset, render_maps
 
 
 class TrainingDiverged(RuntimeError):
@@ -149,7 +149,9 @@ def split_dataset(
     dataset: list[SyntheticInstance], seed: int
 ) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
     """Stratified split, deterministic per seed: ``TEST_FRACTION`` of each
-    class, and at least one instance, goes to the test split."""
+    class, and at least one instance, goes to the test split.  The train
+    split's maps are rendered here, in one ``render_maps`` batch, so no
+    training step renders; the test split's render only when read."""
     rng = stream_rng(seed, "split")
     by_label: dict[int, list[int]] = {}
     for i, inst in enumerate(dataset):
@@ -162,7 +164,9 @@ def split_dataset(
         n_test = max(1, int(round(TEST_FRACTION * len(idx))))
         test_idx.extend(idx[:n_test].tolist())
         train_idx.extend(idx[n_test:].tolist())
-    return [dataset[i] for i in sorted(train_idx)], [dataset[i] for i in sorted(test_idx)]
+    train_set = [dataset[i] for i in sorted(train_idx)]
+    render_maps(train_set)
+    return train_set, [dataset[i] for i in sorted(test_idx)]
 
 
 def augment_rotation(instances: list[SyntheticInstance], seed: int) -> list[SyntheticInstance]:
@@ -177,7 +181,8 @@ def harness_splits(
     """The train split of ``dataset`` and its rotation-augmented test split:
     what ``train_toy`` trains on and ``accuracy`` then scores at this seed.
     Every kind and variant trained at the seed shares the one rendered test
-    split."""
+    split, whose re-poses are rendered from their poses and seeds: the test
+    split's own maps are not rendered."""
     train_set, test_set = split_dataset(dataset, seed)
     return train_set, augment_rotation(test_set, seed)
 
@@ -196,7 +201,7 @@ def train_toy(
     seed.  A history entry holds the epoch's mean train loss and its train
     accuracy, the online accuracy of the predictions made during the epoch;
     callers score a test split once, with ``accuracy``, after training."""
-    channels = train_set[0].feature_map.shape[0]
+    channels = train_set[0].ctx.channels
     n_classes = max(inst.label for inst in train_set) + 1
     state = init_train_state(kind, config, channels, n_classes, seed)
     shuffle_rng = stream_rng(seed, "shuffle")

@@ -1,7 +1,7 @@
 """Shared pytest hooks and fixtures: pins BLAS to one thread unless the
 caller set a count, collects acceptance-criterion verdicts and prints one
 line per criterion in the terminal summary; ``n_threads`` fixes the number
-of threads batch renders use."""
+of threads batch renders use, and ``renders`` records every render."""
 
 import os
 import sys
@@ -37,3 +37,18 @@ def n_threads(request, monkeypatch):
     """Batch renders spread over this many threads, whatever the host has."""
     monkeypatch.setattr(synthetic, "_cpu_count", lambda: request.param)
     return request.param
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """The (label, pose, seed) of every render from here on, batched or
+    not; a batch's renders land in no fixed order."""
+    jobs = []
+    body = synthetic._render
+
+    def recorded(ctx, label, pose, seed, stem_fn):
+        jobs.append((label, pose, seed))
+        return body(ctx, label, pose, seed, stem_fn)
+
+    monkeypatch.setattr(synthetic, "_render", recorded)
+    return jobs

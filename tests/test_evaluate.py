@@ -15,13 +15,16 @@ from semroi.evaluate import (
 )
 from semroi.numerics import ConfigError
 from semroi.oracles import invariance_eval_loop
-from semroi.synthetic import generate_dataset
+from semroi.synthetic import MAP_SIZE, generate_dataset, render_maps
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
 
 def dataset():
-    return generate_dataset(3, 12, seed=31)
+    # rendered, so a render_batch in the protocol holds re-poses only
+    ds = generate_dataset(3, 12, seed=31)
+    render_maps(ds)
+    return ds
 
 
 def test_cosine_identical_is_one():
@@ -118,13 +121,14 @@ def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_th
     sizes = recorded_batches(monkeypatch)
     got = invariance_eval(fn_recorded, ds, family, n_samples, np.random.default_rng(n_samples))
     assert got == want
-    assert max(sizes) <= 4 and len(sizes) == -(-n_samples // 4)
     sources, moved = seen[0::2], seen[1::2]
     assert len(moved) == n_samples
     shared = [np.shares_memory(a.feature_map, b.feature_map) for a, b in zip(sources, moved)]
     if family in ("identity", "scale_pan"):
-        assert sum(sizes) == 0 and all(shared)
+        # nothing to render makes no batch
+        assert sizes == [] and all(shared)
     else:
+        assert max(sizes) <= 4 and len(sizes) == -(-n_samples // 4)
         assert sum(sizes) == n_samples and not any(shared)
 
 
@@ -137,6 +141,66 @@ def test_the_protocol_draws_form_one_batch_at_sixteen_channels(monkeypatch):
     got = invariance_eval(fn, ds, "reflection", 60, np.random.default_rng(6))
     assert sizes == [60]
     assert got == invariance_eval_loop(fn, ds, "reflection", 60, np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
+def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(family, n_threads, monkeypatch):
+    # a budget of 4 maps: 11 picks make chunks of 4, 4 and 3
+    monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * 8 * MAP_SIZE * MAP_SIZE * 16)
+    fn = make_feature_fn("roi_align")
+    want = invariance_eval_loop(fn, dataset(), family, 11, np.random.default_rng(8))
+    extracting = []
+    body = synthetic._render
+
+    def render_checked(*job):
+        assert not extracting, "a map was rendered during an extraction"
+        return body(*job)
+
+    def fn_checked(inst):
+        extracting.append(inst)
+        out = fn(inst)
+        extracting.pop()
+        return out
+
+    monkeypatch.setattr(synthetic, "_render", render_checked)
+    sizes = recorded_batches(monkeypatch)
+    got = invariance_eval(
+        fn_checked, generate_dataset(3, 12, seed=31), family, 11, np.random.default_rng(8)
+    )
+    assert got == want
+    picks = np.random.default_rng(8).integers(0, 12, size=11).tolist()
+    rendered: set[int] = set()
+    want_sizes = []
+    for start in range(0, 11, 4):
+        chunk = picks[start : start + 4]
+        sources = set(chunk) - rendered
+        rendered |= sources
+        re_renders = 0 if family in ("identity", "scale_pan") else len(chunk)
+        want_sizes.append(len(sources) + re_renders)
+    assert sizes == [size for size in want_sizes if size]
+
+
+def test_mask_diversity_renders_its_picks_in_one_batch_first(monkeypatch):
+    params = init_params(CFG, 16, np.random.default_rng(6))
+    want = mask_diversity(params, CFG, dataset(), 6, np.random.default_rng(9))
+    events = []
+    batch = synthetic.render_batch
+    extract = evaluate.sra_extract
+
+    def batch_recorded(jobs):
+        events.append(("batch", len(jobs)))
+        return batch(jobs)
+
+    def extract_recorded(*args):
+        events.append("extract")
+        return extract(*args)
+
+    monkeypatch.setattr(synthetic, "render_batch", batch_recorded)
+    monkeypatch.setattr(evaluate, "sra_extract", extract_recorded)
+    got = mask_diversity(params, CFG, generate_dataset(3, 12, seed=31), 6, np.random.default_rng(9))
+    picks = set(np.random.default_rng(9).integers(0, 12, size=6).tolist())
+    assert events == [("batch", len(picks))] + ["extract"] * 6
+    assert np.array_equal(got.mean_matrix, want.mean_matrix)
 
 
 def test_unknown_family_rejected():

@@ -142,6 +142,22 @@ def test_box_only_transform_shares_the_map(delta, monkeypatch):
     assert np.shares_memory(moved.feature_map, inst.feature_map)
 
 
+def test_a_map_renders_on_its_first_read_only(renders):
+    inst = small_dataset(n=3)[0]
+    assert renders == []
+    first = inst.feature_map
+    assert inst.feature_map is first
+    assert renders == [(inst.label, inst.pose, inst.seed)]
+
+
+def test_a_scale_pan_re_pose_shares_the_unrendered_slot(renders):
+    inst = small_dataset(n=3)[1]
+    moved = apply_transform(inst, Pose(scale=1.2, pan_x=0.05, pan_y=-0.04))
+    assert renders == []
+    assert np.shares_memory(moved.feature_map, inst.feature_map)
+    assert renders == [(inst.label, inst.pose, inst.seed)]
+
+
 def test_rendered_map_is_read_only():
     inst = small_dataset()[0]
     with pytest.raises(ValueError, match="read-only"):

@@ -1,16 +1,22 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from semroi import synthetic
 from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recorded
+from semroi.evaluate import random_delta
+from semroi.reporting import stream_rng
 from semroi.train import (
     TrainingDiverged,
     augment_rotation,
+    harness_splits,
     init_train_state,
     split_dataset,
     train_step,
     train_toy,
 )
-from semroi.synthetic import generate_dataset
+from semroi.synthetic import compose_pose, generate_dataset
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
@@ -134,6 +140,39 @@ def test_split_is_stratified_and_deterministic():
     assert all(i.seed not in train_seeds for i in test_a)
 
 
+def jobs(instances):
+    return [(inst.label, inst.pose, inst.seed) for inst in instances]
+
+
+def test_split_dataset_renders_the_train_split_in_one_batch(renders, monkeypatch):
+    ds = dataset(12, seed=5)
+    sizes = []
+    batch = synthetic.render_batch
+
+    def recorded(batch_jobs):
+        sizes.append(len(batch_jobs))
+        return batch(batch_jobs)
+
+    monkeypatch.setattr(synthetic, "render_batch", recorded)
+    train_set, _ = split_dataset(ds, 5)
+    assert sizes == [len(train_set)]
+    assert Counter(renders) == Counter(jobs(train_set))
+    for inst in train_set:
+        inst.feature_map
+    assert len(renders) == len(train_set)
+
+
+def test_harness_splits_renders_no_test_split_original(renders):
+    ds = dataset(12, seed=5)
+    train_set, test_set = harness_splits(ds, 5)
+    kept = {id(inst) for inst in train_set}
+    originals = [inst for inst in ds if id(inst) not in kept]
+    assert len(originals) == len(test_set)
+    # the train split and the rotated re-poses, each once
+    assert Counter(renders) == Counter(jobs(train_set) + jobs(test_set))
+    assert not set(jobs(originals)) & set(renders)
+
+
 def test_augment_rotation_changes_content_keeps_labels():
     ds = dataset(n=8)
     rotated = augment_rotation(ds, seed=4)
@@ -161,18 +200,18 @@ def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
 
     events = []
     fit = train.train_toy
-    transforms = evaluate.apply_transforms
+    transform = evaluate.apply_transform
 
     def fit_marked(kind, *args, **kwargs):
         events.append(kind)
         return fit(kind, *args, **kwargs)
 
-    def transforms_recorded(instances, deltas):
-        events.extend((inst.seed, delta) for inst, delta in zip(instances, deltas))
-        return transforms(instances, deltas)
+    def transform_recorded(inst, delta):
+        events.append((inst.seed, delta))
+        return transform(inst, delta)
 
     monkeypatch.setattr(train, "train_toy", fit_marked)
-    monkeypatch.setattr(evaluate, "apply_transforms", transforms_recorded)
+    monkeypatch.setattr(evaluate, "apply_transform", transform_recorded)
     result = train.compare_extractors(
         CFG, seeds=[3], n_classes=3, n_per_class=4, epochs=1,
         invariance_samples=5, diversity_samples=2,
@@ -207,6 +246,35 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
         split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
     ]
     assert augmented == [inst.seed for split in test_splits for inst in split]
+
+
+def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(renders):
+    from semroi import train
+
+    seed, n_instances, n_invariance, n_diversity = 9, 12, 5, 2
+    train.compare_extractors(
+        CFG, seeds=[seed], n_classes=3, n_per_class=4, epochs=1,
+        invariance_samples=n_invariance, diversity_samples=n_diversity,
+    )
+    got = Counter(renders)
+    ds = train.harness_dataset(seed, 3, 4)
+    train_set, test_set = split_dataset(ds, seed)
+    kept = {id(inst) for inst in train_set}
+    originals = {k for k, inst in enumerate(ds) if id(inst) not in kept}
+    inv_rng = stream_rng(seed, "invariance/rotation")
+    inv_picks = inv_rng.integers(0, n_instances, size=n_invariance).tolist()
+    re_poses = [
+        (ds[k].label, compose_pose(ds[k].pose, random_delta("rotation", inv_rng)), ds[k].seed)
+        for k in inv_picks
+    ]
+    div_picks = stream_rng(seed, "diversity").integers(0, n_instances, size=n_diversity).tolist()
+    read = originals & set(inv_picks + div_picks)
+    # the seed exercises both cases: a test original read, and one never read
+    assert read and originals - read
+    want = Counter(jobs(train_set) + jobs(augment_rotation(test_set, seed)))
+    want.update(jobs(ds[k] for k in read))
+    want.update(2 * re_poses)  # both kinds re-pose the same draws
+    assert got == want
 
 
 def test_compare_extractors_scores_the_test_split_once_per_kind(monkeypatch):
