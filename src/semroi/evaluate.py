@@ -11,8 +11,8 @@ from .baselines import DEFAULT_OUT, roi_align, roi_pool
 from .core import SraConfig, SraParams, sra_extract
 from .numerics import Array, ConfigError, require_count
 from .synthetic import (
-    MAP_SIZE, PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance,
-    apply_transform, render_maps,
+    PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance, apply_transform,
+    map_nbytes, render_maps,
 )
 
 TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
@@ -105,8 +105,7 @@ def invariance_eval(
     picks = rng.integers(0, len(dataset), size=n_samples)
     sources = [dataset[int(idx)] for idx in picks]
     deltas = [random_delta(family, rng) for _ in sources]
-    map_bytes = 8 * MAP_SIZE * MAP_SIZE * max(inst.ctx.channels for inst in sources)
-    batch = max(1, _REPOSE_BYTES // map_bytes)
+    batch = max(1, _REPOSE_BYTES // max(map_nbytes(inst.ctx) for inst in sources))
     total = 0.0
     for start in range(0, n_samples, batch):
         chunk = sources[start : start + batch]

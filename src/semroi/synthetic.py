@@ -136,7 +136,7 @@ class SyntheticInstance:
         race on a first read keep the same bits."""
         slot = self.slot
         if slot.map is None:
-            slot.map = _render(*slot.job, apply_stem).feature_map
+            slot.map = _render(*slot.job, apply_stem)
         return slot.map
 
 
@@ -209,6 +209,11 @@ def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Arra
     return centers, np.array([p.signature for p in parts])
 
 
+def map_nbytes(ctx: RenderContext) -> int:
+    """The bytes of one rendered map of ``ctx``: (C, H, W) float64."""
+    return np.dtype(np.float64).itemsize * ctx.channels * MAP_SIZE * MAP_SIZE
+
+
 def _proposal_box(pose: Pose) -> RoIBox:
     """The box around the map center, scaled and panned by ``pose`` and
     clamped to at least one pixel inside the map."""
@@ -228,14 +233,15 @@ def render_instance(
 ) -> SyntheticInstance:
     """Deterministic render of one instance.  The map is read-only, so
     re-poses that keep it can share it."""
-    return _render(ctx, label, pose, seed, apply_stem)
+    return _instance(ctx, label, pose, seed, _render(ctx, label, pose, seed, apply_stem))
 
 
 def _render(
     ctx: RenderContext, label: int, pose: Pose, seed: int, stem_fn: Callable[[Array, Array], Array]
-) -> SyntheticInstance:
-    """The body of every render, with the stem applied by ``stem_fn``: the
-    public ``apply_stem`` for a single render, its body for a batch."""
+) -> Array:
+    """The read-only map of one render, with the stem applied by
+    ``stem_fn``: the public ``apply_stem`` for a single render, its body for
+    a batch."""
     rng = np.random.default_rng(seed)
     # the bits of rng.normal(0.0, NOISE_AMP, shape), which computes
     # 0.0 + NOISE_AMP * z, in less time
@@ -251,7 +257,7 @@ def _render(
     fmap += (signatures.T @ blobs).reshape(fmap.shape)
     fmap = stem_fn(fmap, ctx.stem)
     fmap.setflags(write=False)
-    return _instance(ctx, label, pose, seed, fmap)
+    return fmap
 
 
 def _cpu_count() -> int:
@@ -262,8 +268,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def render_batch(jobs: Sequence[Job]) -> list[SyntheticInstance]:
-    """``[render_instance(*job) for job in jobs]``, bit for bit, on every CPU.
+def render_batch(jobs: Sequence[Job]) -> list[Array]:
+    """``[render_instance(*job).feature_map for job in jobs]``, bit for bit,
+    on every CPU.
 
     Job k is rendered by thread k mod W, where W is the number of CPUs this
     process may run on, capped at the number of jobs; thread 0 is the
@@ -281,7 +288,7 @@ def render_batch(jobs: Sequence[Job]) -> list[SyntheticInstance]:
     """
     n = len(jobs)
     n_threads = max(1, min(_cpu_count(), n))
-    out: list = [None] * n
+    out: list[Array] = [None] * n
     errors: dict[int, Exception] = {}
 
     def render_share(t: int) -> None:
@@ -310,8 +317,8 @@ def render_maps(instances: Sequence[SyntheticInstance]) -> None:
     once, in one ``render_batch``; with nothing to render, no batch."""
     slots = list(dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None))
     if slots:
-        for slot, done in zip(slots, render_batch([slot.job for slot in slots])):
-            slot.map = done.slot.map
+        for slot, fmap in zip(slots, render_batch([slot.job for slot in slots])):
+            slot.map = fmap
 
 
 def _cosine_ok(v: Array, others: list[Array]) -> bool:

@@ -1,7 +1,8 @@
 """Shared pytest hooks and fixtures: pins BLAS to one thread unless the
 caller set a count, collects acceptance-criterion verdicts and prints one
 line per criterion in the terminal summary; ``n_threads`` fixes the number
-of threads batch renders use, and ``renders`` records every render."""
+of threads batch renders use, ``renders`` records every render and
+``batches`` the size of every batch."""
 
 import os
 import sys
@@ -52,3 +53,17 @@ def renders(monkeypatch):
 
     monkeypatch.setattr(synthetic, "_render", recorded)
     return jobs
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The job count of every ``render_batch`` call from here on."""
+    sizes = []
+    batch = synthetic.render_batch
+
+    def recorded(jobs):
+        sizes.append(len(jobs))
+        return batch(jobs)
+
+    monkeypatch.setattr(synthetic, "render_batch", recorded)
+    return sizes

@@ -15,7 +15,7 @@ from semroi.evaluate import (
 )
 from semroi.numerics import ConfigError
 from semroi.oracles import invariance_eval_loop
-from semroi.synthetic import MAP_SIZE, generate_dataset, render_maps
+from semroi.synthetic import generate_dataset, map_nbytes, render_maps
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
@@ -89,23 +89,10 @@ def test_invariance_accepts_a_numpy_sample_count():
     assert got == invariance_eval(fn, ds, "rotation", 3, np.random.default_rng(5))
 
 
-def recorded_batches(monkeypatch):
-    """The job count of every ``render_batch`` call from here on."""
-    sizes = []
-    batch = synthetic.render_batch
-
-    def recorded(jobs):
-        sizes.append(len(jobs))
-        return batch(jobs)
-
-    monkeypatch.setattr(synthetic, "render_batch", recorded)
-    return sizes
-
-
 @pytest.mark.parametrize("n_samples", [3, 4, 11], ids=["below_a_batch", "one_batch", "three_batches"])
 @pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
 @pytest.mark.parametrize("kind", ["roi_align", "sra"])
-def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_threads, monkeypatch):
+def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_threads, batches, monkeypatch):
     # a budget of 4 maps: 11 samples make batches of 4, 4 and 3
     ds = dataset()
     monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * ds[0].feature_map.nbytes)
@@ -118,7 +105,7 @@ def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_th
         seen.append(inst)
         return fn(inst)
 
-    sizes = recorded_batches(monkeypatch)
+    batches.clear()  # the fixture's render
     got = invariance_eval(fn_recorded, ds, family, n_samples, np.random.default_rng(n_samples))
     assert got == want
     sources, moved = seen[0::2], seen[1::2]
@@ -126,27 +113,30 @@ def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_th
     shared = [np.shares_memory(a.feature_map, b.feature_map) for a, b in zip(sources, moved)]
     if family in ("identity", "scale_pan"):
         # nothing to render makes no batch
-        assert sizes == [] and all(shared)
+        assert batches == [] and all(shared)
     else:
-        assert max(sizes) <= 4 and len(sizes) == -(-n_samples // 4)
-        assert sum(sizes) == n_samples and not any(shared)
+        assert max(batches) <= 4 and len(batches) == -(-n_samples // 4)
+        assert sum(batches) == n_samples and not any(shared)
 
 
-def test_the_protocol_draws_form_one_batch_at_sixteen_channels(monkeypatch):
+def test_the_protocol_draws_form_one_batch_at_sixteen_channels(batches):
     # 60 maps of 512 KiB fit the default budget
     ds = dataset()
     assert ds[0].feature_map.nbytes == 512 << 10
-    sizes = recorded_batches(monkeypatch)
+    batches.clear()  # the fixture's render
     fn = make_feature_fn("roi_align")
     got = invariance_eval(fn, ds, "reflection", 60, np.random.default_rng(6))
-    assert sizes == [60]
+    assert batches == [60]
     assert got == invariance_eval_loop(fn, ds, "reflection", 60, np.random.default_rng(6))
 
 
 @pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
-def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(family, n_threads, monkeypatch):
+def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(
+    family, n_threads, batches, monkeypatch
+):
     # a budget of 4 maps: 11 picks make chunks of 4, 4 and 3
-    monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * 8 * MAP_SIZE * MAP_SIZE * 16)
+    ds = generate_dataset(3, 12, seed=31)
+    monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * map_nbytes(ds[0].ctx))
     fn = make_feature_fn("roi_align")
     want = invariance_eval_loop(fn, dataset(), family, 11, np.random.default_rng(8))
     extracting = []
@@ -163,10 +153,8 @@ def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(family, n
         return out
 
     monkeypatch.setattr(synthetic, "_render", render_checked)
-    sizes = recorded_batches(monkeypatch)
-    got = invariance_eval(
-        fn_checked, generate_dataset(3, 12, seed=31), family, 11, np.random.default_rng(8)
-    )
+    batches.clear()  # the render of the loop's dataset
+    got = invariance_eval(fn_checked, ds, family, 11, np.random.default_rng(8))
     assert got == want
     picks = np.random.default_rng(8).integers(0, 12, size=11).tolist()
     rendered: set[int] = set()
@@ -177,29 +165,25 @@ def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(family, n
         rendered |= sources
         re_renders = 0 if family in ("identity", "scale_pan") else len(chunk)
         want_sizes.append(len(sources) + re_renders)
-    assert sizes == [size for size in want_sizes if size]
+    assert batches == [size for size in want_sizes if size]
 
 
-def test_mask_diversity_renders_its_picks_in_one_batch_first(monkeypatch):
+def test_mask_diversity_renders_its_picks_in_one_batch_first(batches, monkeypatch):
     params = init_params(CFG, 16, np.random.default_rng(6))
     want = mask_diversity(params, CFG, dataset(), 6, np.random.default_rng(9))
-    events = []
-    batch = synthetic.render_batch
+    batches.clear()  # the render of the reference's dataset
+    batches_before_extract = []
     extract = evaluate.sra_extract
 
-    def batch_recorded(jobs):
-        events.append(("batch", len(jobs)))
-        return batch(jobs)
-
     def extract_recorded(*args):
-        events.append("extract")
+        batches_before_extract.append(len(batches))
         return extract(*args)
 
-    monkeypatch.setattr(synthetic, "render_batch", batch_recorded)
     monkeypatch.setattr(evaluate, "sra_extract", extract_recorded)
     got = mask_diversity(params, CFG, generate_dataset(3, 12, seed=31), 6, np.random.default_rng(9))
     picks = set(np.random.default_rng(9).integers(0, 12, size=6).tolist())
-    assert events == [("batch", len(picks))] + ["extract"] * 6
+    assert batches == [len(picks)]
+    assert batches_before_extract == [1] * 6
     assert np.array_equal(got.mean_matrix, want.mean_matrix)
 
 

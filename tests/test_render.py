@@ -99,6 +99,7 @@ def test_generate_dataset_matches_a_render_loop(n_threads):
     ctx = make_render_context(n_classes, seed)
     pose_rng = np.random.default_rng(derive_seed(seed, "poses"))
     dataset = generate_dataset(n_classes, 7, seed)
+    synthetic.render_maps(dataset)
     assert len(dataset) == 7
     for i, inst in enumerate(dataset):
         pose = random_pose(pose_rng)
@@ -181,6 +182,7 @@ def test_batch_survives_frequent_thread_switches(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = generate_dataset(3, 8, seed=6)
+        synthetic.render_maps(got)
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setattr(synthetic, "_cpu_count", lambda: 1)
@@ -200,6 +202,7 @@ import hashlib
 from semroi import synthetic
 synthetic._cpu_count = lambda: 2
 dataset = synthetic.generate_dataset(3, 6, seed=11)
+synthetic.render_maps(dataset)
 for maps in (
     [inst.feature_map for inst in dataset],
     [synthetic.render_instance(i.ctx, i.label, i.pose, i.seed).feature_map for i in dataset],

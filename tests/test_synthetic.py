@@ -135,11 +135,11 @@ def test_transform_equals_render_at_the_composed_pose(family):
     [Pose(), Pose(scale=0.8), Pose(scale=1.2, pan_x=0.05, pan_y=-0.04)],
     ids=["identity", "scale", "scale_pan"],
 )
-def test_box_only_transform_shares_the_map(delta, monkeypatch):
+def test_box_only_transform_shares_the_map(delta, renders):
     inst = small_dataset()[5]
-    monkeypatch.setattr(synthetic, "render_instance", lambda *a: pytest.fail("re-rendered"))
     moved = apply_transform(inst, delta)
     assert np.shares_memory(moved.feature_map, inst.feature_map)
+    assert renders == [(inst.label, inst.pose, inst.seed)]
 
 
 def test_a_map_renders_on_its_first_read_only(renders):

@@ -3,7 +3,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from semroi import synthetic
 from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recorded
 from semroi.evaluate import random_delta
 from semroi.reporting import stream_rng
@@ -144,18 +143,10 @@ def jobs(instances):
     return [(inst.label, inst.pose, inst.seed) for inst in instances]
 
 
-def test_split_dataset_renders_the_train_split_in_one_batch(renders, monkeypatch):
+def test_split_dataset_renders_the_train_split_in_one_batch(renders, batches):
     ds = dataset(12, seed=5)
-    sizes = []
-    batch = synthetic.render_batch
-
-    def recorded(batch_jobs):
-        sizes.append(len(batch_jobs))
-        return batch(batch_jobs)
-
-    monkeypatch.setattr(synthetic, "render_batch", recorded)
     train_set, _ = split_dataset(ds, 5)
-    assert sizes == [len(train_set)]
+    assert batches == [len(train_set)]
     assert Counter(renders) == Counter(jobs(train_set))
     for inst in train_set:
         inst.feature_map
