@@ -1,7 +1,7 @@
 """Batch command-line entry point.
 
 Subcommands: gradcheck, oracles, ablate-sampler, ablate-descriptor,
-ablate-embedding, train-toy, invariance, diversity.  ``COMMANDS`` maps each
+ablate-embedding, train-toy, diversity.  ``COMMANDS`` maps each
 to its handler and the config keys it reads, which are the only keys it
 accepts.  Every run writes a JSON report embedding those keys, resolved and
 typed, and the seed.  Wall-clock timing is the benchmark's job
@@ -149,19 +149,6 @@ def _train(config: dict, seed: int, kind: str, train_set, cfg: SraConfig | None 
     )
 
 
-def _compare(config: dict, seed: int, families: tuple[str, ...] = ("rotation",)) -> dict:
-    """The one ``compare_extractors`` run that ``train-toy both`` and
-    ``invariance`` both report."""
-    return compare_extractors(
-        sra_config_from(config), [seed],
-        n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
-        epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
-        invariance_samples=config["eval.invariance_samples"],
-        diversity_samples=config["eval.diversity_samples"],
-        channels=config["data.channels"], families=families,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies: each takes (config, seed) and returns (exit_code, metrics)
 
@@ -258,23 +245,19 @@ def cmd_ablate_embedding(config: dict, seed: int) -> tuple[int, dict]:
 def cmd_train_toy(config: dict, seed: int) -> tuple[int, dict]:
     kind = config["train.kind"]
     if kind == "both":
-        return 0, _compare(config, seed)
+        return 0, compare_extractors(
+            sra_config_from(config), [seed],
+            n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
+            epochs=config["train.epochs"], lr=config["train.lr"],
+            momentum=config["train.momentum"],
+            invariance_samples=config["eval.invariance_samples"],
+            diversity_samples=config["eval.diversity_samples"], channels=config["data.channels"],
+        )
     if kind not in EXTRACTORS:
         raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
     train_set, test_set = harness_splits(_dataset(config, seed), seed)
     state, history = _train(config, seed, kind, train_set)
     return 0, {"kind": kind, "history": history, "test_accuracy": accuracy(state, test_set)}
-
-
-def cmd_invariance(config: dict, seed: int) -> tuple[int, dict]:
-    families = tuple(f.strip() for f in str(config["invariance.families"]).split(",") if f.strip())
-    if not families:
-        raise UsageError("invariance.families must name at least one transform family")
-    run = _compare(config, seed, families)["runs"][0]
-    return 0, {
-        "families": list(families),
-        "mean_cosine": {kind: run[kind]["invariance"] for kind in EXTRACTORS},
-    }
 
 
 def cmd_diversity(config: dict, seed: int) -> tuple[int, dict]:
@@ -315,8 +298,6 @@ COMMANDS: dict[str, Command] = {
     "ablate-descriptor": Command(cmd_ablate_descriptor, *ABLATION),
     "ablate-embedding": Command(cmd_ablate_embedding, *ABLATION),
     "train-toy": Command(cmd_train_toy, ALL_SECTIONS, {"train.kind": "both"}),
-    "invariance": Command(cmd_invariance, ALL_SECTIONS,
-                          {"invariance.families": "rotation,reflection,scale_pan"}),
     "diversity": Command(cmd_diversity, ALL_SECTIONS, {}, ("eval.invariance_samples",)),
 }
 

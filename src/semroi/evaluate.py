@@ -98,7 +98,11 @@ def invariance_eval(
     (source, re-pose) pair of the chunk is extracted back to back.  Nothing
     extracts while a batch renders.  The cosines are summed in pick order,
     so the report is bit for bit that of ``oracles.invariance_eval_loop``,
-    which re-poses one pick at a time between its two extractions."""
+    which re-poses one pick at a time between its two extractions.  An
+    unknown ``family`` raises ``ConfigError`` before the first draw, so
+    ``rng`` is left as it was."""
+    if family not in TRANSFORM_FAMILIES:
+        raise ConfigError(f"unknown transform family {family!r} (choose from {TRANSFORM_FAMILIES})")
     if not dataset:
         raise ValueError("invariance_eval: empty dataset")
     require_count("n_samples", n_samples, 1)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Array, ShapeError, VjpRecord
+from .numerics import Array, ShapeError, VjpRecord, require_count
 
 # the grid the descriptor ablation pins for the concatenation descriptor,
 # whose input size cannot follow a dynamic grid
@@ -104,8 +104,7 @@ def dynamic_grid_size(box: RoIBox, budget: int) -> GridSize:
     under 2**17).  Above the top the neighbour is (budget, 1), whose area
     and h no entry exceeds, so it wins any tie.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    require_count("budget", budget, 1)
     ratios, ranks, grids = _grid_table(budget)
     ratio = box.height / box.width
     i = bisect.bisect_left(ratios, ratio)

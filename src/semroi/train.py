@@ -252,20 +252,18 @@ def compare_extractors(
     invariance_samples: int = 60,
     diversity_samples: int = 40,
     channels: int = 16,
-    families: tuple[str, ...] = ("rotation",),
 ) -> dict:
     """Full head-to-head harness run: train both extractors on the same data
     per seed, then measure rotation-augmented test accuracy, invariance under
-    each transform family, and mask diversity of the trained models.
+    every family of ``TRANSFORM_FAMILIES``, and mask diversity of the
+    trained models.
 
     The invariance protocol is paired: for each family every extractor reads
     a fresh generator on the one stream ``invariance/{family}``, so all of
-    them are scored on the same (instance, transform) draws."""
-    unknown = [f for f in families if f not in TRANSFORM_FAMILIES]
-    if unknown:
-        raise ConfigError(
-            f"unknown transform families {unknown} (choose from {TRANSFORM_FAMILIES})"
-        )
+    them are scored on the same (instance, transform) draws, and each
+    family's draws do not depend on the others'."""
+    if not seeds:
+        raise ConfigError("compare_extractors needs at least one seed")
     require_mask_pairs(config)
     runs = []
     for seed in seeds:
@@ -288,7 +286,7 @@ def compare_extractors(
                         feature_fn, dataset, family, invariance_samples,
                         stream_rng(seed, f"invariance/{family}"),
                     ).mean_cosine
-                    for family in families
+                    for family in TRANSFORM_FAMILIES
                 },
             }
         run["mask_diversity_fraction"] = mask_diversity(
@@ -302,7 +300,7 @@ def compare_extractors(
         summary[f"mean_{label}_test_accuracy"] = float(
             np.mean([r["final_test_accuracy"] for r in per_run])
         )
-        for family in families:
+        for family in TRANSFORM_FAMILIES:
             values = [r["invariance"][family] for r in per_run]
             summary[f"mean_{label}_{family}_cosine"] = float(np.mean(values))
     summary["mean_mask_diversity_fraction"] = float(

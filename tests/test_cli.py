@@ -54,6 +54,8 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.mode=fixed"]) == 2
     assert "unknown config key 'sampler.mode'" in capsys.readouterr().err
     assert run(["bench", "--out", str(tmp_path)]) == 2
+    assert run(["invariance", "--out", str(tmp_path)]) == 2
+    assert "invalid choice: 'invariance'" in capsys.readouterr().err
     assert run(["ablate-sampler", "--out", str(tmp_path), "--format", "csv"]) == 2
     assert run(["gradcheck", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
     assert "unknown config key 'gradcheck.tolerance'" in capsys.readouterr().err
@@ -72,7 +74,6 @@ ACCEPTED_PREFIXES = {
     "ablate-descriptor": {"sra", "data", "train"},
     "ablate-embedding": {"sra", "data", "train"},
     "train-toy": {"sra", "data", "train", "eval"},
-    "invariance": {"sra", "data", "train", "eval", "invariance"},
     "diversity": {"sra", "data", "train", "eval"},
 }
 
@@ -83,13 +84,13 @@ def test_command_table_pins_accepted_key_prefixes():
         config = resolve_config(name, None, [])
         assert {key.split(".")[0] for key in config} == prefixes, name
     assert "train.kind" in resolve_config("train-toy", None, [])
-    assert "train.kind" not in resolve_config("invariance", None, [])
+    assert "train.kind" not in resolve_config("diversity", None, [])
     # a row leaves out the section keys its command does not read
     assert "eval.invariance_samples" not in resolve_config("diversity", None, [])
     assert [k for k in resolve_config("ablate-sampler", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 93
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 75
 
 
 def _table_first_cells(text, header):
@@ -109,6 +110,30 @@ def test_readme_cli_tables_match_the_command_table():
     for name, row in COMMANDS.items():
         for key in row.own:
             assert f"`{key}`" in cli_doc, (name, key)
+    # every usage line in the section's code blocks runs a command of the table
+    assert _usage_commands(cli_doc)
+    assert _stale_usage_lines(cli_doc) == []
+
+
+def _usage_commands(doc):
+    """The command each ``semroi <command>`` line of ``doc``'s code blocks runs."""
+    return [
+        line.split()[1]
+        for block in doc.split("```")[1::2]
+        for line in block.splitlines()
+        if line.startswith("semroi ")
+    ]
+
+
+def _stale_usage_lines(doc):
+    return [name for name in _usage_commands(doc) if name not in COMMANDS]
+
+
+def test_readme_usage_check_catches_a_removed_command():
+    doc = "text\n```\nsemroi train-toy --out runs\nsemroi invariance --out runs\n```\n" \
+          "semroi bench is prose, outside a block\n"
+    assert _usage_commands(doc) == ["train-toy", "invariance"]
+    assert _stale_usage_lines(doc) == ["invariance"]
 
 
 def test_ablations_default_to_their_own_epochs_and_dataset_size():
@@ -216,7 +241,7 @@ INT_KEYS = [
     ("ablate-descriptor", "data.n_per_class"),
     ("ablate-sampler", "data.channels"),
     ("ablate-descriptor", "train.epochs"),
-    ("invariance", "eval.invariance_samples"),
+    ("train-toy", "eval.invariance_samples"),
     ("diversity", "eval.diversity_samples"),
 ]
 
@@ -272,7 +297,7 @@ def test_single_class_dataset_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "subcommand",
-    ["train-toy", "invariance", "diversity", "ablate-descriptor", "ablate-embedding"],
+    ["train-toy", "diversity", "ablate-descriptor", "ablate-embedding"],
 )
 def test_one_instance_per_class_exits_2_before_rendering(subcommand, tmp_path, capsys,
                                                          monkeypatch):
@@ -284,7 +309,7 @@ def test_one_instance_per_class_exits_2_before_rendering(subcommand, tmp_path, c
     assert "n_per_class" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["train-toy", "invariance", "diversity"])
+@pytest.mark.parametrize("subcommand", ["train-toy", "diversity"])
 def test_single_mask_exits_2_before_training(subcommand, tmp_path, capsys, monkeypatch):
     # these commands measure mask diversity, which needs a pair of masks
     from semroi import cli, train
@@ -328,25 +353,14 @@ def test_invalid_sra_config_exits_2(subcommand, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_unknown_invariance_family_exits_2_before_training(tmp_path, capsys, monkeypatch):
+def test_removed_invariance_families_key_exits_2_before_training(tmp_path, capsys, monkeypatch):
     from semroi import train
 
     monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
-    code = run(["invariance", "--out", str(tmp_path),
-                "--set", "invariance.families=rotation,shear", *TINY_TRAIN])
+    code = run(["train-toy", "--out", str(tmp_path),
+                "--set", "invariance.families=rotation", *TINY_TRAIN])
     assert code == 2
-    assert "shear" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("families", ["", ","], ids=["empty", "comma"])
-def test_no_invariance_family_exits_2_before_training(families, tmp_path, capsys, monkeypatch):
-    from semroi import cli
-
-    monkeypatch.setattr(cli, "compare_extractors", _fail_if_run)
-    code = run(["invariance", "--out", str(tmp_path),
-                "--set", f"invariance.families={families}", *TINY_TRAIN])
-    assert code == 2
-    assert "invariance.families" in capsys.readouterr().err
+    assert "unknown config key 'invariance.families'" in capsys.readouterr().err
 
 
 def test_gradcheck_writes_passing_report(tmp_path, capsys):
@@ -456,28 +470,21 @@ def test_train_toy_single_kind_trains_on_the_both_dataset(tmp_path, capsys):
     assert single["test_accuracy"] == both["final_test_accuracy"]
 
 
-def test_invariance_report_structure(tmp_path, capsys):
-    code = run(["invariance", "--out", str(tmp_path),
-                "--set", "invariance.families=rotation", *TINY_TRAIN])
+def test_train_toy_both_reports_every_family(tmp_path, capsys):
+    # train-toy both is the one command that reports the invariance protocol
+    from semroi.evaluate import TRANSFORM_FAMILIES
+
+    code = run(["train-toy", "--out", str(tmp_path), *TINY_TRAIN])
     capsys.readouterr()
     assert code == 0
-    doc = load_report(tmp_path, "invariance")
-    assert set(doc["metrics"]["mean_cosine"]) == {"sra", "roi_align"}
-    val = doc["metrics"]["mean_cosine"]["sra"]["rotation"]
-    assert -1.0 <= val <= 1.0
-
-
-@pytest.mark.parametrize("families", ["rotation", "reflection,rotation"])
-def test_invariance_reproduces_train_toy_both(families, tmp_path, capsys):
-    assert run(["invariance", "--out", str(tmp_path / "inv"), "--seed", "2",
-                "--set", f"invariance.families={families}", *TINY_TRAIN]) == 0
-    assert run(["train-toy", "--out", str(tmp_path / "both"), "--seed", "2", *TINY_TRAIN]) == 0
-    capsys.readouterr()
-    inv = load_report(tmp_path / "inv", "invariance")["metrics"]["mean_cosine"]
-    both = load_report(tmp_path / "both", "train-toy")["metrics"]["runs"][0]
-    for kind in ("sra", "roi_align"):
-        assert set(inv[kind]) == set(families.split(","))
-        assert inv[kind]["rotation"] == both[kind]["invariance"]["rotation"]
+    metrics = load_report(tmp_path, "train-toy")["metrics"]
+    run0 = metrics["runs"][0]
+    for kind, label in (("sra", "sra"), ("roi_align", "align")):
+        cosines = run0[kind]["invariance"]
+        assert list(cosines) == list(TRANSFORM_FAMILIES)
+        for family, value in cosines.items():
+            assert -1.0 <= value <= 1.0 + 1e-12, (kind, family)
+            assert metrics["summary"][f"mean_{label}_{family}_cosine"] == value
 
 
 def test_diversity_renders_no_test_split(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_invariance_rejects_fewer_than_one_sample():
         invariance_eval(
             make_feature_fn("roi_align"), dataset(), "rotation", 0, np.random.default_rng(0)
         )
+
+
+# a family name matches exactly: case counts, and a non-string names none
+@pytest.mark.parametrize("family", ["shear", "Rotation", None])
+def test_invariance_rejects_an_unknown_family_before_its_first_draw(family):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match=re.escape(repr(family))):
+        invariance_eval(make_feature_fn("roi_align"), dataset(), family, 3, rng)
+    assert rng.bit_generator.state == state
 
 
 # counts that are not ints; a bool is not a count either

@@ -6,7 +6,7 @@ import pytest
 
 from semroi.baselines import roi_align
 from semroi.core import SraConfig, init_params, sra_extract
-from semroi.numerics import ShapeError, check_vjp
+from semroi.numerics import ConfigError, ShapeError, check_vjp
 from semroi.oracles import check_pool_operator_vs_points, grid_size_exhaustive
 from semroi.sampler import (
     FIXED_GRID,
@@ -36,6 +36,12 @@ def test_box_validation():
 def test_budget_below_one_raises():
     with pytest.raises(ValueError, match="budget"):
         dynamic_grid_size(RoIBox(0, 0, 4, 2), 0)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "4"])
+def test_budget_that_is_not_an_int_raises(budget):
+    with pytest.raises(ConfigError, match="budget must be an int"):
+        dynamic_grid_size(RoIBox(0, 0, 4, 2), budget)
 
 
 def test_square_box_default_budget():

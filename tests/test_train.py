@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recorded
-from semroi.evaluate import random_delta
+from semroi.evaluate import TRANSFORM_FAMILIES, invariance_eval, make_feature_fn, random_delta
 from semroi.reporting import stream_rng
 from semroi.train import (
     TrainingDiverged,
@@ -210,9 +210,20 @@ def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
     assert events[0] == "sra" and events.count("roi_align") == 1
     split = events.index("roi_align")
     sra_draws, align_draws = events[1:split], events[split + 1:]
-    assert len(sra_draws) == 5
+    # every family, in order, each on its own stream
+    want = []
+    for family in TRANSFORM_FAMILIES:
+        rng = stream_rng(3, f"invariance/{family}")
+        picks = rng.integers(0, 12, size=5)
+        want += [random_delta(family, rng) for _ in picks]
+    assert len(sra_draws) == len(TRANSFORM_FAMILIES) * 5
+    assert [delta for _, delta in sra_draws] == want
     assert sra_draws == align_draws
-    assert {"mean_sra_rotation_cosine", "mean_align_rotation_cosine"} <= set(result["summary"])
+    assert {
+        f"mean_{label}_{family}_cosine"
+        for label in ("sra", "align")
+        for family in TRANSFORM_FAMILIES
+    } <= set(result["summary"])
 
 
 def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
@@ -252,14 +263,21 @@ def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(re
     train_set, test_set = split_dataset(ds, seed)
     kept = {id(inst) for inst in train_set}
     originals = {k for k, inst in enumerate(ds) if id(inst) not in kept}
-    inv_rng = stream_rng(seed, "invariance/rotation")
-    inv_picks = inv_rng.integers(0, n_instances, size=n_invariance).tolist()
-    re_poses = [
-        (ds[k].label, compose_pose(ds[k].pose, random_delta("rotation", inv_rng)), ds[k].seed)
-        for k in inv_picks
-    ]
-    div_picks = stream_rng(seed, "diversity").integers(0, n_instances, size=n_diversity).tolist()
-    read = originals & set(inv_picks + div_picks)
+    picks = set(stream_rng(seed, "diversity").integers(0, n_instances, size=n_diversity).tolist())
+    re_poses = []
+    for family in TRANSFORM_FAMILIES:
+        inv_rng = stream_rng(seed, f"invariance/{family}")
+        inv_picks = inv_rng.integers(0, n_instances, size=n_invariance).tolist()
+        deltas = [random_delta(family, inv_rng) for _ in inv_picks]
+        picks.update(inv_picks)
+        # identity and scale_pan keep the rotation and reflection, so their
+        # re-poses share the source's map and render nothing of their own
+        if family in ("rotation", "reflection"):
+            re_poses += [
+                (ds[k].label, compose_pose(ds[k].pose, d), ds[k].seed)
+                for k, d in zip(inv_picks, deltas)
+            ]
+    read = originals & picks
     # the seed exercises both cases: a test original read, and one never read
     assert read and originals - read
     want = Counter(jobs(train_set) + jobs(augment_rotation(test_set, seed)))
@@ -300,13 +318,43 @@ def test_compare_extractors_scores_the_test_split_once_per_kind(monkeypatch):
             assert len(run[kind]["loss_curve"]) == 2
 
 
-def test_compare_extractors_rejects_unknown_family_before_training(monkeypatch):
+def test_compare_extractors_rejects_no_seeds_before_rendering(renders, monkeypatch):
     from semroi import train
     from semroi.numerics import ConfigError
 
     monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
-    with pytest.raises(ConfigError, match="shear"):
-        train.compare_extractors(CFG, seeds=[0], families=("rotation", "shear"))
+    with pytest.raises(ConfigError, match="seed"):
+        train.compare_extractors(CFG, seeds=[])
+    assert renders == []
+
+
+def test_compare_extractors_reports_every_family_on_its_own_stream(monkeypatch):
+    # one non-rotation value, recomputed from the trained extractor on the
+    # family's own stream, is the reported one bit for bit
+    from semroi import train
+
+    states = {}
+    fit = train.train_toy
+
+    def fit_kept(kind, *args, **kwargs):
+        states[kind], history = fit(kind, *args, **kwargs)
+        return states[kind], history
+
+    monkeypatch.setattr(train, "train_toy", fit_kept)
+    seed = 5
+    result = train.compare_extractors(
+        CFG, seeds=[seed], n_classes=3, n_per_class=4, epochs=1,
+        invariance_samples=4, diversity_samples=2,
+    )
+    for kind in train.EXTRACTORS:
+        assert list(result["runs"][0][kind]["invariance"]) == list(TRANSFORM_FAMILIES)
+    state = states["sra"]
+    want = invariance_eval(
+        make_feature_fn("sra", state.params, state.config), train.harness_dataset(seed, 3, 4),
+        "reflection", 4, stream_rng(seed, "invariance/reflection"),
+    ).mean_cosine
+    assert result["runs"][0]["sra"]["invariance"]["reflection"] == want
+    assert result["summary"]["mean_sra_reflection_cosine"] == want
 
 
 @pytest.mark.parametrize("n_per_class", [2.5, True, "4"])
