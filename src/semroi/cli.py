@@ -1,10 +1,10 @@
 """Batch command-line entry point.
 
 Subcommands: gradcheck, oracles, ablate-sampler, ablate-descriptor,
-ablate-embedding, train-toy, diversity.  ``COMMANDS`` maps each
-to its handler and the config keys it reads, which are the only keys it
-accepts.  Every run writes a JSON report embedding those keys, resolved and
-typed, and the seed.  Wall-clock timing is the benchmark's job
+ablate-embedding, train-toy.  ``COMMANDS`` maps each to its handler and the
+config keys it reads, which are the only keys it accepts.  Every run writes
+a JSON report embedding those keys, resolved and typed, and the seed.
+Wall-clock timing is the benchmark's job
 (``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
 Exit codes: 0 success, 1 acceptance failure, 2 usage error.
 """
@@ -24,15 +24,12 @@ import numpy as np
 
 from . import numerics
 from .core import SraConfig, choose_grid, parameter_count
-from .evaluate import DIVERSITY_THRESHOLD, flops_estimate, mask_diversity, require_mask_pairs
+from .evaluate import flops_estimate
 from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
-from .train import (
-    EXTRACTORS, accuracy, compare_extractors, harness_dataset, harness_splits, split_dataset,
-    train_toy,
-)
+from .train import accuracy, compare_extractors, harness_dataset, harness_splits, train_toy
 
 
 # flat dotted-key configuration, grouped in the sections a command may read;
@@ -110,12 +107,7 @@ def resolve_config(subcommand: str, config_file: str | None, overrides: list[str
     the ``--set`` overrides applied; a key the command does not read is
     rejected like an unknown one."""
     row = COMMANDS[subcommand]
-    defaults = {
-        key: value
-        for name in row.sections
-        for key, value in SECTIONS[name].items()
-        if key not in row.unread
-    }
+    defaults = {key: value for name in row.sections for key, value in SECTIONS[name].items()}
     defaults.update(row.own)
     given = [(key, value, False) for key, value in _read_config_file(config_file).items()]
     for item in overrides:
@@ -133,20 +125,6 @@ def resolve_config(subcommand: str, config_file: str | None, overrides: list[str
 
 def sra_config_from(config: dict) -> SraConfig:
     return SraConfig(**{f.name: config[f"sra.{f.name}"] for f in fields(SraConfig)})
-
-
-def _dataset(config: dict, seed: int):
-    return harness_dataset(
-        seed, config["data.n_classes"], config["data.n_per_class"], config["data.channels"]
-    )
-
-
-def _train(config: dict, seed: int, kind: str, train_set, cfg: SraConfig | None = None):
-    """``train_toy`` on ``train_set`` with the train section: (state, history)."""
-    return train_toy(
-        kind, cfg or sra_config_from(config), train_set, epochs=config["train.epochs"],
-        lr=config["train.lr"], momentum=config["train.momentum"], seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +200,16 @@ def _ablation(config: dict, seed: int, field: str, modes: tuple[str, ...]) -> tu
     # concatenation cannot follow a dynamic grid; pin the fixed size
     pins = {"concatenation": {"fixed_grid": FIXED_GRID}}
     variants = {mode: replace(base, **{field: mode}, **pins.get(mode, {})) for mode in modes}
-    train_set, test_set = harness_splits(_dataset(config, seed), seed)
+    dataset = harness_dataset(
+        seed, config["data.n_classes"], config["data.n_per_class"], config["data.channels"]
+    )
+    train_set, test_set = harness_splits(dataset, seed)
     out = {}
     for mode, cfg in variants.items():
-        state, history = _train(config, seed, "sra", train_set, cfg)
+        state, history = train_toy(
+            "sra", cfg, train_set, epochs=config["train.epochs"], lr=config["train.lr"],
+            momentum=config["train.momentum"], seed=seed,
+        )
         out[mode] = {
             "final_test_accuracy": accuracy(state, test_set),
             "final_train_accuracy": history[-1]["train_accuracy"],
@@ -243,62 +227,32 @@ def cmd_ablate_embedding(config: dict, seed: int) -> tuple[int, dict]:
 
 
 def cmd_train_toy(config: dict, seed: int) -> tuple[int, dict]:
-    kind = config["train.kind"]
-    if kind == "both":
-        return 0, compare_extractors(
-            sra_config_from(config), [seed],
-            n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
-            epochs=config["train.epochs"], lr=config["train.lr"],
-            momentum=config["train.momentum"],
-            invariance_samples=config["eval.invariance_samples"],
-            diversity_samples=config["eval.diversity_samples"], channels=config["data.channels"],
-        )
-    if kind not in EXTRACTORS:
-        raise UsageError(f"train.kind must be sra, roi_align or both, got {kind!r}")
-    train_set, test_set = harness_splits(_dataset(config, seed), seed)
-    state, history = _train(config, seed, kind, train_set)
-    return 0, {"kind": kind, "history": history, "test_accuracy": accuracy(state, test_set)}
-
-
-def cmd_diversity(config: dict, seed: int) -> tuple[int, dict]:
-    require_mask_pairs(sra_config_from(config))
-    dataset = _dataset(config, seed)
-    # trains as train-toy does, but scores no test split, so renders none
-    state, _ = _train(config, seed, "sra", split_dataset(dataset, seed)[0])
-    report = mask_diversity(
-        state.params, state.config, dataset, config["eval.diversity_samples"],
-        stream_rng(seed, "diversity"),
+    return 0, compare_extractors(
+        sra_config_from(config), [seed],
+        n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
+        epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
+        invariance_samples=config["eval.invariance_samples"],
+        diversity_samples=config["eval.diversity_samples"], channels=config["data.channels"],
     )
-    return 0, {
-        "threshold": DIVERSITY_THRESHOLD,
-        "fraction_below": report.fraction_below,
-        "n_samples": report.n_samples,
-        "mean_offdiagonal_cosine": float(
-            report.mean_matrix[~np.eye(state.config.n_masks, dtype=bool)].mean()
-        ),
-    }
 
 
 class Command(NamedTuple):
     handler: Callable[[dict, int], tuple[int, dict]]
     sections: tuple[str, ...]  # the SECTIONS it reads
     own: dict[str, object]  # its own keys, and section defaults it overrides
-    unread: tuple[str, ...] = ()  # keys of those sections it does not read
 
 
-ALL_SECTIONS = tuple(SECTIONS)
 ABLATION = ("sra", "data", "train"), {"train.epochs": 10, "data.n_per_class": 75}
 
 # each command accepts, and its report embeds, exactly the keys of its row
 COMMANDS: dict[str, Command] = {
     "gradcheck": Command(cmd_gradcheck, (), {"gradcheck.seeds": 20}),
     "oracles": Command(cmd_oracles, (), {}),
-    "ablate-sampler": Command(cmd_ablate_sampler, ("sra", "data"), {},
-                              ("data.n_classes", "data.n_per_class")),
+    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",),
+                              {"data.channels": SECTIONS["data"]["data.channels"]}),
     "ablate-descriptor": Command(cmd_ablate_descriptor, *ABLATION),
     "ablate-embedding": Command(cmd_ablate_embedding, *ABLATION),
-    "train-toy": Command(cmd_train_toy, ALL_SECTIONS, {"train.kind": "both"}),
-    "diversity": Command(cmd_diversity, ALL_SECTIONS, {}, ("eval.invariance_samples",)),
+    "train-toy": Command(cmd_train_toy, tuple(SECTIONS), {}),
 }
 
 

@@ -44,7 +44,7 @@ def make_feature_fn(
         return lambda inst: roi_align(inst.feature_map, inst.box, out).ravel()
     if kind == "roi_pool":
         return lambda inst: roi_pool(inst.feature_map, inst.box, out).ravel()
-    raise ValueError(f"unknown extractor kind {kind!r}")
+    raise ConfigError(f"unknown extractor kind {kind!r}")
 
 
 def random_delta(family: str, rng: np.random.Generator) -> Pose:

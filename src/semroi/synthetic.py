@@ -330,8 +330,9 @@ def _cosine_ok(v: Array, others: list[Array]) -> bool:
 
 def _class_signatures(
     rng: np.random.Generator, channels: int, n_parts: int, total: Array, previous: list[Array]
-) -> list[Array]:
-    """Per-part signature vectors for one class.
+) -> list[Array] | None:
+    """Per-part signature vectors for one class, or None when rejection
+    sampling finds none.
 
     Every class's signatures sum to the same small ``total`` vector: a linear
     classifier therefore cannot identify the class from any position-summed
@@ -347,7 +348,7 @@ def _class_signatures(
         candidate = free + [last]
         if all(_cosine_ok(v, previous) for v in candidate):
             return candidate
-    raise RuntimeError("signature rejection sampling did not converge")
+    return None
 
 
 def make_render_context(n_classes: int, seed: int, channels: int = 16) -> RenderContext:
@@ -357,9 +358,14 @@ def make_render_context(n_classes: int, seed: int, channels: int = 16) -> Render
     previous: list[Array] = []
     total = rng.standard_normal(channels)
     total *= 0.3 / np.linalg.norm(total)
-    for _ in range(n_classes):
+    for label in range(n_classes):
         n_parts = int(rng.integers(3, 6))
         sigs = _class_signatures(rng, channels, n_parts, total, previous)
+        if sigs is None:
+            raise ConfigError(
+                f"cannot draw class signatures for {n_classes} classes at {channels} channels "
+                f"(class {label} has none); use more channels or fewer classes"
+            )
         parts = []
         for sig in sigs:
             angle = rng.uniform(0.0, 2.0 * math.pi)

@@ -70,7 +70,7 @@ def init_train_state(
         params = None
         feat_dim = DEFAULT_OUT[0] * DEFAULT_OUT[1] * channels
     else:
-        raise ValueError(f"unknown extractor kind {kind!r}")
+        raise ConfigError(f"unknown extractor kind {kind!r}")
     classifier = init_linear(stream_rng(seed, "classifier"), feat_dim, n_classes)
     state = TrainState(kind=kind, config=config, params=params, classifier=classifier)
     state.momenta = {name: np.zeros_like(arr) for name, arr in state.leaves()}
@@ -138,6 +138,8 @@ def predict(state: TrainState, inst: SyntheticInstance) -> int:
 
 
 def accuracy(state: TrainState, instances: list[SyntheticInstance]) -> float:
+    if not instances:
+        raise ConfigError("accuracy needs at least one instance")
     hits = sum(predict(state, inst) == inst.label for inst in instances)
     return hits / len(instances)
 
@@ -201,6 +203,9 @@ def train_toy(
     seed.  A history entry holds the epoch's mean train loss and its train
     accuracy, the online accuracy of the predictions made during the epoch;
     callers score a test split once, with ``accuracy``, after training."""
+    require_count("epochs", epochs, 1)
+    if not train_set:
+        raise ConfigError("train_toy needs at least one training instance")
     channels = train_set[0].ctx.channels
     n_classes = max(inst.label for inst in train_set) + 1
     state = init_train_state(kind, config, channels, n_classes, seed)
@@ -264,6 +269,9 @@ def compare_extractors(
     family's draws do not depend on the others'."""
     if not seeds:
         raise ConfigError("compare_extractors needs at least one seed")
+    require_count("epochs", epochs, 1)
+    require_count("invariance_samples", invariance_samples, 1)
+    require_count("diversity_samples", diversity_samples, 1)
     require_mask_pairs(config)
     runs = []
     for seed in seeds:
@@ -281,6 +289,7 @@ def compare_extractors(
                 "final_test_accuracy": accuracy(state, test_set),
                 "final_train_accuracy": history[-1]["train_accuracy"],
                 "loss_curve": [h["train_loss"] for h in history],
+                "train_accuracy_curve": [h["train_accuracy"] for h in history],
                 "invariance": {
                     family: invariance_eval(
                         feature_fn, dataset, family, invariance_samples,
@@ -289,9 +298,12 @@ def compare_extractors(
                     for family in TRANSFORM_FAMILIES
                 },
             }
-        run["mask_diversity_fraction"] = mask_diversity(
+        diversity = mask_diversity(
             states["sra"].params, config, dataset, diversity_samples, stream_rng(seed, "diversity")
-        ).fraction_below
+        )
+        run["mask_diversity_fraction"] = diversity.fraction_below
+        off_diagonal = ~np.eye(config.n_masks, dtype=bool)
+        run["mask_diversity_mean_cosine"] = float(diversity.mean_matrix[off_diagonal].mean())
         runs.append(run)
 
     summary = {}

@@ -54,12 +54,13 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.mode=fixed"]) == 2
     assert "unknown config key 'sampler.mode'" in capsys.readouterr().err
     assert run(["bench", "--out", str(tmp_path)]) == 2
-    assert run(["invariance", "--out", str(tmp_path)]) == 2
-    assert "invalid choice: 'invariance'" in capsys.readouterr().err
+    for removed in ("invariance", "diversity"):
+        assert run([removed, "--out", str(tmp_path)]) == 2
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
     assert run(["ablate-sampler", "--out", str(tmp_path), "--format", "csv"]) == 2
     assert run(["gradcheck", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
     assert "unknown config key 'gradcheck.tolerance'" in capsys.readouterr().err
-    for command, key in (("ablate-sampler", "sampler.n_boxes"), ("diversity", "diversity.threshold"),
+    for command, key in (("ablate-sampler", "sampler.n_boxes"), ("train-toy", "diversity.threshold"),
                          ("train-toy", "transform.rotation_max_deg")):
         assert run([command, "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -74,7 +75,6 @@ ACCEPTED_PREFIXES = {
     "ablate-descriptor": {"sra", "data", "train"},
     "ablate-embedding": {"sra", "data", "train"},
     "train-toy": {"sra", "data", "train", "eval"},
-    "diversity": {"sra", "data", "train", "eval"},
 }
 
 
@@ -83,14 +83,11 @@ def test_command_table_pins_accepted_key_prefixes():
     for name, prefixes in ACCEPTED_PREFIXES.items():
         config = resolve_config(name, None, [])
         assert {key.split(".")[0] for key in config} == prefixes, name
-    assert "train.kind" in resolve_config("train-toy", None, [])
-    assert "train.kind" not in resolve_config("diversity", None, [])
-    # a row leaves out the section keys its command does not read
-    assert "eval.invariance_samples" not in resolve_config("diversity", None, [])
+    # ablate-sampler reads data.channels as an own key, not the data section
     assert [k for k in resolve_config("ablate-sampler", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 75
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 58
 
 
 def _table_first_cells(text, header):
@@ -113,6 +110,14 @@ def test_readme_cli_tables_match_the_command_table():
     # every usage line in the section's code blocks runs a command of the table
     assert _usage_commands(cli_doc)
     assert _stale_usage_lines(cli_doc) == []
+
+
+def test_help_text_lists_the_command_table():
+    # the module docstring is argparse's --help description
+    from semroi import cli
+
+    listed = cli.__doc__.split("Subcommands:")[1].split(".")[0]
+    assert [name.strip() for name in listed.split(",")] == list(COMMANDS)
 
 
 def _usage_commands(doc):
@@ -242,7 +247,7 @@ INT_KEYS = [
     ("ablate-sampler", "data.channels"),
     ("ablate-descriptor", "train.epochs"),
     ("train-toy", "eval.invariance_samples"),
-    ("diversity", "eval.diversity_samples"),
+    ("train-toy", "eval.diversity_samples"),
 ]
 
 FLOAT_KEYS = [
@@ -297,7 +302,7 @@ def test_single_class_dataset_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "subcommand",
-    ["train-toy", "diversity", "ablate-descriptor", "ablate-embedding"],
+    ["train-toy", "ablate-descriptor", "ablate-embedding"],
 )
 def test_one_instance_per_class_exits_2_before_rendering(subcommand, tmp_path, capsys,
                                                          monkeypatch):
@@ -309,15 +314,28 @@ def test_one_instance_per_class_exits_2_before_rendering(subcommand, tmp_path, c
     assert "n_per_class" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["train-toy", "diversity"])
+@pytest.mark.parametrize("subcommand", ["train-toy"])
 def test_single_mask_exits_2_before_training(subcommand, tmp_path, capsys, monkeypatch):
-    # these commands measure mask diversity, which needs a pair of masks
+    # train-toy measures mask diversity, which needs a pair of masks
     from semroi import cli, train
 
     monkeypatch.setattr(train, "train_toy", _fail_if_run)
     monkeypatch.setattr(cli, "train_toy", _fail_if_run)
     assert run([subcommand, "--out", str(tmp_path), "--set", "sra.n_masks=1"]) == 2
     assert "2 masks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["train-toy", "ablate-descriptor"])
+def test_undrawable_dataset_exits_2_before_training(subcommand, tmp_path, capsys, monkeypatch):
+    # 4 classes' signatures cannot be drawn at 2 channels
+    from semroi import cli, train
+
+    monkeypatch.setattr(train, "train_toy", _fail_if_run)
+    monkeypatch.setattr(cli, "train_toy", _fail_if_run)
+    assert run([subcommand, "--out", str(tmp_path), "--set", "data.channels=2"]) == 2
+    err = capsys.readouterr().err
+    assert "4 classes at 2 channels" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):
@@ -353,14 +371,14 @@ def test_invalid_sra_config_exits_2(subcommand, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_removed_invariance_families_key_exits_2_before_training(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("key", ["invariance.families=rotation", "train.kind=sra"])
+def test_removed_train_toy_key_exits_2_before_training(key, tmp_path, capsys, monkeypatch):
     from semroi import train
 
     monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
-    code = run(["train-toy", "--out", str(tmp_path),
-                "--set", "invariance.families=rotation", *TINY_TRAIN])
+    code = run(["train-toy", "--out", str(tmp_path), "--set", key, *TINY_TRAIN])
     assert code == 2
-    assert "unknown config key 'invariance.families'" in capsys.readouterr().err
+    assert f"unknown config key '{key.split('=')[0]}'" in capsys.readouterr().err
 
 
 def test_gradcheck_writes_passing_report(tmp_path, capsys):
@@ -446,37 +464,14 @@ def test_ablate_embedding_covers_all_modes(tmp_path, capsys):
     assert set(modes) == {"none", "position", "area"}
 
 
-def test_train_toy_single_kind_writes_only_its_report(tmp_path, capsys):
-    code = run(["train-toy", "--out", str(tmp_path), "--set", "train.kind=sra", *TINY_TRAIN])
-    capsys.readouterr()
-    assert code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["train-toy.json"]
-    metrics = load_report(tmp_path, "train-toy")["metrics"]
-    assert set(metrics) == {"kind", "history", "test_accuracy"}
-    assert metrics["kind"] == "sra"
-    assert [set(h) for h in metrics["history"]] == [{"epoch", "train_loss", "train_accuracy"}]
-    assert 0.0 <= metrics["test_accuracy"] <= 1.0
-
-
-def test_train_toy_single_kind_trains_on_the_both_dataset(tmp_path, capsys):
-    # one seed, one dataset: train.kind=sra reproduces the sra half of both
-    tiny = [*TINY_TRAIN, "--set", "train.epochs=2"]
-    assert run(["train-toy", "--out", str(tmp_path / "sra"), "--set", "train.kind=sra", *tiny]) == 0
-    assert run(["train-toy", "--out", str(tmp_path / "both"), *tiny]) == 0
-    capsys.readouterr()
-    single = load_report(tmp_path / "sra", "train-toy")["metrics"]
-    both = load_report(tmp_path / "both", "train-toy")["metrics"]["runs"][0]["sra"]
-    assert [h["train_loss"] for h in single["history"]] == both["loss_curve"]
-    assert single["test_accuracy"] == both["final_test_accuracy"]
-
-
-def test_train_toy_both_reports_every_family(tmp_path, capsys):
-    # train-toy both is the one command that reports the invariance protocol
+def test_train_toy_reports_every_family(tmp_path, capsys):
+    # train-toy is the one command that reports the invariance protocol
     from semroi.evaluate import TRANSFORM_FAMILIES
 
     code = run(["train-toy", "--out", str(tmp_path), *TINY_TRAIN])
     capsys.readouterr()
     assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["train-toy.json"]
     metrics = load_report(tmp_path, "train-toy")["metrics"]
     run0 = metrics["runs"][0]
     for kind, label in (("sra", "sra"), ("roi_align", "align")):
@@ -485,29 +480,6 @@ def test_train_toy_both_reports_every_family(tmp_path, capsys):
         for family, value in cosines.items():
             assert -1.0 <= value <= 1.0 + 1e-12, (kind, family)
             assert metrics["summary"][f"mean_{label}_{family}_cosine"] == value
-
-
-def test_diversity_renders_no_test_split(tmp_path, capsys, monkeypatch):
-    # diversity trains on the train split and scores no test split, so it
-    # re-poses nothing for one
-    from semroi import train
-
-    monkeypatch.setattr(train, "apply_transforms", _fail_if_run)
-    i = TINY_TRAIN.index("eval.invariance_samples=4")
-    code = run(["diversity", "--out", str(tmp_path), *TINY_TRAIN[: i - 1], *TINY_TRAIN[i + 1 :]])
-    capsys.readouterr()
-    assert code == 0
-
-
-def test_diversity_report_structure(tmp_path, capsys):
-    # diversity does not read eval.invariance_samples, so it rejects it
-    i = TINY_TRAIN.index("eval.invariance_samples=4")
-    code = run(["diversity", "--out", str(tmp_path), *TINY_TRAIN[: i - 1], *TINY_TRAIN[i + 1 :]])
-    capsys.readouterr()
-    assert code == 0
-    doc = load_report(tmp_path, "diversity")
-    assert 0.0 <= doc["metrics"]["fraction_below"] <= 1.0
-    assert doc["metrics"]["threshold"] == 0.3
 
 
 COST_MODEL = ["--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"]

@@ -116,6 +116,12 @@ def test_generate_rejects_single_class():
         generate_dataset(1, 10, seed=0)
 
 
+def test_undrawable_class_signatures_are_a_config_error():
+    # 4 classes' signatures cannot be drawn at 4 channels
+    with pytest.raises(ConfigError, match="4 classes at 4 channels"):
+        make_render_context(4, 0, channels=4)
+
+
 @pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
 def test_transform_equals_render_at_the_composed_pose(family):
     # the box-only shortcut and the re-render agree bit for bit with a

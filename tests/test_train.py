@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recorded
-from semroi.evaluate import TRANSFORM_FAMILIES, invariance_eval, make_feature_fn, random_delta
+from semroi.evaluate import (
+    TRANSFORM_FAMILIES, invariance_eval, make_feature_fn, mask_diversity, random_delta,
+)
+from semroi.numerics import ConfigError
 from semroi.reporting import stream_rng
 from semroi.train import (
     TrainingDiverged,
+    accuracy,
     augment_rotation,
     harness_splits,
     init_train_state,
@@ -182,8 +186,28 @@ def test_loss_decreases_over_first_epochs_smoke():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="kind"):
+    with pytest.raises(ConfigError, match="kind"):
         init_train_state("deformable", CFG, 16, 4, seed=0)
+    with pytest.raises(ConfigError, match="kind"):
+        make_feature_fn("deformable")
+
+
+@pytest.mark.parametrize("epochs", [0, 1.5, True])
+def test_train_toy_rejects_a_bad_epoch_count_before_rendering(epochs, renders):
+    with pytest.raises(ConfigError, match="epochs"):
+        train_toy("sra", CFG, dataset(8), epochs=epochs)
+    assert renders == []
+
+
+def test_train_toy_rejects_an_empty_train_set():
+    with pytest.raises(ConfigError, match="training instance"):
+        train_toy("sra", CFG, [], epochs=1)
+
+
+def test_accuracy_rejects_no_instances():
+    state = init_train_state("roi_align", CFG, 16, 4, seed=0)
+    with pytest.raises(ConfigError, match="at least one instance"):
+        accuracy(state, [])
 
 
 def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
@@ -313,9 +337,10 @@ def test_compare_extractors_scores_the_test_split_once_per_kind(monkeypatch):
     for run in result["runs"]:
         for kind in train.EXTRACTORS:
             assert set(run[kind]) == {
-                "final_test_accuracy", "final_train_accuracy", "loss_curve", "invariance"
+                "final_test_accuracy", "final_train_accuracy", "loss_curve",
+                "train_accuracy_curve", "invariance",
             }
-            assert len(run[kind]["loss_curve"]) == 2
+            assert len(run[kind]["loss_curve"]) == len(run[kind]["train_accuracy_curve"]) == 2
 
 
 def test_compare_extractors_rejects_no_seeds_before_rendering(renders, monkeypatch):
@@ -328,9 +353,19 @@ def test_compare_extractors_rejects_no_seeds_before_rendering(renders, monkeypat
     assert renders == []
 
 
-def test_compare_extractors_reports_every_family_on_its_own_stream(monkeypatch):
-    # one non-rotation value, recomputed from the trained extractor on the
-    # family's own stream, is the reported one bit for bit
+@pytest.mark.parametrize("count", ["epochs", "invariance_samples", "diversity_samples"])
+@pytest.mark.parametrize("value", [0, 1.5])
+def test_compare_extractors_rejects_a_bad_count_before_rendering(count, value, monkeypatch):
+    from semroi import train
+
+    monkeypatch.setattr(train, "generate_dataset", lambda *a, **k: pytest.fail("rendered"))
+    with pytest.raises(ConfigError, match=count):
+        train.compare_extractors(CFG, seeds=[0], **{count: value})
+
+
+def _compare_keeping_states(monkeypatch, seed, epochs):
+    """A tiny ``compare_extractors`` run at ``seed``, and each kind's trained
+    state."""
     from semroi import train
 
     states = {}
@@ -341,11 +376,49 @@ def test_compare_extractors_reports_every_family_on_its_own_stream(monkeypatch):
         return states[kind], history
 
     monkeypatch.setattr(train, "train_toy", fit_kept)
-    seed = 5
     result = train.compare_extractors(
-        CFG, seeds=[seed], n_classes=3, n_per_class=4, epochs=1,
-        invariance_samples=4, diversity_samples=2,
+        CFG, seeds=[seed], n_classes=3, n_per_class=4, epochs=epochs,
+        invariance_samples=4, diversity_samples=3,
     )
+    return result, states
+
+
+def test_train_toy_reproduces_the_sra_half_of_a_comparison(monkeypatch):
+    # train_toy on the harness splits at the seed is the comparison's sra run
+    from semroi import train
+
+    seed = 4
+    run = _compare_keeping_states(monkeypatch, seed, epochs=2)[0]["runs"][0]
+    train_set, test_set = harness_splits(train.harness_dataset(seed, 3, 4), seed)
+    state, history = train_toy("sra", CFG, train_set, epochs=2, seed=seed)
+    assert [h["train_loss"] for h in history] == run["sra"]["loss_curve"]
+    assert [h["train_accuracy"] for h in history] == run["sra"]["train_accuracy_curve"]
+    assert accuracy(state, test_set) == run["sra"]["final_test_accuracy"]
+
+
+def test_compare_extractors_reports_the_mean_mask_cosine(monkeypatch):
+    # the mean off-diagonal mask cosine, recomputed on the diversity stream
+    from semroi import train
+
+    seed = 5
+    result, states = _compare_keeping_states(monkeypatch, seed, epochs=1)
+    run = result["runs"][0]
+    report = mask_diversity(
+        states["sra"].params, CFG, train.harness_dataset(seed, 3, 4), 3,
+        stream_rng(seed, "diversity"),
+    )
+    off_diagonal = ~np.eye(CFG.n_masks, dtype=bool)
+    assert run["mask_diversity_mean_cosine"] == float(report.mean_matrix[off_diagonal].mean())
+    assert run["mask_diversity_fraction"] == report.fraction_below
+
+
+def test_compare_extractors_reports_every_family_on_its_own_stream(monkeypatch):
+    # one non-rotation value, recomputed from the trained extractor on the
+    # family's own stream, is the reported one bit for bit
+    from semroi import train
+
+    seed = 5
+    result, states = _compare_keeping_states(monkeypatch, seed, epochs=1)
     for kind in train.EXTRACTORS:
         assert list(result["runs"][0][kind]["invariance"]) == list(TRANSFORM_FAMILIES)
     state = states["sra"]
