@@ -6,6 +6,9 @@ config keys it reads, which are the only keys it accepts.  Every run writes
 a JSON report embedding those keys, resolved and typed, and the seed.
 Wall-clock timing is the benchmark's job
 (``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
+``train-toy``, ``ablate-descriptor`` and ``ablate-embedding`` are each one
+``train.compare_extractors`` run over named variants (sra and roi_align, or
+three sra modes), so they run one protocol and report one shape.
 Exit codes: 0 success, 1 acceptance failure, 2 usage error.
 """
 
@@ -29,7 +32,7 @@ from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
-from .train import accuracy, compare_extractors, harness_dataset, harness_splits, train_toy
+from .train import Variants, compare_extractors
 
 
 # flat dotted-key configuration, grouped in the sections a command may read;
@@ -39,7 +42,6 @@ SECTIONS: dict[str, dict[str, object]] = {
     "sra": {f"sra.{f.name}": f.default for f in fields(SraConfig)},
     "data": {"data.n_classes": 4, "data.n_per_class": 200, "data.channels": 16},
     "train": {"train.epochs": 30, "train.lr": 0.02, "train.momentum": 0.9},
-    "eval": {"eval.invariance_samples": 60, "eval.diversity_samples": 40},
 }
 
 
@@ -194,46 +196,36 @@ def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
     }
 
 
-def _ablation(config: dict, seed: int, field: str, modes: tuple[str, ...]) -> tuple[int, dict]:
-    """Train sra once per value of the SraConfig ``field``, all on one dataset."""
-    base = sra_config_from(config)
-    # concatenation cannot follow a dynamic grid; pin the fixed size
-    pins = {"concatenation": {"fixed_grid": FIXED_GRID}}
-    variants = {mode: replace(base, **{field: mode}, **pins.get(mode, {})) for mode in modes}
-    dataset = harness_dataset(
-        seed, config["data.n_classes"], config["data.n_per_class"], config["data.channels"]
+def _compare(config: dict, seed: int, variants: Variants) -> tuple[int, dict]:
+    """The harness run over ``variants`` at ``seed``, sized by the config."""
+    return 0, compare_extractors(
+        variants, [seed],
+        n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
+        epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
+        channels=config["data.channels"],
     )
-    train_set, test_set = harness_splits(dataset, seed)
-    out = {}
-    for mode, cfg in variants.items():
-        state, history = train_toy(
-            "sra", cfg, train_set, epochs=config["train.epochs"], lr=config["train.lr"],
-            momentum=config["train.momentum"], seed=seed,
-        )
-        out[mode] = {
-            "final_test_accuracy": accuracy(state, test_set),
-            "final_train_accuracy": history[-1]["train_accuracy"],
-            "final_train_loss": history[-1]["train_loss"],
-        }
-    return 0, {"modes": out}
+
+
+def _modes(config: dict, field: str, modes: tuple[str, ...]) -> Variants:
+    """One sra variant per value of the SraConfig ``field``, named by it."""
+    base = sra_config_from(config)
+    # concatenation cannot follow a dynamic grid; pin the fixed size unless one is set
+    pins = {"concatenation": {"fixed_grid": base.fixed_grid or FIXED_GRID}}
+    return {mode: ("sra", replace(base, **{field: mode}, **pins.get(mode, {}))) for mode in modes}
 
 
 def cmd_ablate_descriptor(config: dict, seed: int) -> tuple[int, dict]:
-    return _ablation(config, seed, "descriptor_mode", ("average", "maximum", "concatenation"))
+    return _compare(config, seed, _modes(config, "descriptor_mode",
+                                         ("average", "maximum", "concatenation")))
 
 
 def cmd_ablate_embedding(config: dict, seed: int) -> tuple[int, dict]:
-    return _ablation(config, seed, "embedding_mode", ("none", "position", "area"))
+    return _compare(config, seed, _modes(config, "embedding_mode", ("none", "position", "area")))
 
 
 def cmd_train_toy(config: dict, seed: int) -> tuple[int, dict]:
-    return 0, compare_extractors(
-        sra_config_from(config), [seed],
-        n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
-        epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
-        invariance_samples=config["eval.invariance_samples"],
-        diversity_samples=config["eval.diversity_samples"], channels=config["data.channels"],
-    )
+    cfg = sra_config_from(config)
+    return _compare(config, seed, {"sra": ("sra", cfg), "roi_align": ("roi_align", cfg)})
 
 
 class Command(NamedTuple):

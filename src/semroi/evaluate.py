@@ -20,6 +20,10 @@ TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
 # a pair of masks counts as diverse when its mean cosine is below this
 DIVERSITY_THRESHOLD = 0.3
 
+# the protocol's sample counts: invariance draws per family, diversity picks
+INVARIANCE_SAMPLES = 60
+DIVERSITY_SAMPLES = 40
+
 # the re-posed maps one invariance batch may hold: 64 float64 maps at C=16,
 # 4 at C=256
 _REPOSE_BYTES = 32 << 20
@@ -36,7 +40,7 @@ def make_feature_fn(
     """Flattened-RoI-feature closure for an extractor kind."""
     if kind == "sra":
         if params is None or config is None:
-            raise ValueError("sra extractor needs params and config")
+            raise ConfigError("sra extractor needs params and config")
         return lambda inst: sra_extract(
             inst.feature_map, inst.box, params, config
         ).feature.ravel()
@@ -60,7 +64,7 @@ def random_delta(family: str, rng: np.random.Generator) -> Pose:
             pan_x=float(rng.uniform(-PAN_FRAC, PAN_FRAC)),
             pan_y=float(rng.uniform(-PAN_FRAC, PAN_FRAC)),
         )
-    raise ValueError(f"unknown transform family {family!r} (choose from {TRANSFORM_FAMILIES})")
+    raise ConfigError(f"unknown transform family {family!r} (choose from {TRANSFORM_FAMILIES})")
 
 
 def cosine(a: Array, b: Array) -> float:
@@ -104,7 +108,7 @@ def invariance_eval(
     if family not in TRANSFORM_FAMILIES:
         raise ConfigError(f"unknown transform family {family!r} (choose from {TRANSFORM_FAMILIES})")
     if not dataset:
-        raise ValueError("invariance_eval: empty dataset")
+        raise ConfigError("invariance_eval: empty dataset")
     require_count("n_samples", n_samples, 1)
     picks = rng.integers(0, len(dataset), size=n_samples)
     sources = [dataset[int(idx)] for idx in picks]
@@ -153,7 +157,7 @@ def mask_diversity(
     before the first extraction."""
     require_mask_pairs(config)
     if not dataset:
-        raise ValueError("mask_diversity: empty dataset")
+        raise ConfigError("mask_diversity: empty dataset")
     require_count("n_samples", n_samples, 1)
     picks = [dataset[int(idx)] for idx in rng.integers(0, len(dataset), size=n_samples)]
     render_maps(picks)

@@ -1,6 +1,7 @@
 """Toy classification training: SGD with momentum on a linear head over
 extracted RoI features, with the semantic extractor's own parameters trained
-through the hand-derived backward pass."""
+through the hand-derived backward pass.  ``compare_extractors`` is the one
+harness that trains and scores named extractor variants side by side."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluate
 from .baselines import DEFAULT_OUT, roi_align
 from .core import (
     SraConfig,
@@ -60,17 +62,20 @@ def softmax_cross_entropy(logits: Array, label: int) -> tuple[float, Array]:
     return loss, dlogits
 
 
+def feature_dim(kind: str, config: SraConfig, channels: int) -> int:
+    """Length of one flattened RoI feature of a trainable extractor kind."""
+    if kind == "sra":
+        return config.n_masks * channels
+    if kind == "roi_align":
+        return DEFAULT_OUT[0] * DEFAULT_OUT[1] * channels
+    raise ConfigError(f"unknown extractor kind {kind!r}")
+
+
 def init_train_state(
     kind: str, config: SraConfig, channels: int, n_classes: int, seed: int
 ) -> TrainState:
-    if kind == "sra":
-        params = init_params(config, channels, stream_rng(seed, "params"))
-        feat_dim = config.n_masks * channels
-    elif kind == "roi_align":
-        params = None
-        feat_dim = DEFAULT_OUT[0] * DEFAULT_OUT[1] * channels
-    else:
-        raise ConfigError(f"unknown extractor kind {kind!r}")
+    feat_dim = feature_dim(kind, config, channels)
+    params = init_params(config, channels, stream_rng(seed, "params")) if kind == "sra" else None
     classifier = init_linear(stream_rng(seed, "classifier"), feat_dim, n_classes)
     state = TrainState(kind=kind, config=config, params=params, classifier=classifier)
     state.momenta = {name: np.zeros_like(arr) for name, arr in state.leaves()}
@@ -243,82 +248,80 @@ def harness_dataset(
     )
 
 
-EXTRACTORS = {"sra": "sra", "roi_align": "align"}  # kind -> summary label
+# the harness's named variants: name -> (extractor kind, its config)
+Variants = dict[str, tuple[str, SraConfig]]
 
 
 def compare_extractors(
-    config: SraConfig,
+    variants: Variants,
     seeds: list[int],
     n_classes: int = 4,
     n_per_class: int = 200,
     epochs: int = 30,
     lr: float = 0.02,
     momentum: float = 0.9,
-    invariance_samples: int = 60,
-    diversity_samples: int = 40,
     channels: int = 16,
 ) -> dict:
-    """Full head-to-head harness run: train both extractors on the same data
-    per seed, then measure rotation-augmented test accuracy, invariance under
-    every family of ``TRANSFORM_FAMILIES``, and mask diversity of the
-    trained models.
+    """The one harness: per seed, train each named variant, an extractor kind
+    and its ``SraConfig``, on the same data, then measure its
+    rotation-augmented test accuracy, its invariance under every family of
+    ``TRANSFORM_FAMILIES`` and, for an sra variant, its masks' diversity.
 
-    The invariance protocol is paired: for each family every extractor reads
-    a fresh generator on the one stream ``invariance/{family}``, so all of
-    them are scored on the same (instance, transform) draws, and each
-    family's draws do not depend on the others'."""
+    The variants are paired: for each family every variant reads a fresh
+    generator on the one stream ``invariance/{family}``, and every sra
+    variant one on the stream ``diversity``, so all are scored on the same
+    draws and a variant's entry does not depend on the others.  The sample
+    counts are the constants ``evaluate.INVARIANCE_SAMPLES`` and
+    ``evaluate.DIVERSITY_SAMPLES``."""
+    if not variants or "seed" in variants:
+        raise ConfigError("compare_extractors needs at least one variant, none named 'seed'")
     if not seeds:
         raise ConfigError("compare_extractors needs at least one seed")
     require_count("epochs", epochs, 1)
-    require_count("invariance_samples", invariance_samples, 1)
-    require_count("diversity_samples", diversity_samples, 1)
-    require_mask_pairs(config)
+    for kind, config in variants.values():
+        feature_dim(kind, config, channels)  # raises on an unknown kind
+        if kind == "sra":
+            require_mask_pairs(config)
     runs = []
     for seed in seeds:
         dataset = harness_dataset(seed, n_classes, n_per_class, channels)
         train_set, test_set = harness_splits(dataset, seed)
         run: dict = {"seed": seed}
-        states: dict[str, TrainState] = {}
-        for kind in EXTRACTORS:
+        for name, (kind, config) in variants.items():
             state, history = train_toy(
                 kind, config, train_set, epochs, lr=lr, momentum=momentum, seed=seed
             )
-            states[kind] = state
-            feature_fn = make_feature_fn(kind, state.params, state.config)
-            run[kind] = {
+            feature_fn = make_feature_fn(kind, state.params, config)
+            entry = run[name] = {
                 "final_test_accuracy": accuracy(state, test_set),
                 "final_train_accuracy": history[-1]["train_accuracy"],
                 "loss_curve": [h["train_loss"] for h in history],
                 "train_accuracy_curve": [h["train_accuracy"] for h in history],
                 "invariance": {
                     family: invariance_eval(
-                        feature_fn, dataset, family, invariance_samples,
+                        feature_fn, dataset, family, evaluate.INVARIANCE_SAMPLES,
                         stream_rng(seed, f"invariance/{family}"),
                     ).mean_cosine
                     for family in TRANSFORM_FAMILIES
                 },
             }
-        diversity = mask_diversity(
-            states["sra"].params, config, dataset, diversity_samples, stream_rng(seed, "diversity")
-        )
-        run["mask_diversity_fraction"] = diversity.fraction_below
-        off_diagonal = ~np.eye(config.n_masks, dtype=bool)
-        run["mask_diversity_mean_cosine"] = float(diversity.mean_matrix[off_diagonal].mean())
+            if kind == "sra":
+                diversity = mask_diversity(
+                    state.params, config, dataset, evaluate.DIVERSITY_SAMPLES,
+                    stream_rng(seed, "diversity"),
+                )
+                off_diagonal = diversity.mean_matrix[~np.eye(config.n_masks, dtype=bool)]
+                entry["mask_diversity_fraction"] = diversity.fraction_below
+                entry["mask_diversity_mean_cosine"] = float(off_diagonal.mean())
         runs.append(run)
 
     summary = {}
-    for kind, label in EXTRACTORS.items():
-        per_run = [run[kind] for run in runs]
-        summary[f"mean_{label}_test_accuracy"] = float(
-            np.mean([r["final_test_accuracy"] for r in per_run])
-        )
+    for name in variants:
+        per_run = [run[name] for run in runs]
+        columns = {"test_accuracy": [r["final_test_accuracy"] for r in per_run]}
         for family in TRANSFORM_FAMILIES:
-            values = [r["invariance"][family] for r in per_run]
-            summary[f"mean_{label}_{family}_cosine"] = float(np.mean(values))
-    summary["mean_mask_diversity_fraction"] = float(
-        np.mean([run["mask_diversity_fraction"] for run in runs])
-    )
-    summary["accuracy_margin"] = (
-        summary["mean_sra_test_accuracy"] - summary["mean_align_test_accuracy"]
-    )
+            columns[f"{family}_cosine"] = [r["invariance"][family] for r in per_run]
+        if "mask_diversity_fraction" in per_run[0]:
+            columns["mask_diversity_fraction"] = [r["mask_diversity_fraction"] for r in per_run]
+        summary.update({f"mean_{name}_{key}": float(np.mean(v)) for key, v in columns.items()})
     return {"runs": runs, "summary": summary}

@@ -42,7 +42,7 @@ COMPARISON_CONFIG = SraConfig(descriptor_dim=64, budget=128, embed_channels=16, 
 def comparison():
     start = time.time()
     result = compare_extractors(
-        COMPARISON_CONFIG,
+        {"sra": ("sra", COMPARISON_CONFIG), "roi_align": ("roi_align", COMPARISON_CONFIG)},
         seeds=COMPARISON_SEEDS,
         n_classes=4,
         n_per_class=200,
@@ -198,11 +198,11 @@ def test_criterion_8_toy_training_margin(comparison):
         run["sra"]["final_test_accuracy"] - run["roi_align"]["final_test_accuracy"]
         for run in comparison["runs"]
     ]
-    mean_margin = summary["accuracy_margin"]
+    mean_margin = summary["mean_sra_test_accuracy"] - summary["mean_roi_align_test_accuracy"]
     elapsed = comparison["elapsed_s"]
     detail = (
         f"mean acc {summary['mean_sra_test_accuracy']:.3f} vs "
-        f"{summary['mean_align_test_accuracy']:.3f} (margin {mean_margin*100:+.1f} pts, "
+        f"{summary['mean_roi_align_test_accuracy']:.3f} (margin {mean_margin*100:+.1f} pts, "
         f"per-seed {[f'{m*100:+.1f}' for m in margins]}), {elapsed:.0f}s"
     )
     passed = mean_margin >= 0.02 and any(m > 0 for m in margins) and elapsed < 900
@@ -218,11 +218,11 @@ def test_criterion_8_toy_training_margin(comparison):
 def test_criterion_9_invariance_protocol(comparison):
     summary = comparison["summary"]
     sra = summary["mean_sra_rotation_cosine"]
-    align = summary["mean_align_rotation_cosine"]
+    align = summary["mean_roi_align_rotation_cosine"]
     # only rotation is gated; the other families are reported beside it
     others = ", ".join(
         f"{family} {summary[f'mean_sra_{family}_cosine']:.3f} vs "
-        f"{summary[f'mean_align_{family}_cosine']:.3f}"
+        f"{summary[f'mean_roi_align_{family}_cosine']:.3f}"
         for family in TRANSFORM_FAMILIES
         if family != "rotation"
     )
@@ -232,8 +232,8 @@ def test_criterion_9_invariance_protocol(comparison):
 
 
 def test_criterion_10_mask_diversity(comparison):
-    fractions = [run["mask_diversity_fraction"] for run in comparison["runs"]]
-    mean_fraction = comparison["summary"]["mean_mask_diversity_fraction"]
+    fractions = [run["sra"]["mask_diversity_fraction"] for run in comparison["runs"]]
+    mean_fraction = comparison["summary"]["mean_sra_mask_diversity_fraction"]
     record_criterion(10, "trained mask diversity",
                      mean_fraction > 0.5,
                      f"fraction of pairwise cosines < 0.3: {mean_fraction:.3f} "

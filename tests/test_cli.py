@@ -17,9 +17,16 @@ TINY_TRAIN = [
     "--set", "sra.hidden=5",
     "--set", "data.n_per_class=6",
     "--set", "train.epochs=1",
-    "--set", "eval.invariance_samples=4",
-    "--set", "eval.diversity_samples=3",
 ]
+
+
+@pytest.fixture(autouse=True)
+def small_protocol(monkeypatch):
+    """The invariance and diversity sample counts, shrunk for speed."""
+    from semroi import evaluate
+
+    monkeypatch.setattr(evaluate, "INVARIANCE_SAMPLES", 4)
+    monkeypatch.setattr(evaluate, "DIVERSITY_SAMPLES", 3)
 
 
 def load_report(out_dir, name):
@@ -45,9 +52,9 @@ def test_unknown_config_key_rejected():
 
 
 def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
-    from semroi import cli
+    from semroi import train
 
-    monkeypatch.setattr(cli, "harness_dataset", _fail_if_run)
+    monkeypatch.setattr(train, "harness_dataset", _fail_if_run)
     assert run(["train-toy", "--out", str(tmp_path), "--set", "sra.independent_heads=true"]) == 2
     assert "unknown config key 'sra.independent_heads'" in capsys.readouterr().err
     assert run(["ablate-sampler", "--out", str(tmp_path), "--mode", "fixed"]) == 2
@@ -61,7 +68,9 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch):
     assert run(["gradcheck", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
     assert "unknown config key 'gradcheck.tolerance'" in capsys.readouterr().err
     for command, key in (("ablate-sampler", "sampler.n_boxes"), ("train-toy", "diversity.threshold"),
-                         ("train-toy", "transform.rotation_max_deg")):
+                         ("train-toy", "transform.rotation_max_deg"),
+                         ("train-toy", "eval.invariance_samples"),
+                         ("train-toy", "eval.diversity_samples")):
         assert run([command, "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -74,7 +83,7 @@ ACCEPTED_PREFIXES = {
     "ablate-sampler": {"sra", "data"},
     "ablate-descriptor": {"sra", "data", "train"},
     "ablate-embedding": {"sra", "data", "train"},
-    "train-toy": {"sra", "data", "train", "eval"},
+    "train-toy": {"sra", "data", "train"},
 }
 
 
@@ -87,23 +96,28 @@ def test_command_table_pins_accepted_key_prefixes():
     assert [k for k in resolve_config("ablate-sampler", None, []) if k.startswith("data.")] == [
         "data.channels"
     ]
-    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 58
+    assert sum(len(resolve_config(name, None, [])) for name in COMMANDS) == 56
 
 
-def _table_first_cells(text, header):
-    """The first cell of each row of the markdown table under ``header``."""
+def _table_rows(text, header):
+    """The cells of each row of the markdown table under ``header``."""
     lines = text[text.index(header):].splitlines()[2:]
-    return [line.split("|")[1].strip() for line in lines[: lines.index("")]]
+    return [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines[: lines.index("")]]
 
 
 def test_readme_cli_tables_match_the_command_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cli_doc = readme[readme.index("## CLI"):]
     cli_doc = cli_doc[: cli_doc.index("\n## ", 1)]
-    sections = _table_first_cells(cli_doc, "| section |")
+    sections = [row[0] for row in _table_rows(cli_doc, "| section |")]
     assert sorted(sections) == sorted(f"`{name}`" for name in SECTIONS)
-    commands = _table_first_cells(cli_doc, "| command |")
-    assert sorted(c.strip("`") for cell in commands for c in cell.split(", ")) == sorted(COMMANDS)
+    rows = _table_rows(cli_doc, "| command |")
+    assert sorted(c.strip("`") for row in rows for c in row[0].split(", ")) == sorted(COMMANDS)
+    # each row's sections column names the sections its commands read
+    for cell, read, _ in rows:
+        for name in cell.split(", "):
+            sections = COMMANDS[name.strip("`")].sections
+            assert read == (", ".join(f"`{s}`" for s in sections) or "none"), name
     for name, row in COMMANDS.items():
         for key in row.own:
             assert f"`{key}`" in cli_doc, (name, key)
@@ -209,29 +223,52 @@ def test_config_file_grid_side_of_the_wrong_type_exits_2(value, tmp_path, capsys
 
 @pytest.mark.parametrize("subcommand", ["ablate-descriptor", "ablate-embedding"])
 def test_ablations_train_with_the_config_they_report(subcommand, tmp_path, capsys, monkeypatch):
-    from semroi import cli
+    from semroi import train
 
     calls = []
+    fit, score = train.train_toy, train.accuracy
 
     def recorded(kind, config, train_set, epochs, **kwargs):
         calls.append((epochs, len(train_set)))
-        return "state", [{"train_accuracy": 0.5, "train_loss": 1.0}]
+        return fit(kind, config, train_set, epochs, **kwargs)
 
     def scored(state, test_set):
-        calls.append((state, len(test_set)))
-        return 0.5
+        calls.append(("scored", len(test_set)))
+        return score(state, test_set)
 
-    monkeypatch.setattr(cli, "train_toy", recorded)
-    monkeypatch.setattr(cli, "accuracy", scored)
-    code = run([subcommand, "--out", str(tmp_path), "--set", "train.epochs=1",
-                "--set", "data.n_per_class=6"])
+    monkeypatch.setattr(train, "train_toy", recorded)
+    monkeypatch.setattr(train, "accuracy", scored)
+    code = run([subcommand, "--out", str(tmp_path), *TINY_ABLATE])
     capsys.readouterr()
     assert code == 0
     # 4 classes x 6: 16 train instances, and each trained variant scores the
     # 8 test instances once
-    assert calls == [(1, 16), ("state", 8)] * 3
+    assert calls == [(1, 16), ("scored", 8)] * 3
     config = load_report(tmp_path, subcommand)["config"]
     assert (config["train.epochs"], config["data.n_per_class"]) == (1, 6)
+
+
+@pytest.mark.parametrize("grid", [None, (4, 3)], ids=["unset", "4x3"])
+def test_ablate_descriptor_pins_a_grid_only_when_none_is_set(grid, tmp_path, capsys, monkeypatch):
+    # concatenation needs a fixed grid: FIXED_GRID when none is set, else
+    # the one the report embeds, as the other two modes use
+    from semroi import train
+    from semroi.sampler import FIXED_GRID
+
+    grids = []
+    fit = train.train_toy
+
+    def recorded(kind, config, *args, **kwargs):
+        grids.append((config.descriptor_mode, config.fixed_grid))
+        return fit(kind, config, *args, **kwargs)
+
+    monkeypatch.setattr(train, "train_toy", recorded)
+    args = ["--set", "sra.fixed_grid=4x3"] if grid else []
+    assert run(["ablate-descriptor", "--out", str(tmp_path), *TINY_ABLATE, *args]) == 0
+    capsys.readouterr()
+    assert grids == [("average", grid), ("maximum", grid), ("concatenation", grid or FIXED_GRID)]
+    reported = load_report(tmp_path, "ablate-descriptor")["config"]["sra.fixed_grid"]
+    assert reported == (list(grid) if grid else None)
 
 
 # every int key is a count; each with the cheapest command that reads it
@@ -246,8 +283,6 @@ INT_KEYS = [
     ("ablate-descriptor", "data.n_per_class"),
     ("ablate-sampler", "data.channels"),
     ("ablate-descriptor", "train.epochs"),
-    ("train-toy", "eval.invariance_samples"),
-    ("train-toy", "eval.diversity_samples"),
 ]
 
 FLOAT_KEYS = [
@@ -272,9 +307,9 @@ def test_int_and_float_key_lists_cover_every_key():
 
 @pytest.mark.parametrize("subcommand,key", INT_KEYS)
 def test_count_below_one_exits_2(subcommand, key, tmp_path, capsys, monkeypatch):
-    from semroi import cli
+    from semroi import cli, train
 
-    monkeypatch.setattr(cli, "harness_dataset", _fail_if_run)
+    monkeypatch.setattr(train, "harness_dataset", _fail_if_run)
     monkeypatch.setattr(cli, "full_pipeline_gradcheck", _fail_if_run)
     assert run([subcommand, "--out", str(tmp_path), "--set", f"{key}=0"]) == 2
     err = capsys.readouterr().err
@@ -283,9 +318,9 @@ def test_count_below_one_exits_2(subcommand, key, tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("subcommand,key", FLOAT_KEYS)
 def test_non_finite_float_exits_2(subcommand, key, tmp_path, capsys, monkeypatch):
-    from semroi import cli
+    from semroi import cli, train
 
-    monkeypatch.setattr(cli, "harness_dataset", _fail_if_run)
+    monkeypatch.setattr(train, "harness_dataset", _fail_if_run)
     monkeypatch.setattr(cli, "full_pipeline_gradcheck", _fail_if_run)
     for value in ("nan", "inf"):
         assert run([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
@@ -314,13 +349,12 @@ def test_one_instance_per_class_exits_2_before_rendering(subcommand, tmp_path, c
     assert "n_per_class" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["train-toy"])
+@pytest.mark.parametrize("subcommand", ["train-toy", "ablate-descriptor", "ablate-embedding"])
 def test_single_mask_exits_2_before_training(subcommand, tmp_path, capsys, monkeypatch):
-    # train-toy measures mask diversity, which needs a pair of masks
-    from semroi import cli, train
+    # every sra variant's mask diversity is measured, which needs a pair of masks
+    from semroi import train
 
     monkeypatch.setattr(train, "train_toy", _fail_if_run)
-    monkeypatch.setattr(cli, "train_toy", _fail_if_run)
     assert run([subcommand, "--out", str(tmp_path), "--set", "sra.n_masks=1"]) == 2
     assert "2 masks" in capsys.readouterr().err
 
@@ -328,10 +362,9 @@ def test_single_mask_exits_2_before_training(subcommand, tmp_path, capsys, monke
 @pytest.mark.parametrize("subcommand", ["train-toy", "ablate-descriptor"])
 def test_undrawable_dataset_exits_2_before_training(subcommand, tmp_path, capsys, monkeypatch):
     # 4 classes' signatures cannot be drawn at 2 channels
-    from semroi import cli, train
+    from semroi import train
 
     monkeypatch.setattr(train, "train_toy", _fail_if_run)
-    monkeypatch.setattr(cli, "train_toy", _fail_if_run)
     assert run([subcommand, "--out", str(tmp_path), "--set", "data.channels=2"]) == 2
     err = capsys.readouterr().err
     assert "4 classes at 2 channels" in err
@@ -448,38 +481,32 @@ def test_ablate_sampler_honours_the_fixed_grid(tmp_path, capsys):
 TINY_ABLATE = TINY_TRAIN[:10] + ["--set", "train.epochs=1", "--set", "data.n_per_class=6"]
 
 
-def test_ablate_descriptor_covers_all_modes(tmp_path, capsys):
-    code = run(["ablate-descriptor", "--out", str(tmp_path), *TINY_ABLATE])
-    capsys.readouterr()
-    assert code == 0
-    modes = load_report(tmp_path, "ablate-descriptor")["metrics"]["modes"]
-    assert set(modes) == {"average", "maximum", "concatenation"}
-
-
-def test_ablate_embedding_covers_all_modes(tmp_path, capsys):
-    code = run(["ablate-embedding", "--out", str(tmp_path), *TINY_ABLATE])
-    capsys.readouterr()
-    assert code == 0
-    modes = load_report(tmp_path, "ablate-embedding")["metrics"]["modes"]
-    assert set(modes) == {"none", "position", "area"}
-
-
-def test_train_toy_reports_every_family(tmp_path, capsys):
-    # train-toy is the one command that reports the invariance protocol
+@pytest.mark.parametrize("subcommand,args,names", [
+    ("train-toy", TINY_TRAIN, ("sra", "roi_align")),
+    ("ablate-descriptor", TINY_ABLATE, ("average", "maximum", "concatenation")),
+    ("ablate-embedding", TINY_ABLATE, ("none", "position", "area")),
+], ids=["train-toy", "ablate-descriptor", "ablate-embedding"])
+def test_harness_commands_report_every_variant_and_family(subcommand, args, names, tmp_path,
+                                                          capsys):
+    # the three commands run one protocol, so their reports have one shape
     from semroi.evaluate import TRANSFORM_FAMILIES
 
-    code = run(["train-toy", "--out", str(tmp_path), *TINY_TRAIN])
+    code = run([subcommand, "--out", str(tmp_path), *args])
     capsys.readouterr()
     assert code == 0
-    assert [p.name for p in tmp_path.iterdir()] == ["train-toy.json"]
-    metrics = load_report(tmp_path, "train-toy")["metrics"]
+    assert [p.name for p in tmp_path.iterdir()] == [f"{subcommand}.json"]
+    metrics = load_report(tmp_path, subcommand)["metrics"]
     run0 = metrics["runs"][0]
-    for kind, label in (("sra", "sra"), ("roi_align", "align")):
-        cosines = run0[kind]["invariance"]
+    assert list(run0) == ["seed", *names]
+    for name in names:
+        cosines = run0[name]["invariance"]
         assert list(cosines) == list(TRANSFORM_FAMILIES)
         for family, value in cosines.items():
-            assert -1.0 <= value <= 1.0 + 1e-12, (kind, family)
-            assert metrics["summary"][f"mean_{label}_{family}_cosine"] == value
+            assert -1.0 <= value <= 1.0 + 1e-12, (name, family)
+            assert metrics["summary"][f"mean_{name}_{family}_cosine"] == value
+        diversity = run0[name].get("mask_diversity_fraction")
+        assert metrics["summary"].get(f"mean_{name}_mask_diversity_fraction") == diversity
+        assert (diversity is None) == (name == "roi_align")
 
 
 COST_MODEL = ["--set", "sra.descriptor_dim=16", "--set", "sra.hidden=8"]

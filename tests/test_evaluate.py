@@ -61,8 +61,15 @@ def test_zero_rotation_family_is_identity(monkeypatch):
 
 
 def test_invariance_rejects_empty_dataset():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ConfigError, match="empty"):
         invariance_eval(make_feature_fn("roi_align"), [], "rotation", 3, np.random.default_rng(0))
+
+
+def test_sra_feature_fn_needs_params_and_config():
+    params = init_params(CFG, 16, np.random.default_rng(8))
+    for args in ((), (params,), (None, CFG)):
+        with pytest.raises(ConfigError, match="params and config"):
+            make_feature_fn("sra", *args)
 
 
 def test_invariance_rejects_fewer_than_one_sample():
@@ -132,14 +139,15 @@ def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_th
 
 
 def test_the_protocol_draws_form_one_batch_at_sixteen_channels(batches):
-    # 60 maps of 512 KiB fit the default budget
+    # the protocol's 60 maps of 512 KiB fit the default budget
+    n = evaluate.INVARIANCE_SAMPLES
     ds = dataset()
     assert ds[0].feature_map.nbytes == 512 << 10
     batches.clear()  # the fixture's render
     fn = make_feature_fn("roi_align")
-    got = invariance_eval(fn, ds, "reflection", 60, np.random.default_rng(6))
-    assert batches == [60]
-    assert got == invariance_eval_loop(fn, ds, "reflection", 60, np.random.default_rng(6))
+    got = invariance_eval(fn, ds, "reflection", n, np.random.default_rng(6))
+    assert batches == [n] == [60]
+    assert got == invariance_eval_loop(fn, ds, "reflection", n, np.random.default_rng(6))
 
 
 @pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
@@ -200,7 +208,7 @@ def test_mask_diversity_renders_its_picks_in_one_batch_first(batches, monkeypatc
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError, match="family"):
+    with pytest.raises(ConfigError, match="family"):
         random_delta("shear", np.random.default_rng(0))
 
 
@@ -236,6 +244,12 @@ def test_mask_diversity_needs_two_masks():
     params = init_params(cfg, 16, np.random.default_rng(8))
     with pytest.raises(ConfigError, match="2 masks"):
         mask_diversity(params, cfg, dataset(), 2, np.random.default_rng(9))
+
+
+def test_mask_diversity_rejects_empty_dataset():
+    params = init_params(CFG, 16, np.random.default_rng(8))
+    with pytest.raises(ConfigError, match="empty"):
+        mask_diversity(params, CFG, [], 2, np.random.default_rng(9))
 
 
 def test_mask_diversity_rejects_fewer_than_one_sample():

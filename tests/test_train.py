@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,44 +211,86 @@ def test_accuracy_rejects_no_instances():
         accuracy(state, [])
 
 
-def test_compare_extractors_scores_both_kinds_on_the_same_draws(monkeypatch):
+TWO_KINDS = {"sra": ("sra", CFG), "roi_align": ("roi_align", CFG)}
+# three sra variants and roi_align, which is not last, so that its place in
+# the order shows
+VARIANTS = {
+    "average": ("sra", CFG),
+    "maximum": ("sra", replace(CFG, descriptor_mode="maximum")),
+    "roi_align": ("roi_align", CFG),
+    "position": ("sra", replace(CFG, embedding_mode="position")),
+}
+
+
+def shrink_protocol(monkeypatch, invariance, diversity):
+    from semroi import evaluate
+
+    monkeypatch.setattr(evaluate, "INVARIANCE_SAMPLES", invariance)
+    monkeypatch.setattr(evaluate, "DIVERSITY_SAMPLES", diversity)
+
+
+def test_compare_extractors_scores_every_variant_on_the_same_draws(monkeypatch):
     from semroi import evaluate, train
 
-    events = []
+    scored = []  # per variant trained: its kind, invariance draws and render batches
     fit = train.train_toy
     transform = evaluate.apply_transform
+    render = evaluate.render_maps
 
     def fit_marked(kind, *args, **kwargs):
-        events.append(kind)
+        scored.append((kind, [], []))
         return fit(kind, *args, **kwargs)
 
     def transform_recorded(inst, delta):
-        events.append((inst.seed, delta))
+        scored[-1][1].append((inst.seed, delta))
         return transform(inst, delta)
+
+    def render_recorded(instances):
+        scored[-1][2].append([(inst.seed, inst.pose) for inst in instances])
+        return render(instances)
 
     monkeypatch.setattr(train, "train_toy", fit_marked)
     monkeypatch.setattr(evaluate, "apply_transform", transform_recorded)
-    result = train.compare_extractors(
-        CFG, seeds=[3], n_classes=3, n_per_class=4, epochs=1,
-        invariance_samples=5, diversity_samples=2,
-    )
-    assert events[0] == "sra" and events.count("roi_align") == 1
-    split = events.index("roi_align")
-    sra_draws, align_draws = events[1:split], events[split + 1:]
+    monkeypatch.setattr(evaluate, "render_maps", render_recorded)
+    shrink_protocol(monkeypatch, 5, 2)
+    result = train.compare_extractors(VARIANTS, seeds=[3], n_classes=3, n_per_class=4, epochs=1)
+    assert [kind for kind, _, _ in scored] == [kind for kind, _ in VARIANTS.values()]
     # every family, in order, each on its own stream
     want = []
     for family in TRANSFORM_FAMILIES:
         rng = stream_rng(3, f"invariance/{family}")
         picks = rng.integers(0, 12, size=5)
         want += [random_delta(family, rng) for _ in picks]
-    assert len(sra_draws) == len(TRANSFORM_FAMILIES) * 5
-    assert [delta for _, delta in sra_draws] == want
-    assert sra_draws == align_draws
-    assert {
-        f"mean_{label}_{family}_cosine"
-        for label in ("sra", "align")
-        for family in TRANSFORM_FAMILIES
-    } <= set(result["summary"])
+    sra = [(draws, batches) for kind, draws, batches in scored if kind == "sra"]
+    draws, batches = sra[0]
+    assert len(draws) == len(TRANSFORM_FAMILIES) * 5
+    assert [delta for _, delta in draws] == want
+    assert all(other == sra[0] for other in sra[1:])
+    # roi_align reads the same draws, and only sra measures diversity: on
+    # the same picks, rendered in the last batch
+    _, align_draws, align_batches = scored[2]
+    assert align_draws == draws and align_batches == batches[:-1]
+    ds = train.harness_dataset(3, 3, 4)
+    picks = stream_rng(3, "diversity").integers(0, 12, size=2)
+    assert batches[-1] == [(ds[k].seed, ds[k].pose) for k in picks]
+    for name, (kind, _) in VARIANTS.items():
+        assert ("mask_diversity_fraction" in result["runs"][0][name]) == (kind == "sra")
+        assert (f"mean_{name}_mask_diversity_fraction" in result["summary"]) == (kind == "sra")
+        assert {f"mean_{name}_{family}_cosine" for family in TRANSFORM_FAMILIES} <= set(
+            result["summary"]
+        )
+
+
+def test_a_variants_entry_is_the_same_alone_or_beside_others(monkeypatch):
+    from semroi import train
+
+    shrink_protocol(monkeypatch, 4, 3)
+    sizes = dict(seeds=[5], n_classes=3, n_per_class=4, epochs=1)
+    beside = train.compare_extractors(VARIANTS, **sizes)
+    for name in ("maximum", "roi_align"):
+        alone = train.compare_extractors({name: VARIANTS[name]}, **sizes)
+        assert alone["runs"][0][name] == beside["runs"][0][name]
+        assert alone["summary"].items() <= beside["summary"].items()
 
 
 def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
@@ -263,25 +306,22 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
         return transforms(instances, deltas)
 
     monkeypatch.setattr(train, "apply_transforms", transforms_counted)
+    shrink_protocol(monkeypatch, 2, 2)
     seeds = [3, 4]
-    train.compare_extractors(
-        CFG, seeds=seeds, n_classes=3, n_per_class=4, epochs=1,
-        invariance_samples=2, diversity_samples=2,
-    )
+    train.compare_extractors(TWO_KINDS, seeds=seeds, n_classes=3, n_per_class=4, epochs=1)
     test_splits = [
         split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
     ]
     assert augmented == [inst.seed for split in test_splits for inst in split]
 
 
-def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(renders):
+def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(renders,
+                                                                              monkeypatch):
     from semroi import train
 
     seed, n_instances, n_invariance, n_diversity = 9, 12, 5, 2
-    train.compare_extractors(
-        CFG, seeds=[seed], n_classes=3, n_per_class=4, epochs=1,
-        invariance_samples=n_invariance, diversity_samples=n_diversity,
-    )
+    shrink_protocol(monkeypatch, n_invariance, n_diversity)
+    train.compare_extractors(TWO_KINDS, seeds=[seed], n_classes=3, n_per_class=4, epochs=1)
     got = Counter(renders)
     ds = train.harness_dataset(seed, 3, 4)
     train_set, test_set = split_dataset(ds, seed)
@@ -323,23 +363,23 @@ def test_compare_extractors_scores_the_test_split_once_per_kind(monkeypatch):
         return predict(state, inst)
 
     monkeypatch.setattr(train, "predict", predict_counted)
+    shrink_protocol(monkeypatch, 2, 2)
     seeds = [3, 4]
-    result = train.compare_extractors(
-        CFG, seeds=seeds, n_classes=3, n_per_class=4, epochs=2,
-        invariance_samples=2, diversity_samples=2,
-    )
+    result = train.compare_extractors(TWO_KINDS, seeds=seeds, n_classes=3, n_per_class=4, epochs=2)
     test_splits = [
         split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
     ]
     assert predicted == [
-        (kind, inst.seed) for split in test_splits for kind in train.EXTRACTORS for inst in split
+        (kind, inst.seed) for split in test_splits for kind in TWO_KINDS for inst in split
     ]
+    scored = {
+        "final_test_accuracy", "final_train_accuracy", "loss_curve", "train_accuracy_curve",
+        "invariance",
+    }
     for run in result["runs"]:
-        for kind in train.EXTRACTORS:
-            assert set(run[kind]) == {
-                "final_test_accuracy", "final_train_accuracy", "loss_curve",
-                "train_accuracy_curve", "invariance",
-            }
+        assert set(run["roi_align"]) == scored
+        assert set(run["sra"]) == scored | {"mask_diversity_fraction", "mask_diversity_mean_cosine"}
+        for kind in TWO_KINDS:
             assert len(run[kind]["loss_curve"]) == len(run[kind]["train_accuracy_curve"]) == 2
 
 
@@ -349,18 +389,33 @@ def test_compare_extractors_rejects_no_seeds_before_rendering(renders, monkeypat
 
     monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(ConfigError, match="seed"):
-        train.compare_extractors(CFG, seeds=[])
+        train.compare_extractors(TWO_KINDS, seeds=[])
     assert renders == []
 
 
-@pytest.mark.parametrize("count", ["epochs", "invariance_samples", "diversity_samples"])
+@pytest.mark.parametrize("variants,match", [
+    ({}, "at least one variant"),
+    ({**TWO_KINDS, "one_mask": ("sra", replace(CFG, n_masks=1))}, "2 masks"),
+    ({**TWO_KINDS, "deformable": ("deformable", CFG)}, "kind 'deformable'"),
+    ({"seed": ("roi_align", CFG)}, "named 'seed'"),
+], ids=["empty", "one_mask", "unknown_kind", "named_seed"])
+def test_compare_extractors_rejects_bad_variants_before_rendering(variants, match, renders,
+                                                                   monkeypatch):
+    from semroi import train
+
+    monkeypatch.setattr(train, "train_toy", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ConfigError, match=match):
+        train.compare_extractors(variants, seeds=[0])
+    assert renders == []
+
+
 @pytest.mark.parametrize("value", [0, 1.5])
-def test_compare_extractors_rejects_a_bad_count_before_rendering(count, value, monkeypatch):
+def test_compare_extractors_rejects_a_bad_count_before_rendering(value, monkeypatch):
     from semroi import train
 
     monkeypatch.setattr(train, "generate_dataset", lambda *a, **k: pytest.fail("rendered"))
-    with pytest.raises(ConfigError, match=count):
-        train.compare_extractors(CFG, seeds=[0], **{count: value})
+    with pytest.raises(ConfigError, match="epochs"):
+        train.compare_extractors(TWO_KINDS, seeds=[0], epochs=value)
 
 
 def _compare_keeping_states(monkeypatch, seed, epochs):
@@ -376,9 +431,9 @@ def _compare_keeping_states(monkeypatch, seed, epochs):
         return states[kind], history
 
     monkeypatch.setattr(train, "train_toy", fit_kept)
+    shrink_protocol(monkeypatch, 4, 3)
     result = train.compare_extractors(
-        CFG, seeds=[seed], n_classes=3, n_per_class=4, epochs=epochs,
-        invariance_samples=4, diversity_samples=3,
+        TWO_KINDS, seeds=[seed], n_classes=3, n_per_class=4, epochs=epochs
     )
     return result, states
 
@@ -402,7 +457,7 @@ def test_compare_extractors_reports_the_mean_mask_cosine(monkeypatch):
 
     seed = 5
     result, states = _compare_keeping_states(monkeypatch, seed, epochs=1)
-    run = result["runs"][0]
+    run = result["runs"][0]["sra"]
     report = mask_diversity(
         states["sra"].params, CFG, train.harness_dataset(seed, 3, 4), 3,
         stream_rng(seed, "diversity"),
@@ -419,7 +474,7 @@ def test_compare_extractors_reports_every_family_on_its_own_stream(monkeypatch):
 
     seed = 5
     result, states = _compare_keeping_states(monkeypatch, seed, epochs=1)
-    for kind in train.EXTRACTORS:
+    for kind in TWO_KINDS:
         assert list(result["runs"][0][kind]["invariance"]) == list(TRANSFORM_FAMILIES)
     state = states["sra"]
     want = invariance_eval(
