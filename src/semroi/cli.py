@@ -2,20 +2,22 @@
 
 Subcommands: gradcheck, oracles, ablate-sampler, ablate-descriptor,
 ablate-embedding, train-toy.  ``COMMANDS`` maps each to its handler and the
-config keys it reads, which are the only keys it accepts.  Every run writes
-a JSON report embedding those keys, resolved and typed, and the seed.
+config keys it reads, which are the only keys it accepts; ``--set key=value``
+is the one way to set them.  Every run writes a JSON report embedding those
+keys, resolved and typed, and the seed.
 Wall-clock timing is the benchmark's job
 (``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
 ``train-toy``, ``ablate-descriptor`` and ``ablate-embedding`` are each one
 ``train.compare_extractors`` run over named variants (sra and roi_align, or
-three sra modes), so they run one protocol and report one shape.
+three sra modes), so they run one protocol and report one shape; the
+harness's class count, channels and SGD step are ``train``'s constants, and
+an ablation does not accept the ``sra.*`` key it varies.
 Exit codes: 0 success, 1 acceptance failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections import Counter
@@ -25,23 +27,23 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import numerics
+from . import numerics, oracles
 from .core import SraConfig, choose_grid, parameter_count
 from .evaluate import flops_estimate
 from .numerics import ConfigError
 from .oracles import full_pipeline_gradcheck, run_all
 from .reporting import stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
-from .train import Variants, compare_extractors
+from .train import CHANNELS, EPOCHS, N_PER_CLASS, Variants, compare_extractors
 
 
 # flat dotted-key configuration, grouped in the sections a command may read;
 # the sra.* keys mirror SraConfig (the reference operating point) field by
-# field, the desk-scale keys after them size the synthetic harness
+# field, the two keys after them size the synthetic harness
 SECTIONS: dict[str, dict[str, object]] = {
     "sra": {f"sra.{f.name}": f.default for f in fields(SraConfig)},
-    "data": {"data.n_classes": 4, "data.n_per_class": 200, "data.channels": 16},
-    "train": {"train.epochs": 30, "train.lr": 0.02, "train.momentum": 0.9},
+    "data": {"data.n_per_class": N_PER_CLASS},
+    "train": {"train.epochs": EPOCHS},
 }
 
 
@@ -49,42 +51,29 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_grid(key: str, value: object, text: bool) -> tuple[int, int] | None:
-    """A ``--set`` string (``text``) ``'8x8'``/``'none'``, or a config file's
-    ``[8, 8]`` or null; like every config-file value, the sides must already
-    be ints, and a string is not parsed."""
-    if value is None or (text and value.lower() in ("none", "")):
+def _parse_grid(key: str, value: str) -> tuple[int, int] | None:
+    """``'8x8'``, or ``'none'`` (or nothing) for no fixed grid."""
+    if value.lower() in ("none", ""):
         return None
-    expected = f"{key}: grid must look like '8x8' or 'none', got {value!r}"
     try:
-        h, w = (int(v) for v in value.lower().split("x")) if text else value
-    except (TypeError, ValueError) as exc:
-        raise UsageError(expected) from exc
-    if type(h) is not int or type(w) is not int:
-        raise UsageError(expected)
+        h, w = (int(v) for v in value.lower().split("x"))
+    except ValueError as exc:
+        raise UsageError(f"{key}: grid must look like '8x8' or 'none', got {value!r}") from exc
     if min(h, w) < 1:
         raise UsageError(f"{key}: grid sides must be at least 1, got {value!r}")
     return h, w
 
 
-def _coerce(key: str, value: object, default: object, text: bool) -> object:
-    """``value`` typed by ``default``: a ``--set`` string (``text``) is parsed
-    by that type, a config-file value must already have it (an int may stand
-    for a float).  Every int key is a count, so it is at least 1; every float
-    is finite."""
+def _coerce(key: str, value: str, default: object) -> object:
+    """The ``--set`` string ``value`` parsed by the type of ``default``.
+    Every int key is a count, so it is at least 1; every float is finite."""
     if default is None:  # sra.fixed_grid
-        return _parse_grid(key, value, text)
+        return _parse_grid(key, value)
     kind = type(default)
-    expected = f"{key}: expected {kind.__name__}, got {value!r}"
-    if text and kind is not str:
-        try:
-            value = kind(value)
-        except ValueError as exc:
-            raise UsageError(expected) from exc
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        raise UsageError(expected)
+    try:
+        value = kind(value)
+    except ValueError as exc:
+        raise UsageError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
     if kind is int and value < 1:
         raise UsageError(f"{key}: expected a count of at least 1, got {value}")
     if kind is float and not math.isfinite(value):
@@ -92,41 +81,31 @@ def _coerce(key: str, value: object, default: object, text: bool) -> object:
     return value
 
 
-def _read_config_file(config_file: str | None) -> dict:
-    if not config_file:
-        return {}
-    try:
-        loaded = json.loads(Path(config_file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {config_file}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise UsageError(f"config file {config_file} must hold a JSON object")
-    return loaded
-
-
-def resolve_config(subcommand: str, config_file: str | None, overrides: list[str]) -> dict:
-    """The command's sections and own keys, with the file's values and then
-    the ``--set`` overrides applied; a key the command does not read is
-    rejected like an unknown one."""
+def resolve_config(subcommand: str, overrides: list[str]) -> dict:
+    """The command's sections and own keys, with the ``--set`` overrides
+    applied; a key the command does not read is rejected like an unknown
+    one."""
     row = COMMANDS[subcommand]
     defaults = {key: value for name in row.sections for key, value in SECTIONS[name].items()}
     defaults.update(row.own)
-    given = [(key, value, False) for key, value in _read_config_file(config_file).items()]
+    config = {key: value for key, value in defaults.items() if value is not VARIED}
     for item in overrides:
         key, eq, value = item.partition("=")
+        key = key.strip()
         if not eq:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        given.append((key.strip(), value, True))
-    config = dict(defaults)
-    for key, value, text in given:
-        if key not in defaults:
+        if key not in config:
             raise UsageError(f"unknown config key {key!r} for {subcommand}")
-        config[key] = _coerce(key, value, defaults[key], text)
+        config[key] = _coerce(key, value, defaults[key])
     return config
 
 
 def sra_config_from(config: dict) -> SraConfig:
-    return SraConfig(**{f.name: config[f"sra.{f.name}"] for f in fields(SraConfig)})
+    """The ``SraConfig`` of the config's ``sra.*`` keys; a field without a
+    key, one an ablation varies, keeps its default."""
+    return SraConfig(**{
+        f.name: config[f"sra.{f.name}"] for f in fields(SraConfig) if f"sra.{f.name}" in config
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +113,7 @@ def sra_config_from(config: dict) -> SraConfig:
 
 
 def cmd_gradcheck(config: dict, seed: int) -> tuple[int, dict]:
-    reports = [full_pipeline_gradcheck(seed + i) for i in range(config["gradcheck.seeds"])]
+    reports = [full_pipeline_gradcheck(seed + i) for i in range(oracles.GRADCHECK_SEEDS)]
     per_seed = [
         {"seed": seed + i, "max_rel_err": r.max_rel_err, "worst": r.worst}
         for i, r in enumerate(reports)
@@ -164,9 +143,8 @@ SAMPLER_BOXES = 200
 def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
     """Grid choice over ``SAMPLER_BOXES`` random boxes, and the analytic cost
     of extracting each box at its grid: the dynamic sampler, or
-    ``sra.fixed_grid``."""
+    ``sra.fixed_grid``, on maps of the harness's ``CHANNELS``."""
     cfg = sra_config_from(config)
-    channels = config["data.channels"]
     rng = stream_rng(seed, "sampler-ablation")
     grids = []
     for _ in range(SAMPLER_BOXES):
@@ -175,7 +153,7 @@ def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
         grids.append(choose_grid(box, cfg))
     areas = [grid.area for grid in grids]
     counts = Counter(f"{grid.h}x{grid.w}" for grid in grids)
-    estimates = [flops_estimate(cfg, channels, grid) for grid in grids]
+    estimates = [flops_estimate(cfg, CHANNELS, grid) for grid in grids]
     per_roi = float(np.mean([est.per_roi for est in estimates]))
     return 0, {
         "mode": "dynamic" if cfg.fixed_grid is None else "fixed",
@@ -185,8 +163,8 @@ def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
         "budget_respected": max(areas) <= cfg.budget,
         "distinct_grids": len(counts),
         "top_grids": counts.most_common(8),
-        "channels": channels,
-        "parameter_count": parameter_count(cfg, channels),
+        "channels": CHANNELS,
+        "parameter_count": parameter_count(cfg, CHANNELS),
         "multiply_adds_per_roi": per_roi,
         "multiply_adds_per_300_rois": 300 * per_roi,
         "breakdown": {
@@ -199,10 +177,7 @@ def cmd_ablate_sampler(config: dict, seed: int) -> tuple[int, dict]:
 def _compare(config: dict, seed: int, variants: Variants) -> tuple[int, dict]:
     """The harness run over ``variants`` at ``seed``, sized by the config."""
     return 0, compare_extractors(
-        variants, [seed],
-        n_classes=config["data.n_classes"], n_per_class=config["data.n_per_class"],
-        epochs=config["train.epochs"], lr=config["train.lr"], momentum=config["train.momentum"],
-        channels=config["data.channels"],
+        variants, [seed], n_per_class=config["data.n_per_class"], epochs=config["train.epochs"]
     )
 
 
@@ -231,19 +206,23 @@ def cmd_train_toy(config: dict, seed: int) -> tuple[int, dict]:
 class Command(NamedTuple):
     handler: Callable[[dict, int], tuple[int, dict]]
     sections: tuple[str, ...]  # the SECTIONS it reads
-    own: dict[str, object]  # its own keys, and section defaults it overrides
+    own: dict[str, object]  # its own keys, and section defaults it overrides or drops
 
 
-ABLATION = ("sra", "data", "train"), {"train.epochs": 10, "data.n_per_class": 75}
+# an own value that drops a section key: the command runs every value of it,
+# so a value set for it would be ignored
+VARIED = object()
+ABLATION_SIZES = {"train.epochs": 10, "data.n_per_class": 75}
 
 # each command accepts, and its report embeds, exactly the keys of its row
 COMMANDS: dict[str, Command] = {
-    "gradcheck": Command(cmd_gradcheck, (), {"gradcheck.seeds": 20}),
+    "gradcheck": Command(cmd_gradcheck, (), {}),
     "oracles": Command(cmd_oracles, (), {}),
-    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",),
-                              {"data.channels": SECTIONS["data"]["data.channels"]}),
-    "ablate-descriptor": Command(cmd_ablate_descriptor, *ABLATION),
-    "ablate-embedding": Command(cmd_ablate_embedding, *ABLATION),
+    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",), {}),
+    "ablate-descriptor": Command(cmd_ablate_descriptor, tuple(SECTIONS),
+                                 {**ABLATION_SIZES, "sra.descriptor_mode": VARIED}),
+    "ablate-embedding": Command(cmd_ablate_embedding, tuple(SECTIONS),
+                                {**ABLATION_SIZES, "sra.embedding_mode": VARIED}),
     "train-toy": Command(cmd_train_toy, tuple(SECTIONS), {}),
 }
 
@@ -257,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key")
         p.add_argument("--seed", type=int, default=0)
@@ -271,7 +249,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = resolve_config(args.subcommand, args.config, args.overrides)
+        config = resolve_config(args.subcommand, args.overrides)
         out_dir = Path(args.out)
         try:  # before the handler: a report that cannot be written fails fast
             out_dir.mkdir(parents=True, exist_ok=True)

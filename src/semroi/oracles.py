@@ -265,11 +265,13 @@ def invariance_eval_loop(
 
 
 # the small extractor the full-pipeline gradcheck differentiates, on an
-# 8x8 map of GRADCHECK_CHANNELS channels
+# 8x8 map of GRADCHECK_CHANNELS channels, and the number of consecutive
+# seeds the gradcheck command checks it at
 GRADCHECK_CONFIG = SraConfig(
     n_masks=3, budget=9, descriptor_dim=8, embed_channels=4, hidden=8, fixed_grid=(3, 3)
 )
 GRADCHECK_CHANNELS = 4
+GRADCHECK_SEEDS = 20
 
 
 def full_pipeline_gradcheck(seed: int):

@@ -1,7 +1,11 @@
 """Toy classification training: SGD with momentum on a linear head over
 extracted RoI features, with the semantic extractor's own parameters trained
 through the hand-derived backward pass.  ``compare_extractors`` is the one
-harness that trains and scores named extractor variants side by side."""
+harness that trains and scores named extractor variants side by side.  Its
+recipe is the constants below: every harness run draws ``N_CLASSES`` classes
+at ``CHANNELS`` channels and steps SGD at ``LR`` and ``MOMENTUM``; only the
+class size and the epoch count are arguments, with the defaults
+``N_PER_CLASS`` and ``EPOCHS``."""
 
 from __future__ import annotations
 
@@ -30,6 +34,15 @@ from .evaluate import (
 from .numerics import Array, ConfigError, LinearParams, init_linear, require_count
 from .reporting import derive_seed, stream_rng
 from .synthetic import SyntheticInstance, apply_transforms, generate_dataset, render_maps
+
+# the harness recipe; N_CLASSES class signatures can be drawn at CHANNELS
+# channels at every data seed that the tests try
+N_CLASSES = 4
+CHANNELS = 16
+LR = 0.02
+MOMENTUM = 0.9
+EPOCHS = 30
+N_PER_CLASS = 200
 
 
 class TrainingDiverged(RuntimeError):
@@ -199,15 +212,14 @@ def train_toy(
     config: SraConfig,
     train_set: list[SyntheticInstance],
     epochs: int,
-    lr: float = 0.02,
-    momentum: float = 0.9,
     seed: int = 0,
 ) -> tuple[TrainState, list[dict]]:
     """Train a linear head (plus extractor parameters for the semantic kind)
-    on ``train_set``: (trained state, per-epoch history).  Deterministic per
-    seed.  A history entry holds the epoch's mean train loss and its train
-    accuracy, the online accuracy of the predictions made during the epoch;
-    callers score a test split once, with ``accuracy``, after training."""
+    on ``train_set`` at ``LR`` and ``MOMENTUM``: (trained state, per-epoch
+    history).  Deterministic per seed.  A history entry holds the epoch's
+    mean train loss and its train accuracy, the online accuracy of the
+    predictions made during the epoch; callers score a test split once, with
+    ``accuracy``, after training."""
     require_count("epochs", epochs, 1)
     if not train_set:
         raise ConfigError("train_toy needs at least one training instance")
@@ -222,7 +234,7 @@ def train_toy(
         hits = 0
         for i in order:
             inst = train_set[int(i)]
-            loss, pred = train_step(state, inst, lr, momentum)
+            loss, pred = train_step(state, inst, LR, MOMENTUM)
             losses += loss
             hits += pred == inst.label
         history.append(
@@ -235,16 +247,15 @@ def train_toy(
     return state, history
 
 
-def harness_dataset(
-    seed: int, n_classes: int = 4, n_per_class: int = 200, channels: int = 16
-) -> list[SyntheticInstance]:
+def harness_dataset(seed: int, n_per_class: int = N_PER_CLASS) -> list[SyntheticInstance]:
     """The synthetic dataset every harness run at this seed trains on:
-    ``n_per_class`` instances of each class, drawn from ``derive_seed(seed,
-    "data")``.  The split puts at least one instance of each class in the
-    test split, so a class needs two for the train split to hold one."""
+    ``n_per_class`` instances of each of ``N_CLASSES`` classes at
+    ``CHANNELS`` channels, drawn from ``derive_seed(seed, "data")``.  The
+    split puts at least one instance of each class in the test split, so a
+    class needs two for the train split to hold one."""
     require_count("n_per_class", n_per_class, 2)
     return generate_dataset(
-        n_classes, n_classes * n_per_class, derive_seed(seed, "data"), channels=channels
+        N_CLASSES, N_CLASSES * n_per_class, derive_seed(seed, "data"), channels=CHANNELS
     )
 
 
@@ -255,12 +266,8 @@ Variants = dict[str, tuple[str, SraConfig]]
 def compare_extractors(
     variants: Variants,
     seeds: list[int],
-    n_classes: int = 4,
-    n_per_class: int = 200,
-    epochs: int = 30,
-    lr: float = 0.02,
-    momentum: float = 0.9,
-    channels: int = 16,
+    n_per_class: int = N_PER_CLASS,
+    epochs: int = EPOCHS,
 ) -> dict:
     """The one harness: per seed, train each named variant, an extractor kind
     and its ``SraConfig``, on the same data, then measure its
@@ -279,18 +286,16 @@ def compare_extractors(
         raise ConfigError("compare_extractors needs at least one seed")
     require_count("epochs", epochs, 1)
     for kind, config in variants.values():
-        feature_dim(kind, config, channels)  # raises on an unknown kind
+        feature_dim(kind, config, CHANNELS)  # raises on an unknown kind
         if kind == "sra":
             require_mask_pairs(config)
     runs = []
     for seed in seeds:
-        dataset = harness_dataset(seed, n_classes, n_per_class, channels)
+        dataset = harness_dataset(seed, n_per_class)
         train_set, test_set = harness_splits(dataset, seed)
         run: dict = {"seed": seed}
         for name, (kind, config) in variants.items():
-            state, history = train_toy(
-                kind, config, train_set, epochs, lr=lr, momentum=momentum, seed=seed
-            )
+            state, history = train_toy(kind, config, train_set, epochs, seed=seed)
             feature_fn = make_feature_fn(kind, state.params, config)
             entry = run[name] = {
                 "final_test_accuracy": accuracy(state, test_set),

@@ -44,11 +44,8 @@ def comparison():
     result = compare_extractors(
         {"sra": ("sra", COMPARISON_CONFIG), "roi_align": ("roi_align", COMPARISON_CONFIG)},
         seeds=COMPARISON_SEEDS,
-        n_classes=4,
         n_per_class=200,
         epochs=30,
-        lr=0.02,
-        momentum=0.9,
     )
     result["elapsed_s"] = time.time() - start
     return result

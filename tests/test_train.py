@@ -181,7 +181,7 @@ def test_augment_rotation_changes_content_keeps_labels():
 
 def test_loss_decreases_over_first_epochs_smoke():
     ds = dataset(n=48, seed=23)
-    _, hist = train_toy("sra", CFG, split_dataset(ds, 0)[0], epochs=5, lr=0.02, momentum=0.9, seed=0)
+    _, hist = train_toy("sra", CFG, split_dataset(ds, 0)[0], epochs=5, seed=0)
     losses = [h["train_loss"] for h in hist]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -253,13 +253,13 @@ def test_compare_extractors_scores_every_variant_on_the_same_draws(monkeypatch):
     monkeypatch.setattr(evaluate, "apply_transform", transform_recorded)
     monkeypatch.setattr(evaluate, "render_maps", render_recorded)
     shrink_protocol(monkeypatch, 5, 2)
-    result = train.compare_extractors(VARIANTS, seeds=[3], n_classes=3, n_per_class=4, epochs=1)
+    result = train.compare_extractors(VARIANTS, seeds=[3], n_per_class=4, epochs=1)
     assert [kind for kind, _, _ in scored] == [kind for kind, _ in VARIANTS.values()]
     # every family, in order, each on its own stream
     want = []
     for family in TRANSFORM_FAMILIES:
         rng = stream_rng(3, f"invariance/{family}")
-        picks = rng.integers(0, 12, size=5)
+        picks = rng.integers(0, 16, size=5)
         want += [random_delta(family, rng) for _ in picks]
     sra = [(draws, batches) for kind, draws, batches in scored if kind == "sra"]
     draws, batches = sra[0]
@@ -270,8 +270,8 @@ def test_compare_extractors_scores_every_variant_on_the_same_draws(monkeypatch):
     # the same picks, rendered in the last batch
     _, align_draws, align_batches = scored[2]
     assert align_draws == draws and align_batches == batches[:-1]
-    ds = train.harness_dataset(3, 3, 4)
-    picks = stream_rng(3, "diversity").integers(0, 12, size=2)
+    ds = train.harness_dataset(3, 4)
+    picks = stream_rng(3, "diversity").integers(0, 16, size=2)
     assert batches[-1] == [(ds[k].seed, ds[k].pose) for k in picks]
     for name, (kind, _) in VARIANTS.items():
         assert ("mask_diversity_fraction" in result["runs"][0][name]) == (kind == "sra")
@@ -285,7 +285,7 @@ def test_a_variants_entry_is_the_same_alone_or_beside_others(monkeypatch):
     from semroi import train
 
     shrink_protocol(monkeypatch, 4, 3)
-    sizes = dict(seeds=[5], n_classes=3, n_per_class=4, epochs=1)
+    sizes = dict(seeds=[5], n_per_class=4, epochs=1)
     beside = train.compare_extractors(VARIANTS, **sizes)
     for name in ("maximum", "roi_align"):
         alone = train.compare_extractors({name: VARIANTS[name]}, **sizes)
@@ -308,9 +308,9 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
     monkeypatch.setattr(train, "apply_transforms", transforms_counted)
     shrink_protocol(monkeypatch, 2, 2)
     seeds = [3, 4]
-    train.compare_extractors(TWO_KINDS, seeds=seeds, n_classes=3, n_per_class=4, epochs=1)
+    train.compare_extractors(TWO_KINDS, seeds=seeds, n_per_class=4, epochs=1)
     test_splits = [
-        split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
+        split_dataset(train.harness_dataset(seed, 4), seed)[1] for seed in seeds
     ]
     assert augmented == [inst.seed for split in test_splits for inst in split]
 
@@ -319,11 +319,11 @@ def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(re
                                                                               monkeypatch):
     from semroi import train
 
-    seed, n_instances, n_invariance, n_diversity = 9, 12, 5, 2
+    seed, n_instances, n_invariance, n_diversity = 9, 16, 5, 2
     shrink_protocol(monkeypatch, n_invariance, n_diversity)
-    train.compare_extractors(TWO_KINDS, seeds=[seed], n_classes=3, n_per_class=4, epochs=1)
+    train.compare_extractors(TWO_KINDS, seeds=[seed], n_per_class=4, epochs=1)
     got = Counter(renders)
-    ds = train.harness_dataset(seed, 3, 4)
+    ds = train.harness_dataset(seed, 4)
     train_set, test_set = split_dataset(ds, seed)
     kept = {id(inst) for inst in train_set}
     originals = {k for k, inst in enumerate(ds) if id(inst) not in kept}
@@ -365,9 +365,9 @@ def test_compare_extractors_scores_the_test_split_once_per_kind(monkeypatch):
     monkeypatch.setattr(train, "predict", predict_counted)
     shrink_protocol(monkeypatch, 2, 2)
     seeds = [3, 4]
-    result = train.compare_extractors(TWO_KINDS, seeds=seeds, n_classes=3, n_per_class=4, epochs=2)
+    result = train.compare_extractors(TWO_KINDS, seeds=seeds, n_per_class=4, epochs=2)
     test_splits = [
-        split_dataset(train.harness_dataset(seed, 3, 4), seed)[1] for seed in seeds
+        split_dataset(train.harness_dataset(seed, 4), seed)[1] for seed in seeds
     ]
     assert predicted == [
         (kind, inst.seed) for split in test_splits for kind in TWO_KINDS for inst in split
@@ -433,7 +433,7 @@ def _compare_keeping_states(monkeypatch, seed, epochs):
     monkeypatch.setattr(train, "train_toy", fit_kept)
     shrink_protocol(monkeypatch, 4, 3)
     result = train.compare_extractors(
-        TWO_KINDS, seeds=[seed], n_classes=3, n_per_class=4, epochs=epochs
+        TWO_KINDS, seeds=[seed], n_per_class=4, epochs=epochs
     )
     return result, states
 
@@ -444,7 +444,7 @@ def test_train_toy_reproduces_the_sra_half_of_a_comparison(monkeypatch):
 
     seed = 4
     run = _compare_keeping_states(monkeypatch, seed, epochs=2)[0]["runs"][0]
-    train_set, test_set = harness_splits(train.harness_dataset(seed, 3, 4), seed)
+    train_set, test_set = harness_splits(train.harness_dataset(seed, 4), seed)
     state, history = train_toy("sra", CFG, train_set, epochs=2, seed=seed)
     assert [h["train_loss"] for h in history] == run["sra"]["loss_curve"]
     assert [h["train_accuracy"] for h in history] == run["sra"]["train_accuracy_curve"]
@@ -459,7 +459,7 @@ def test_compare_extractors_reports_the_mean_mask_cosine(monkeypatch):
     result, states = _compare_keeping_states(monkeypatch, seed, epochs=1)
     run = result["runs"][0]["sra"]
     report = mask_diversity(
-        states["sra"].params, CFG, train.harness_dataset(seed, 3, 4), 3,
+        states["sra"].params, CFG, train.harness_dataset(seed, 4), 3,
         stream_rng(seed, "diversity"),
     )
     off_diagonal = ~np.eye(CFG.n_masks, dtype=bool)
@@ -478,7 +478,7 @@ def test_compare_extractors_reports_every_family_on_its_own_stream(monkeypatch):
         assert list(result["runs"][0][kind]["invariance"]) == list(TRANSFORM_FAMILIES)
     state = states["sra"]
     want = invariance_eval(
-        make_feature_fn("sra", state.params, state.config), train.harness_dataset(seed, 3, 4),
+        make_feature_fn("sra", state.params, state.config), train.harness_dataset(seed, 4),
         "reflection", 4, stream_rng(seed, "invariance/reflection"),
     ).mean_cosine
     assert result["runs"][0]["sra"]["invariance"]["reflection"] == want
@@ -491,4 +491,39 @@ def test_harness_dataset_rejects_a_bad_class_size(n_per_class):
     from semroi.numerics import ConfigError
 
     with pytest.raises(ConfigError, match="n_per_class"):
-        train.harness_dataset(0, 2, n_per_class)
+        train.harness_dataset(0, n_per_class)
+
+
+def test_harness_dataset_draws_the_recipes_classes_and_channels():
+    from semroi import train
+
+    ds = train.harness_dataset(2, 3)
+    assert Counter(inst.label for inst in ds) == {c: 3 for c in range(train.N_CLASSES)}
+    assert ds[0].feature_map.shape[0] == train.CHANNELS
+
+
+def test_train_toy_steps_at_the_recipes_rate_and_momentum(monkeypatch):
+    from semroi import train
+
+    steps = []
+
+    def recorded(state, inst, lr, momentum):
+        steps.append((lr, momentum))
+        return train_step(state, inst, lr, momentum)
+
+    monkeypatch.setattr(train, "train_step", recorded)
+    train_set = split_dataset(dataset(n=8, seed=3), 0)[0]
+    train_toy("sra", CFG, train_set, epochs=2, seed=0)
+    assert steps == [(train.LR, train.MOMENTUM)] * (2 * len(train_set))
+
+
+def test_the_harness_data_can_be_drawn_at_every_seed_tried():
+    # the CLI has no class or channel key, so whether a run's dataset can be
+    # drawn must not depend on its seed
+    from semroi import train
+    from semroi.reporting import derive_seed
+    from semroi.synthetic import make_render_context
+
+    for seed in range(200):
+        ctx = make_render_context(train.N_CLASSES, derive_seed(seed, "data"), train.CHANNELS)
+        assert len(ctx.classes) == train.N_CLASSES, seed
