@@ -1,9 +1,9 @@
 """Batch command-line entry point.
 
-Subcommands: gradcheck, oracles, ablate-sampler, ablate-descriptor,
-ablate-embedding, train-toy.  ``COMMANDS`` maps each to its handler and the
-config keys it reads, which are the only keys it accepts; ``--set key=value``
-is the one way to set them.  Every run writes a JSON report embedding those
+Subcommands: oracles, ablate-sampler, ablate-descriptor, ablate-embedding,
+train-toy.  ``COMMANDS`` maps each to its handler and the config keys it
+reads, which are the only keys it accepts; ``--set key=value`` is the one
+way to set them.  Every run writes a JSON report embedding those
 keys, resolved and typed, and the seed.
 Wall-clock timing is the benchmark's job
 (``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
@@ -11,7 +11,9 @@ Wall-clock timing is the benchmark's job
 ``train.compare_extractors`` run over named variants (sra and roi_align, or
 three sra modes), so they run one protocol and report one shape; the
 harness's class count, channels and SGD step are ``train``'s constants, and
-an ablation does not accept the ``sra.*`` key it varies.
+a command does not accept a key it does not read: an ablation's varied
+``sra.*`` key, or ``ablate-sampler``'s ``sra.gamma``.  ``oracles`` runs
+every oracle check, the 20-seed full-pipeline gradcheck among them.
 Exit codes: 0 success, 1 acceptance failure, 2 usage error.
 """
 
@@ -27,11 +29,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import numerics, oracles
 from .core import SraConfig, choose_grid, parameter_count
 from .evaluate import flops_estimate
 from .numerics import ConfigError
-from .oracles import full_pipeline_gradcheck, run_all
+from .oracles import run_all
 from .reporting import stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
 from .train import CHANNELS, EPOCHS, N_PER_CLASS, Variants, compare_extractors
@@ -88,7 +89,7 @@ def resolve_config(subcommand: str, overrides: list[str]) -> dict:
     row = COMMANDS[subcommand]
     defaults = {key: value for name in row.sections for key, value in SECTIONS[name].items()}
     defaults.update(row.own)
-    config = {key: value for key, value in defaults.items() if value is not VARIED}
+    config = {key: value for key, value in defaults.items() if value is not UNREAD}
     for item in overrides:
         key, eq, value = item.partition("=")
         key = key.strip()
@@ -102,7 +103,7 @@ def resolve_config(subcommand: str, overrides: list[str]) -> dict:
 
 def sra_config_from(config: dict) -> SraConfig:
     """The ``SraConfig`` of the config's ``sra.*`` keys; a field without a
-    key, one an ablation varies, keeps its default."""
+    key, one the command does not read, keeps its default."""
     return SraConfig(**{
         f.name: config[f"sra.{f.name}"] for f in fields(SraConfig) if f"sra.{f.name}" in config
     })
@@ -110,21 +111,6 @@ def sra_config_from(config: dict) -> SraConfig:
 
 # ---------------------------------------------------------------------------
 # subcommand bodies: each takes (config, seed) and returns (exit_code, metrics)
-
-
-def cmd_gradcheck(config: dict, seed: int) -> tuple[int, dict]:
-    reports = [full_pipeline_gradcheck(seed + i) for i in range(oracles.GRADCHECK_SEEDS)]
-    per_seed = [
-        {"seed": seed + i, "max_rel_err": r.max_rel_err, "worst": r.worst}
-        for i, r in enumerate(reports)
-    ]
-    passed = all(r.passed for r in reports)
-    return (0 if passed else 1), {
-        "passed": passed,
-        "tolerance": numerics.GRADCHECK_TOLERANCE,
-        "max_rel_err": max(r.max_rel_err for r in reports),
-        "per_seed": per_seed,
-    }
 
 
 def cmd_oracles(config: dict, seed: int) -> tuple[int, dict]:
@@ -209,20 +195,21 @@ class Command(NamedTuple):
     own: dict[str, object]  # its own keys, and section defaults it overrides or drops
 
 
-# an own value that drops a section key: the command runs every value of it,
-# so a value set for it would be ignored
-VARIED = object()
+# an own value that drops a section key the command does not read: an
+# ablation runs every value of the key it varies, and ablate-sampler's grid
+# statistics and cost model never read sra.gamma; a value set for it would
+# be ignored
+UNREAD = object()
 ABLATION_SIZES = {"train.epochs": 10, "data.n_per_class": 75}
 
 # each command accepts, and its report embeds, exactly the keys of its row
 COMMANDS: dict[str, Command] = {
-    "gradcheck": Command(cmd_gradcheck, (), {}),
     "oracles": Command(cmd_oracles, (), {}),
-    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",), {}),
+    "ablate-sampler": Command(cmd_ablate_sampler, ("sra",), {"sra.gamma": UNREAD}),
     "ablate-descriptor": Command(cmd_ablate_descriptor, tuple(SECTIONS),
-                                 {**ABLATION_SIZES, "sra.descriptor_mode": VARIED}),
+                                 {**ABLATION_SIZES, "sra.descriptor_mode": UNREAD}),
     "ablate-embedding": Command(cmd_ablate_embedding, tuple(SECTIONS),
-                                {**ABLATION_SIZES, "sra.embedding_mode": VARIED}),
+                                {**ABLATION_SIZES, "sra.embedding_mode": UNREAD}),
     "train-toy": Command(cmd_train_toy, tuple(SECTIONS), {}),
 }
 
@@ -274,12 +261,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _explain_failure(subcommand: str, metrics: dict) -> None:
-    if subcommand == "gradcheck":
-        print(f"  max_rel_err {metrics['max_rel_err']:.3e} over tolerance", file=sys.stderr)
-    elif subcommand == "oracles":
+    if subcommand == "oracles":
         for entry in metrics["checks"]:
             if not entry["passed"]:
-                print(f"  failing oracle: {entry['name']} (err {entry['max_err']:.3e})", file=sys.stderr)
+                print(f"  failing oracle: {entry['name']} (err {entry['max_err']:.3e})"
+                      f" {entry['detail']}".rstrip(), file=sys.stderr)
 
 
 def main() -> None:

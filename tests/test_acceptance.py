@@ -22,9 +22,11 @@ from semroi.core import (
 )
 from semroi.embeddings import area_embedding_raw
 from semroi.evaluate import TRANSFORM_FAMILIES
+from semroi.numerics import GRADCHECK_TOLERANCE
 from semroi.oracles import (
     GRADCHECK_CHANNELS,
     GRADCHECK_CONFIG,
+    GRADCHECK_SEEDS,
     full_pipeline_gradcheck,
     sample_roi_feature_loop,
 )
@@ -126,6 +128,8 @@ def test_criterion_4_full_pipeline_gradients():
     )
     # the extractor full_pipeline_gradcheck differentiates is this one
     assert GRADCHECK_CONFIG == cfg and GRADCHECK_CHANNELS == 4
+    # the CLI's oracles command checks the same 20 seeds at the same bound
+    assert GRADCHECK_SEEDS == 20 and GRADCHECK_TOLERANCE == 1e-4
     start = time.time()
     worst = 0.0
     for seed in range(20):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from semroi.cli import (
-    COMMANDS, SAMPLER_BOXES, SECTIONS, VARIED, resolve_config, run, sra_config_from, UsageError,
+    COMMANDS, SAMPLER_BOXES, SECTIONS, UNREAD, resolve_config, run, sra_config_from, UsageError,
 )
 from semroi.core import SraConfig, parameter_count
 
@@ -61,9 +61,9 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch, renders):
     from semroi import cli, train
 
     monkeypatch.setattr(train, "harness_dataset", _fail_if_run)
-    monkeypatch.setattr(cli, "full_pipeline_gradcheck", _fail_if_run)
+    monkeypatch.setattr(cli, "run_all", _fail_if_run)
     for command in ("train-toy", "ablate-descriptor", "ablate-embedding", "ablate-sampler",
-                    "gradcheck"):
+                    "oracles"):
         assert run([command, "--out", str(tmp_path), "--config", "cfg.json"]) == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         for key in REMOVED_KEYS:
@@ -75,18 +75,19 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch, renders):
     assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sampler.mode=fixed"]) == 2
     assert "unknown config key 'sampler.mode'" in capsys.readouterr().err
     assert run(["bench", "--out", str(tmp_path)]) == 2
-    for removed in ("invariance", "diversity"):
+    for removed in ("invariance", "diversity", "gradcheck"):
         assert run([removed, "--out", str(tmp_path)]) == 2
         assert f"invalid choice: '{removed}'" in capsys.readouterr().err
     assert run(["ablate-sampler", "--out", str(tmp_path), "--format", "csv"]) == 2
-    assert run(["gradcheck", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
+    assert run(["oracles", "--out", str(tmp_path), "--set", "gradcheck.tolerance=1"]) == 2
     assert "unknown config key 'gradcheck.tolerance'" in capsys.readouterr().err
     for command, key in (("ablate-sampler", "sampler.n_boxes"), ("train-toy", "diversity.threshold"),
                          ("train-toy", "transform.rotation_max_deg"),
                          ("train-toy", "eval.invariance_samples"),
                          ("train-toy", "eval.diversity_samples"),
                          ("ablate-descriptor", "sra.descriptor_mode"),
-                         ("ablate-embedding", "sra.embedding_mode")):
+                         ("ablate-embedding", "sra.embedding_mode"),
+                         ("ablate-sampler", "sra.gamma")):
         assert run([command, "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -95,7 +96,6 @@ def test_removed_keys_and_flags_exit_2(tmp_path, capsys, monkeypatch, renders):
 
 # the config sections and own key prefixes each command reads, and so accepts
 ACCEPTED_PREFIXES = {
-    "gradcheck": set(),
     "oracles": set(),
     "ablate-sampler": {"sra"},
     "ablate-descriptor": {"sra", "data", "train"},
@@ -110,9 +110,9 @@ def test_command_table_pins_accepted_key_prefixes():
         config = resolve_config(name, [])
         assert {key.split(".")[0] for key in config} == prefixes, name
     counts = {name: len(resolve_config(name, [])) for name in COMMANDS}
-    assert counts == {"gradcheck": 0, "oracles": 0, "ablate-sampler": 9,
+    assert counts == {"oracles": 0, "ablate-sampler": 8,
                       "ablate-descriptor": 10, "ablate-embedding": 10, "train-toy": 11}
-    assert sum(counts.values()) == 40
+    assert sum(counts.values()) == 39
 
 
 @pytest.mark.parametrize("subcommand,field,modes", [
@@ -131,6 +131,37 @@ def test_an_ablation_does_not_accept_the_key_it_varies(subcommand, field, modes,
         assert run([subcommand, "--out", str(tmp_path), "--set", f"sra.{field}={mode}"]) == 2
         assert f"unknown config key 'sra.{field}'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# a valid non-default value of each key ablate-sampler accepts, and the
+# arguments of the run it is compared against; average and maximum
+# descriptors cost the same, so concatenation is compared at its fixed grid
+SAMPLER_KEY_CHANGES = {
+    "sra.n_masks": (["sra.n_masks=7"], []),
+    "sra.budget": (["sra.budget=64"], []),
+    "sra.descriptor_dim": (["sra.descriptor_dim=64"], []),
+    "sra.embed_channels": (["sra.embed_channels=8"], []),
+    "sra.hidden": (["sra.hidden=64"], []),
+    "sra.descriptor_mode": (["sra.descriptor_mode=concatenation", "sra.fixed_grid=8x8"],
+                            ["sra.fixed_grid=8x8"]),
+    "sra.embedding_mode": (["sra.embedding_mode=none"], []),
+    "sra.fixed_grid": (["sra.fixed_grid=8x8"], []),
+}
+
+
+def test_every_key_ablate_sampler_accepts_moves_its_metrics(tmp_path, capsys):
+    # a key accepted and then ignored would make the report misstate the run
+    assert set(resolve_config("ablate-sampler", [])) == set(SAMPLER_KEY_CHANGES)
+
+    def metrics(name, sets):
+        out = tmp_path / name
+        args = [arg for item in sets for arg in ("--set", item)]
+        assert run(["ablate-sampler", "--out", str(out), *args]) == 0
+        capsys.readouterr()
+        return load_report(out, "ablate-sampler")["metrics"]
+
+    for key, (changed, base) in SAMPLER_KEY_CHANGES.items():
+        assert metrics(f"{key}-changed", changed) != metrics(f"{key}-base", base), key
 
 
 def _table_rows(text, header):
@@ -159,10 +190,10 @@ def test_readme_cli_tables_match_the_command_table():
             row = COMMANDS[name.strip("`")]
             assert read == (", ".join(f"`{s}`" for s in row.sections) or "none"), name
             assert _key_defaults(own) == {
-                key: _readme_value(value) for key, value in row.own.items() if value is not VARIED
+                key: _readme_value(value) for key, value in row.own.items() if value is not UNREAD
             }, name
             for key, value in row.own.items():
-                assert (f"not `{key}`" in own) == (value is VARIED), (name, key)
+                assert (f"not `{key}`" in own) == (value is UNREAD), (name, key)
     # every usage line in the section's code blocks runs a command of the table
     assert _usage_commands(cli_doc)
     assert _stale_usage_lines(cli_doc) == []
@@ -181,7 +212,7 @@ def test_readme_key_check_catches_a_stale_default():
     cell = "`train.epochs` 10, `data.n_per_class` 75; not `sra.descriptor_mode`, which it varies"
     assert _key_defaults(cell) == {"train.epochs": "10", "data.n_per_class": "75"}
     row = COMMANDS["ablate-descriptor"]
-    want = {key: _readme_value(value) for key, value in row.own.items() if value is not VARIED}
+    want = {key: _readme_value(value) for key, value in row.own.items() if value is not UNREAD}
     assert _key_defaults(cell) == want
     assert _key_defaults(cell.replace("` 10", "` 12")) != want
     assert _key_defaults("`lr` 0.02") != {
@@ -225,29 +256,31 @@ def test_ablations_default_to_their_own_epochs_and_dataset_size():
 
 
 def test_key_the_command_does_not_read_exits_2(capsys):
-    assert run(["gradcheck", "--set", "sra.n_masks=7"]) == 2
+    assert run(["oracles", "--set", "sra.n_masks=7"]) == 2
     assert "sra.n_masks" in capsys.readouterr().err
 
 
-def test_gradcheck_report_embeds_only_its_own_keys(tmp_path, capsys, monkeypatch):
+def test_oracles_report_embeds_only_its_own_keys(tmp_path, capsys, monkeypatch):
     from semroi import oracles
 
     monkeypatch.setattr(oracles, "GRADCHECK_SEEDS", 1)
-    assert run(["gradcheck", "--out", str(tmp_path)]) == 0
+    assert run(["oracles", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert load_report(tmp_path, "gradcheck")["config"] == {}
+    assert load_report(tmp_path, "oracles")["config"] == {}
 
 
-def test_gradcheck_fails_when_a_report_fails(tmp_path, capsys, monkeypatch):
-    # the command's verdict is the check's own, at numerics.GRADCHECK_TOLERANCE
+def test_oracles_gradcheck_fails_at_the_gradcheck_tolerance(tmp_path, capsys, monkeypatch):
+    # the pipeline_gradcheck verdict is the check's own, at numerics.GRADCHECK_TOLERANCE
     from semroi import numerics, oracles
 
     monkeypatch.setattr(numerics, "GRADCHECK_TOLERANCE", 1e-12)
     monkeypatch.setattr(oracles, "GRADCHECK_SEEDS", 1)
-    assert run(["gradcheck", "--out", str(tmp_path)]) == 1
-    capsys.readouterr()
-    metrics = load_report(tmp_path, "gradcheck")["metrics"]
-    assert not metrics["passed"] and metrics["tolerance"] == 1e-12
+    assert run(["oracles", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "failing oracle: pipeline_gradcheck" in err and "worst at seed 0" in err
+    metrics = load_report(tmp_path, "oracles")["metrics"]
+    assert not metrics["passed"]
+    assert [e["name"] for e in metrics["checks"] if not e["passed"]] == ["pipeline_gradcheck"]
 
 
 def test_fixed_grid_is_typed_in_reports(tmp_path, capsys):
@@ -328,7 +361,7 @@ INT_KEYS = [
 ]
 
 FLOAT_KEYS = [
-    ("ablate-sampler", "sra.gamma"),
+    ("train-toy", "sra.gamma"),
 ]
 
 
@@ -418,20 +451,23 @@ def test_non_numeric_value_exits_2(capsys):
 
 
 # a --set string the key's type does not parse; no bool or float reads as an int
-@pytest.mark.parametrize("key,value", [
-    ("sra.n_masks", "2.5"), ("sra.n_masks", "true"), ("sra.n_masks", "1e3"),
-    ("sra.gamma", "true"), ("sra.gamma", "50x"),
+@pytest.mark.parametrize("subcommand,key,value", [
+    ("ablate-sampler", "sra.n_masks", "2.5"), ("ablate-sampler", "sra.n_masks", "true"),
+    ("ablate-sampler", "sra.n_masks", "1e3"),
+    ("train-toy", "sra.gamma", "true"), ("train-toy", "sra.gamma", "50x"),
 ])
-def test_set_value_of_the_wrong_type_exits_2(key, value, tmp_path, capsys):
-    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+def test_set_value_of_the_wrong_type_exits_2(subcommand, key, value, tmp_path, capsys,
+                                             monkeypatch):
+    from semroi import train
+
+    monkeypatch.setattr(train, "harness_dataset", _fail_if_run)
+    assert run([subcommand, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
     assert f"{key}: expected" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-def test_set_int_string_for_a_float_key_is_a_float(tmp_path, capsys):
-    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sra.gamma=50"]) == 0
-    capsys.readouterr()
-    gamma = load_report(tmp_path, "ablate-sampler")["config"]["sra.gamma"]
+def test_set_int_string_for_a_float_key_is_a_float():
+    gamma = resolve_config("train-toy", ["sra.gamma=50"])["sra.gamma"]
     assert gamma == 50.0 and isinstance(gamma, float)
 
 
@@ -471,18 +507,21 @@ def test_removed_train_toy_key_exits_2_before_training(key, tmp_path, capsys, mo
     assert f"unknown config key '{key.split('=')[0]}'" in capsys.readouterr().err
 
 
-def test_gradcheck_writes_passing_report(tmp_path, capsys, monkeypatch):
+def test_oracles_gradcheck_reports_the_worst_seed(tmp_path, capsys, monkeypatch):
     from semroi import oracles
 
     monkeypatch.setattr(oracles, "GRADCHECK_SEEDS", 2)
-    code = run(["gradcheck", "--seed", "7", "--out", str(tmp_path)])
+    code = run(["oracles", "--seed", "7", "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
-    doc = load_report(tmp_path, "gradcheck")
+    doc = load_report(tmp_path, "oracles")
     assert doc["seed"] == 7
-    assert [entry["seed"] for entry in doc["metrics"]["per_seed"]] == [7, 8]
-    assert doc["metrics"]["passed"] is True
-    assert doc["metrics"]["max_rel_err"] < 1e-4
+    (entry,) = [e for e in doc["metrics"]["checks"] if e["name"] == "pipeline_gradcheck"]
+    reports = {s: oracles.full_pipeline_gradcheck(s) for s in (7, 8)}
+    worst = max(reports, key=lambda s: reports[s].max_rel_err)
+    assert entry["passed"] is True
+    assert entry["max_err"] == reports[worst].max_rel_err < 1e-4
+    assert entry["detail"] == f"2 seeds from 7; worst at seed {worst}: {reports[worst].worst}"
 
 
 def test_oracles_subcommand_green(tmp_path, capsys):
@@ -491,6 +530,8 @@ def test_oracles_subcommand_green(tmp_path, capsys):
     assert code == 0
     doc = load_report(tmp_path, "oracles")
     assert all(entry["passed"] for entry in doc["metrics"]["checks"])
+    (entry,) = [e for e in doc["metrics"]["checks"] if e["name"] == "pipeline_gradcheck"]
+    assert entry["detail"].startswith("20 seeds from 0;")
 
 
 def test_oracles_failure_exits_1(tmp_path, capsys, monkeypatch):
