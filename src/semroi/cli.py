@@ -4,7 +4,7 @@ Subcommands: oracles, ablate-sampler, ablate-descriptor, ablate-embedding,
 train-toy.  ``COMMANDS`` maps each to its handler and the config keys it
 reads, which are the only keys it accepts; ``--set key=value`` is the one
 way to set them.  Every run writes a JSON report embedding those
-keys, resolved and typed, and the seed.
+keys, resolved and typed, and the seed, a non-negative int.
 Wall-clock timing is the benchmark's job
 (``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
 ``train-toy``, ``ablate-descriptor`` and ``ablate-embedding`` are each one
@@ -218,6 +218,13 @@ COMMANDS: dict[str, Command] = {
 # driver
 
 
+def _seed(value: str) -> int:
+    """A ``--seed``: a non-negative int, as numpy's generators take."""
+    if not value.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {value!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semroi", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default="reports")
     return parser
 

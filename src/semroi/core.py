@@ -34,7 +34,7 @@ from .numerics import (
     norm_relu_linear_vjp,
     softmax_spatial_vjp,
 )
-from .sampler import GridSize, RoIBox, block_average_pool_vjp, dynamic_grid_size
+from .sampler import MAX_BUDGET, GridSize, RoIBox, block_average_pool_vjp, dynamic_grid_size
 
 DESCRIPTOR_MODES = ("concatenation", "maximum", "average")
 EMBEDDING_MODES = ("none", "position", "area")
@@ -68,8 +68,8 @@ class SraConfig:
             raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
         if min(self.n_masks, self.descriptor_dim, self.hidden) < 1:
             raise ConfigError("n_masks, descriptor_dim and hidden must be >= 1")
-        if self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        if not 1 <= self.budget <= MAX_BUDGET:
+            raise ConfigError(f"budget must be in [1, MAX_BUDGET={MAX_BUDGET}], got {self.budget}")
         if not 0 < self.gamma < np.inf:  # NaN fails too
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if self.descriptor_mode not in DESCRIPTOR_MODES:

@@ -1,4 +1,7 @@
-"""Invariance protocol, mask-diversity statistics, and analytic op counts."""
+"""Invariance protocol, mask-diversity statistics, and analytic op counts.
+
+Each protocol reader renders every map it will read in one ``render_maps``
+batch, then extracts, so nothing extracts while a batch renders."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from .core import SraConfig, SraParams, sra_extract
 from .numerics import Array, ConfigError, require_count
 from .synthetic import (
     PAN_FRAC, ROTATION_MAX_DEG, SCALE_HI, SCALE_LO, Pose, SyntheticInstance, apply_transform,
-    map_nbytes, render_maps,
+    render_maps,
 )
 
 TRANSFORM_FAMILIES = ("identity", "rotation", "reflection", "scale_pan")
@@ -23,10 +26,6 @@ DIVERSITY_THRESHOLD = 0.3
 # the protocol's sample counts: invariance draws per family, diversity picks
 INVARIANCE_SAMPLES = 60
 DIVERSITY_SAMPLES = 40
-
-# the re-posed maps one invariance batch may hold: 64 float64 maps at C=16,
-# 4 at C=256
-_REPOSE_BYTES = 32 << 20
 
 FeatureFn = Callable[[SyntheticInstance], Array]
 
@@ -96,31 +95,24 @@ def invariance_eval(
     generators in the same state give every extractor the same instances
     under the same deltas.
 
-    The picks are re-posed in chunks of as many maps as ``_REPOSE_BYTES``
-    holds.  One ``render_maps`` batch per chunk renders, on every CPU, the
-    chunk's re-poses and those of its sources not rendered yet; then each
-    (source, re-pose) pair of the chunk is extracted back to back.  Nothing
-    extracts while a batch renders.  The cosines are summed in pick order,
-    so the report is bit for bit that of ``oracles.invariance_eval_loop``,
-    which re-poses one pick at a time between its two extractions.  An
-    unknown ``family`` raises ``ConfigError`` before the first draw, so
-    ``rng`` is left as it was."""
+    One ``render_maps`` batch renders, on every CPU, every re-pose and every
+    source not rendered yet; then each (source, re-pose) pair is extracted
+    back to back, so nothing extracts while the batch renders.  The cosines
+    are summed in pick order, so the report is bit for bit that of
+    ``oracles.invariance_eval_loop``, which re-poses one pick at a time
+    between its two extractions.  An unknown ``family`` raises
+    ``ConfigError`` before the first draw, so ``rng`` is left as it was."""
     if family not in TRANSFORM_FAMILIES:
         raise ConfigError(f"unknown transform family {family!r} (choose from {TRANSFORM_FAMILIES})")
     if not dataset:
         raise ConfigError("invariance_eval: empty dataset")
     require_count("n_samples", n_samples, 1)
-    picks = rng.integers(0, len(dataset), size=n_samples)
-    sources = [dataset[int(idx)] for idx in picks]
-    deltas = [random_delta(family, rng) for _ in sources]
-    batch = max(1, _REPOSE_BYTES // max(map_nbytes(inst.ctx) for inst in sources))
+    sources = [dataset[int(idx)] for idx in rng.integers(0, len(dataset), size=n_samples)]
+    moved = [apply_transform(inst, random_delta(family, rng)) for inst in sources]
+    render_maps(sources + moved)
     total = 0.0
-    for start in range(0, n_samples, batch):
-        chunk = sources[start : start + batch]
-        moved = [apply_transform(i, d) for i, d in zip(chunk, deltas[start : start + batch])]
-        render_maps(chunk + moved)
-        for inst, after in zip(chunk, moved):
-            total += cosine(feature_fn(inst), feature_fn(after))
+    for inst, after in zip(sources, moved):
+        total += cosine(feature_fn(inst), feature_fn(after))
     return InvarianceReport(family=family, mean_cosine=total / n_samples, n_samples=n_samples)
 
 

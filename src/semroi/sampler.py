@@ -26,11 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import Array, ShapeError, VjpRecord, require_count
+from .numerics import Array, ConfigError, ShapeError, VjpRecord, require_count
 
 # the grid the descriptor ablation pins for the concatenation descriptor,
 # whose input size cannot follow a dynamic grid
 FIXED_GRID = (8, 8)
+
+# the largest budget under which ``dynamic_grid_size``'s table lookup is
+# proven exact; the table also grows about 4.5x per 4x of budget
+MAX_BUDGET = 2**17 - 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,10 @@ def _grid_table(budget: int) -> tuple[list[float], list[tuple[int, int]], list[G
     """Every feasible grid ratio ``h/w`` for ``h*w <= budget``, ascending,
     one entry per distinct float ratio: the grid with the largest area, then
     the largest h.  Returns the ratios, each entry's tie-break rank
-    ``(-area, -h)`` and its grid."""
+    ``(-area, -h)`` and its grid.  A budget above ``MAX_BUDGET`` raises
+    ``ConfigError``, which is not cached, so it raises on every call."""
+    if budget > MAX_BUDGET:
+        raise ConfigError(f"budget must be <= MAX_BUDGET={MAX_BUDGET}, got {budget}")
     rows = np.arange(1, budget + 1)
     h = np.repeat(rows, budget // rows)
     w = np.concatenate([np.arange(1, budget // r + 1) for r in rows])
@@ -101,8 +108,9 @@ def dynamic_grid_size(box: RoIBox, budget: int) -> GridSize:
     table's top, rounding cannot make an entry further out tie a
     neighbour's distance: distinct entries differ by at least 1/budget**2,
     far above the rounding of distances under the budget (for any budget
-    under 2**17).  Above the top the neighbour is (budget, 1), whose area
-    and h no entry exceeds, so it wins any tie.
+    under 2**17, so a budget above ``MAX_BUDGET`` raises ``ConfigError``).
+    Above the top the neighbour is (budget, 1), whose area and h no entry
+    exceeds, so it wins any tie.
     """
     require_count("budget", budget, 1)
     ratios, ranks, grids = _grid_table(budget)

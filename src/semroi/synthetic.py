@@ -17,11 +17,10 @@ instance holds a map slot, one per (class, rotation, reflection, seed): the
 first read of ``feature_map`` renders the slot's read-only map and keeps it.
 A re-pose that keeps the rotation and reflection keeps the map too, so it
 shares its source's slot with a new box, and the two render at most once.
-``generate_dataset`` and ``apply_transform`` render nothing; readers of many
-maps render the ones they will read with ``render_maps`` first, and
-``apply_transforms`` renders its re-poses.  Both share their renders out over
-every CPU by ``render_batch``, with the same bits as one render after
-another.
+``generate_dataset`` and ``apply_transform`` render nothing; a reader of
+many maps renders all it will read in one ``render_maps`` batch first,
+which shares the renders out over every CPU by ``render_batch``, with the
+same bits as one render after another.
 """
 
 from __future__ import annotations
@@ -207,11 +206,6 @@ def part_layout(ctx: RenderContext, label: int, pose: Pose) -> tuple[Array, Arra
     offsets = np.array([[p.offset_y, p.offset_x] for p in parts])
     centers = MAP_SIZE / 2.0 + _rotate_reflect(offsets, pose)
     return centers, np.array([p.signature for p in parts])
-
-
-def map_nbytes(ctx: RenderContext) -> int:
-    """The bytes of one rendered map of ``ctx``: (C, H, W) float64."""
-    return np.dtype(np.float64).itemsize * ctx.channels * MAP_SIZE * MAP_SIZE
 
 
 def _proposal_box(pose: Pose) -> RoIBox:
@@ -424,16 +418,3 @@ def apply_transform(inst: SyntheticInstance, delta: Pose) -> SyntheticInstance:
     if pose.rotation_deg == inst.pose.rotation_deg and pose.reflected == inst.pose.reflected:
         return replace(inst, pose=pose, box=_proposal_box(pose))
     return _instance(inst.ctx, inst.label, pose, inst.seed)
-
-
-def apply_transforms(
-    instances: Sequence[SyntheticInstance], deltas: Sequence[Pose]
-) -> list[SyntheticInstance]:
-    """``[apply_transform(i, d) for i, d in zip(instances, deltas)]``, with
-    their maps rendered by ``render_maps``: the re-renders, and the shared
-    slots of sources not rendered yet."""
-    if len(instances) != len(deltas):
-        raise ValueError(f"{len(instances)} instances but {len(deltas)} deltas")
-    out = [apply_transform(inst, delta) for inst, delta in zip(instances, deltas)]
-    render_maps(out)
-    return out

@@ -33,7 +33,7 @@ from .evaluate import (
 )
 from .numerics import Array, ConfigError, LinearParams, init_linear, require_count
 from .reporting import derive_seed, stream_rng
-from .synthetic import SyntheticInstance, apply_transforms, generate_dataset, render_maps
+from .synthetic import SyntheticInstance, apply_transform, generate_dataset, render_maps
 
 # the harness recipe; N_CLASSES class signatures can be drawn at CHANNELS
 # channels at every data seed that the tests try
@@ -190,9 +190,12 @@ def split_dataset(
 
 
 def augment_rotation(instances: list[SyntheticInstance], seed: int) -> list[SyntheticInstance]:
-    """Compose a fresh random rotation onto each instance (re-rendered)."""
+    """Compose a fresh random rotation onto each instance, and render the
+    re-poses in one ``render_maps`` batch."""
     rng = stream_rng(seed, "test-augment")
-    return apply_transforms(instances, [random_delta("rotation", rng) for _ in instances])
+    out = [apply_transform(inst, random_delta("rotation", rng)) for inst in instances]
+    render_maps(out)
+    return out
 
 
 def harness_splits(

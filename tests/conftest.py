@@ -2,10 +2,12 @@
 caller set a count, collects acceptance-criterion verdicts and prints one
 line per criterion in the terminal summary; ``n_threads`` fixes the number
 of threads batch renders use, ``renders`` records every render and
-``batches`` the size of every batch."""
+``batches`` the size of every batch; ``gradcheck_reports`` runs the 20-seed
+full-pipeline gradcheck once per session."""
 
 import os
 import sys
+import time
 
 import pytest
 
@@ -67,3 +69,14 @@ def batches(monkeypatch):
 
     monkeypatch.setattr(synthetic, "render_batch", recorded)
     return sizes
+
+
+@pytest.fixture(scope="session")
+def gradcheck_reports():
+    """``{seed: full_pipeline_gradcheck(seed)}`` at seeds 0-19, and the wall
+    time in seconds that computing them took."""
+    from semroi.oracles import full_pipeline_gradcheck
+
+    start = time.time()
+    reports = {seed: full_pipeline_gradcheck(seed) for seed in range(20)}
+    return reports, time.time() - start

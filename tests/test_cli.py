@@ -497,6 +497,25 @@ def test_invalid_sra_config_exits_2(subcommand, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_budget_above_the_sampler_bound_exits_2_without_a_report(tmp_path, capsys):
+    assert run(["ablate-sampler", "--out", str(tmp_path), "--set", "sra.budget=131072"]) == 2
+    assert "MAX_BUDGET=131071" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ["oracles", "train-toy"])
+def test_negative_seed_exits_2_without_a_report(subcommand, tmp_path, capsys, monkeypatch):
+    from semroi import cli
+
+    monkeypatch.setattr(cli, "run_all", lambda seed: pytest.fail("ran the oracles"))
+    monkeypatch.setattr(cli, "compare_extractors", lambda *a, **k: pytest.fail("trained"))
+    assert run([subcommand, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative int, got '-1'" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["invariance.families=rotation", "train.kind=sra"])
 def test_removed_train_toy_key_exits_2_before_training(key, tmp_path, capsys, monkeypatch):
     from semroi import train
@@ -524,7 +543,13 @@ def test_oracles_gradcheck_reports_the_worst_seed(tmp_path, capsys, monkeypatch)
     assert entry["detail"] == f"2 seeds from 7; worst at seed {worst}: {reports[worst].worst}"
 
 
-def test_oracles_subcommand_green(tmp_path, capsys):
+def test_oracles_subcommand_green(tmp_path, capsys, monkeypatch, gradcheck_reports):
+    # the gradcheck's 20 reports come from the session's run of them; the
+    # aggregation and every other check run here
+    from semroi import oracles
+
+    reports, _ = gradcheck_reports
+    monkeypatch.setattr(oracles, "full_pipeline_gradcheck", lambda seed: reports[seed])
     code = run(["oracles", "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
@@ -532,6 +557,7 @@ def test_oracles_subcommand_green(tmp_path, capsys):
     assert all(entry["passed"] for entry in doc["metrics"]["checks"])
     (entry,) = [e for e in doc["metrics"]["checks"] if e["name"] == "pipeline_gradcheck"]
     assert entry["detail"].startswith("20 seeds from 0;")
+    assert entry["max_err"] == max(report.max_rel_err for report in reports.values())
 
 
 def test_oracles_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from semroi.evaluate import (
 )
 from semroi.numerics import ConfigError
 from semroi.oracles import invariance_eval_loop
-from semroi.synthetic import generate_dataset, map_nbytes, render_maps
+from semroi.synthetic import generate_dataset, render_maps
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
@@ -108,13 +108,11 @@ def test_invariance_accepts_a_numpy_sample_count():
     assert got == invariance_eval(fn, ds, "rotation", 3, np.random.default_rng(5))
 
 
-@pytest.mark.parametrize("n_samples", [3, 4, 11], ids=["below_a_batch", "one_batch", "three_batches"])
+@pytest.mark.parametrize("n_samples", [3, 11, 70])
 @pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
 @pytest.mark.parametrize("kind", ["roi_align", "sra"])
-def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_threads, batches, monkeypatch):
-    # a budget of 4 maps: 11 samples make batches of 4, 4 and 3
+def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_threads, batches):
     ds = dataset()
-    monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * ds[0].feature_map.nbytes)
     params = init_params(CFG, 16, np.random.default_rng(2))
     fn = make_feature_fn(kind, params, CFG)
     want = invariance_eval_loop(fn, ds, family, n_samples, np.random.default_rng(n_samples))
@@ -134,12 +132,12 @@ def test_invariance_eval_matches_the_per_pick_loop(kind, family, n_samples, n_th
         # nothing to render makes no batch
         assert batches == [] and all(shared)
     else:
-        assert max(batches) <= 4 and len(batches) == -(-n_samples // 4)
-        assert sum(batches) == n_samples and not any(shared)
+        # the sources are rendered, so the one batch holds the re-poses
+        assert batches == [n_samples] and not any(shared)
 
 
 def test_the_protocol_draws_form_one_batch_at_sixteen_channels(batches):
-    # the protocol's 60 maps of 512 KiB fit the default budget
+    # the protocol's 60 re-poses of 512 KiB maps, 30 MiB, in one batch
     n = evaluate.INVARIANCE_SAMPLES
     ds = dataset()
     assert ds[0].feature_map.nbytes == 512 << 10
@@ -151,12 +149,10 @@ def test_the_protocol_draws_form_one_batch_at_sixteen_channels(batches):
 
 
 @pytest.mark.parametrize("family", TRANSFORM_FAMILIES)
-def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(
+def test_invariance_eval_renders_its_sources_with_its_re_poses_in_one_batch(
     family, n_threads, batches, monkeypatch
 ):
-    # a budget of 4 maps: 11 picks make chunks of 4, 4 and 3
     ds = generate_dataset(3, 12, seed=31)
-    monkeypatch.setattr(evaluate, "_REPOSE_BYTES", 4 * map_nbytes(ds[0].ctx))
     fn = make_feature_fn("roi_align")
     want = invariance_eval_loop(fn, dataset(), family, 11, np.random.default_rng(8))
     extracting = []
@@ -176,16 +172,10 @@ def test_invariance_eval_renders_each_chunks_sources_with_its_re_poses(
     batches.clear()  # the render of the loop's dataset
     got = invariance_eval(fn_checked, ds, family, 11, np.random.default_rng(8))
     assert got == want
-    picks = np.random.default_rng(8).integers(0, 12, size=11).tolist()
-    rendered: set[int] = set()
-    want_sizes = []
-    for start in range(0, 11, 4):
-        chunk = picks[start : start + 4]
-        sources = set(chunk) - rendered
-        rendered |= sources
-        re_renders = 0 if family in ("identity", "scale_pan") else len(chunk)
-        want_sizes.append(len(sources) + re_renders)
-    assert batches == [size for size in want_sizes if size]
+    # each distinct pick once, and a re-render per pick unless it keeps the map
+    picks = set(np.random.default_rng(8).integers(0, 12, size=11).tolist())
+    re_renders = 0 if family in ("identity", "scale_pan") else 11
+    assert batches == [len(picks) + re_renders]
 
 
 def test_mask_diversity_renders_its_picks_in_one_batch_first(batches, monkeypatch):

@@ -19,7 +19,6 @@ from semroi.synthetic import (
     Pose,
     apply_stem,
     apply_transform,
-    apply_transforms,
     generate_dataset,
     make_render_context,
     random_pose,
@@ -115,19 +114,6 @@ def test_augment_rotation_matches_per_instance_transforms(n_threads):
         assert_same_instance(out, apply_transform(inst, random_delta("rotation", rng)))
 
 
-def test_apply_transforms_keeps_order_across_shared_and_rendered_maps(n_threads):
-    dataset = generate_dataset(3, 6, seed=2)
-    rng = np.random.default_rng(0)
-    families = ["identity", "rotation", "scale_pan", "reflection", "scale_pan", "rotation"]
-    deltas = [random_delta(f, rng) for f in families]
-    got = apply_transforms(dataset, deltas)
-    for inst, delta, out, family in zip(dataset, deltas, got, families):
-        assert_same_instance(out, apply_transform(inst, delta))
-        assert np.shares_memory(out.feature_map, inst.feature_map) == (family in ("identity", "scale_pan"))
-    with pytest.raises(ValueError, match="5 deltas"):
-        apply_transforms(dataset, deltas[:5])
-
-
 def test_job_k_is_rendered_by_thread_k_mod_w(n_threads, monkeypatch):
     body = synthetic._render
     threads = {}
@@ -192,7 +178,6 @@ def test_batch_survives_frequent_thread_switches(monkeypatch):
 
 def test_empty_batch():
     assert render_batch([]) == []
-    assert apply_transforms([], []) == []
 
 
 # the batch runs on two threads whatever the host has; the loop renders the

@@ -10,6 +10,7 @@ from semroi.numerics import ConfigError, ShapeError, check_vjp
 from semroi.oracles import check_pool_operator_vs_points, grid_size_exhaustive
 from semroi.sampler import (
     FIXED_GRID,
+    MAX_BUDGET,
     GridSize,
     RoIBox,
     block_average_pool,
@@ -36,6 +37,21 @@ def test_box_validation():
 def test_budget_below_one_raises():
     with pytest.raises(ValueError, match="budget"):
         dynamic_grid_size(RoIBox(0, 0, 4, 2), 0)
+
+
+def test_budget_above_the_exactness_bound_raises_on_every_call():
+    # an error is not cached, so the second call raises too
+    assert MAX_BUDGET == 2**17 - 1
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=f"MAX_BUDGET={MAX_BUDGET}, got {2**17}"):
+            dynamic_grid_size(RoIBox(0, 0, 4, 2), 2**17)
+
+
+def test_config_budget_is_bounded_by_the_sampler():
+    with pytest.raises(ConfigError, match=f"MAX_BUDGET={MAX_BUDGET}\\], got {2**17}"):
+        SraConfig(budget=2**17)
+    # the bound itself constructs; its table is not built here
+    assert SraConfig(budget=2**17 - 1).budget == MAX_BUDGET
 
 
 @pytest.mark.parametrize("budget", [2.5, True, "4"])

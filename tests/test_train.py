@@ -298,21 +298,20 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
     # per test instance and seed, not one per kind
     from semroi import train
 
-    augmented = []
-    transforms = train.apply_transforms
-
-    def transforms_counted(instances, deltas):
-        augmented.extend(inst.seed for inst in instances)
-        return transforms(instances, deltas)
-
-    monkeypatch.setattr(train, "apply_transforms", transforms_counted)
-    shrink_protocol(monkeypatch, 2, 2)
     seeds = [3, 4]
+    splits = [split_dataset(train.harness_dataset(seed, 4), seed) for seed in seeds]
+    batches = []
+    render = train.render_maps
+
+    def render_counted(instances):
+        batches.append([inst.seed for inst in instances])
+        return render(instances)
+
+    monkeypatch.setattr(train, "render_maps", render_counted)
+    shrink_protocol(monkeypatch, 2, 2)
     train.compare_extractors(TWO_KINDS, seeds=seeds, n_per_class=4, epochs=1)
-    test_splits = [
-        split_dataset(train.harness_dataset(seed, 4), seed)[1] for seed in seeds
-    ]
-    assert augmented == [inst.seed for split in test_splits for inst in split]
+    # per seed: the train split's batch, then augment_rotation's of the test split
+    assert batches == [[inst.seed for inst in split] for pair in splits for split in pair]
 
 
 def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(renders,
