@@ -4,7 +4,8 @@ Subcommands: oracles, ablate-sampler, ablate-descriptor, ablate-embedding,
 train-toy.  ``COMMANDS`` maps each to its handler and the config keys it
 reads, which are the only keys it accepts; ``--set key=value`` is the one
 way to set them.  Every run writes a JSON report embedding those
-keys, resolved and typed, and the seed, a non-negative int.
+keys, resolved and typed, the seed, a non-negative int, and the
+environment (``environment``).
 Wall-clock timing is the benchmark's job
 (``perfbench/run.py``); ``ablate-sampler`` reports the analytic cost.
 ``train-toy``, ``ablate-descriptor`` and ``ablate-embedding`` are each one
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import platform
 import sys
 from collections import Counter
 from dataclasses import fields, replace
@@ -35,6 +38,7 @@ from .numerics import ConfigError
 from .oracles import run_all
 from .reporting import stream_rng, write_report
 from .sampler import FIXED_GRID, RoIBox
+from .synthetic import _cpu_count
 from .train import CHANNELS, EPOCHS, N_PER_CLASS, Variants, compare_extractors
 
 
@@ -217,6 +221,42 @@ COMMANDS: dict[str, Command] = {
 # ---------------------------------------------------------------------------
 # driver
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+GIT_DIR = Path(__file__).resolve().parents[2] / ".git"
+
+
+def git_revision(git: Path = GIT_DIR) -> str | None:
+    """The commit HEAD names in the ``.git`` directory of this source
+    checkout, read without running git; None outside a checkout."""
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def environment() -> dict:
+    """What a report's numbers ran on: Python, numpy and its BLAS, the CPUs
+    this process may use, the BLAS thread pins set in the environment (None
+    where unset) and the git revision."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpus": _cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "git_revision": git_revision(),
+    }
+
 
 def _seed(value: str) -> int:
     """A ``--seed``: a non-negative int, as numpy's generators take."""
@@ -257,6 +297,7 @@ def run(argv: list[str] | None = None) -> int:
         "subcommand": args.subcommand,
         "seed": args.seed,
         "config": config,
+        "env": environment(),
         "metrics": metrics,
     }
     path = write_report(out_dir / f"{args.subcommand}.json", payload)

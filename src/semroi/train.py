@@ -5,10 +5,20 @@ harness that trains and scores named extractor variants side by side.  Its
 recipe is the constants below: every harness run draws ``N_CLASSES`` classes
 at ``CHANNELS`` channels and steps SGD at ``LR`` and ``MOMENTUM``; only the
 class size and the epoch count are arguments, with the defaults
-``N_PER_CLASS`` and ``EPOCHS``."""
+``N_PER_CLASS`` and ``EPOCHS``.
+
+A roi_align step trains only the head, so its feature depends on the
+instance alone: each instance's is pooled once, on its first step, and read
+back after (``_roi_align_feature``).  The memo holds each instance weakly,
+so an entry dies with its instance.  Its rows live in anonymous mappings of
+``_BLOCK_ROWS`` rows, not on the malloc heap: there, the heap top that
+glibc trims and regrows between steps made each later sra step take
+hundreds of minor page faults."""
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,10 +117,52 @@ def sgd_update(
         params[name] -= lr * buf
 
 
+# the roi_align memo: instance -> its raveled feature, a read-only row of a
+# block; and per row length, the block being filled and its rows handed out.
+# A feature is a pure function of its frozen instance, so every state and
+# thread may share it; the lock keeps two threads from taking one row.
+_roi_align_rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_open_blocks: dict[int, tuple[Array, int]] = {}
+_block_lock = threading.Lock()
+_BLOCK_ROWS = 256
+
+
+def _roi_align_feature(inst: SyntheticInstance) -> Array:
+    """The raveled roi_align feature of ``inst``: pooled through this
+    module's ``roi_align`` on the first call, read back after."""
+    row = _roi_align_rows.get(inst)
+    if row is None:
+        feat = roi_align(inst.feature_map, inst.box).ravel()
+        row = _block_row(feat.size)
+        row[...] = feat
+        row.flags.writeable = False
+        _roi_align_rows[inst] = row
+    return row
+
+
+def _block_row(n: int) -> Array:
+    """A fresh row of ``n`` float64s in an anonymous mapping of
+    ``_BLOCK_ROWS`` such rows; a full mapping is unmapped once no row of it
+    is referenced."""
+    with _block_lock:
+        block, used = _open_blocks.get(n, (None, _BLOCK_ROWS))
+        if used == _BLOCK_ROWS:
+            import mmap  # on first use, so that ``import semroi`` does not load it
+
+            block = np.frombuffer(mmap.mmap(-1, _BLOCK_ROWS * n * 8)).reshape(_BLOCK_ROWS, n)
+            used = 0
+        _open_blocks[n] = (block, used + 1)
+    return block[used]
+
+
 def train_step(
     state: TrainState, inst: SyntheticInstance, lr: float, momentum: float
 ) -> tuple[float, int]:
     """One SGD step on one instance; returns (loss, predicted label).
+
+    An sra step extracts and back-propagates on every call; a roi_align
+    step reads its instance's feature, pooled once and kept off the malloc
+    heap (module docstring).
 
     Raises ``TrainingDiverged`` on a non-finite loss or gradient, before
     any parameter or momentum changes."""
@@ -120,7 +172,7 @@ def train_step(
         )
         feat = result.feature.ravel()
     else:
-        feat = roi_align(inst.feature_map, inst.box).ravel()
+        feat = _roi_align_feature(inst)
     logits = state.classifier.weight @ feat + state.classifier.bias
     loss, dlogits = softmax_cross_entropy(logits, inst.label)
     if not np.isfinite(loss):

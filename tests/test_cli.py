@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from semroi.cli import (
-    COMMANDS, SAMPLER_BOXES, SECTIONS, UNREAD, resolve_config, run, sra_config_from, UsageError,
+    BLAS_THREAD_VARS, COMMANDS, SAMPLER_BOXES, SECTIONS, UNREAD, git_revision, resolve_config,
+    run, sra_config_from, UsageError,
 )
 from semroi.core import SraConfig, parameter_count
 
@@ -685,3 +686,35 @@ def test_reports_embed_resolved_config_and_seed(tmp_path, capsys):
     run(["ablate-sampler", "--seed", "123", "--out", str(other), "--set", "sra.budget=64"])
     capsys.readouterr()
     assert load_report(other, "ablate-sampler")["metrics"] == doc["metrics"]
+
+
+def test_reports_carry_the_environment_stamp(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    run(["ablate-sampler", "--out", str(tmp_path)])
+    capsys.readouterr()
+    env = load_report(tmp_path, "ablate-sampler")["env"]
+    assert set(env) == {"python", "numpy", "blas", "cpus", "blas_threads", "git_revision"}
+    assert re.fullmatch(r"\d+\.\d+\.\d+\S*", env["python"])
+    assert re.fullmatch(r"\d+\.\d+\S*", env["numpy"])
+    assert set(env["blas"]) == {"name", "version"}
+    assert all(v is None or isinstance(v, str) for v in env["blas"].values())
+    assert isinstance(env["cpus"], int) and env["cpus"] >= 1
+    assert list(env["blas_threads"]) == list(BLAS_THREAD_VARS)
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    rev = env["git_revision"]
+    assert rev is None or re.fullmatch(r"[0-9a-f]{40}", rev)
+
+
+def test_git_revision_reads_loose_and_packed_refs(tmp_path):
+    assert git_revision(tmp_path / ".git") is None
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "packed-refs").write_text("# pack-refs\n" + "a" * 40 + " refs/heads/main\n")
+    assert git_revision(git) == "a" * 40
+    (git / "refs" / "heads" / "main").write_text("b" * 40 + "\n")
+    assert git_revision(git) == "b" * 40
+    (git / "HEAD").write_text("c" * 40 + "\n")
+    assert git_revision(git) == "c" * 40

@@ -1,6 +1,11 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import semroi
 
@@ -35,3 +40,30 @@ def test_one_form_per_op():
     assert twins <= PLAIN_FORWARDS
     assert not TWINS & set(semroi.__all__)
     assert len(semroi.__all__) == 40
+
+
+# what ``import semroi`` may load beside its own modules, once numpy is in:
+# every module it adds is compiled or loaded at each cold start
+IMPORT_EXTRAS = {
+    "__future__", "_blake2", "_hashlib", "_json", "copy", "dataclasses", "hashlib", "json",
+    "json.decoder", "json.encoder", "json.scanner",
+}
+
+
+def test_import_loads_no_module_beyond_todays_set():
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import semroi\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(added))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(semroi.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    added = set(json.loads(out.stdout))
+    own = {name for name in added if name.split(".")[0] == "semroi"}
+    assert added - own <= IMPORT_EXTRAS
+    assert not {"semroi.cli", "semroi.oracles"} & own

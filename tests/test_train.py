@@ -1,9 +1,16 @@
+import gc
+import mmap
+import threading
+import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semroi import train
+from semroi.baselines import roi_align
 from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recorded
 from semroi.evaluate import (
     TRANSFORM_FAMILIES, invariance_eval, make_feature_fn, mask_diversity, random_delta,
@@ -20,7 +27,7 @@ from semroi.train import (
     train_step,
     train_toy,
 )
-from semroi.synthetic import compose_pose, generate_dataset
+from semroi.synthetic import Pose, apply_transform, compose_pose, generate_dataset
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
@@ -184,6 +191,92 @@ def test_loss_decreases_over_first_epochs_smoke():
     _, hist = train_toy("sra", CFG, split_dataset(ds, 0)[0], epochs=5, seed=0)
     losses = [h["train_loss"] for h in hist]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
+
+
+def test_roi_align_training_matches_pooling_every_step(monkeypatch):
+    train_set = split_dataset(dataset(n=24, seed=31), 31)[0]
+    memo_state, memo_hist = train_toy("roi_align", CFG, train_set, epochs=3, seed=2)
+    monkeypatch.setattr(
+        train, "_roi_align_feature", lambda inst: roi_align(inst.feature_map, inst.box).ravel()
+    )
+    ref_state, ref_hist = train_toy("roi_align", CFG, train_set, epochs=3, seed=2)
+    assert memo_hist == ref_hist
+    for (name, got), (_, want) in zip(memo_state.leaves(), ref_state.leaves()):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_roi_align_training_pools_each_instance_once(monkeypatch):
+    train_set = split_dataset(dataset(n=24, seed=32), 32)[0]
+    boxes = []
+
+    def counted(fmap, box):
+        boxes.append(id(box))
+        return roi_align(fmap, box)
+
+    monkeypatch.setattr(train, "roi_align", counted)
+    train_toy("roi_align", CFG, train_set, epochs=3, seed=0)
+    assert Counter(boxes) == Counter(id(inst.box) for inst in train_set)
+
+
+def test_a_memoized_feature_is_a_read_only_row_of_an_anonymous_mapping():
+    inst = dataset(n=4, seed=33)[0]
+    row = train._roi_align_feature(inst)
+    assert train._roi_align_feature(inst) is row
+    np.testing.assert_array_equal(row, roi_align(inst.feature_map, inst.box).ravel())
+    assert not row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 1.0
+    base = row
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
+
+
+def test_a_repose_sharing_a_map_slot_gets_its_own_feature():
+    inst = dataset(n=4, seed=34)[0]
+    moved = apply_transform(inst, Pose(scale=1.3, pan_x=0.1))
+    assert moved.slot is inst.slot and moved.box != inst.box
+    for each in (inst, moved):
+        want = roi_align(each.feature_map, each.box).ravel()
+        np.testing.assert_array_equal(train._roi_align_feature(each), want)
+
+
+def test_a_memo_entry_dies_with_its_instance():
+    ds = dataset(n=4, seed=35)
+    row = train._roi_align_feature(ds[0])
+    alive = weakref.ref(ds[0])
+    del ds
+    gc.collect()
+    assert alive() is None
+    assert all(kept is not row for kept in train._roi_align_rows.values())
+
+
+def test_threads_taking_rows_never_share_one(monkeypatch):
+    class Yielding(dict):
+        """Hands the interpreter to another thread between reading the
+        open block and recording the row taken from it."""
+
+        def get(self, *args):
+            out = super().get(*args)
+            time.sleep(1e-4)
+            return out
+
+    monkeypatch.setattr(train, "_open_blocks", Yielding())
+    taken = [[] for _ in range(4)]
+
+    def take(t):
+        for _ in range(100):
+            taken[t].append(train._block_row(5))
+
+    threads = [threading.Thread(target=take, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    # the rows are all alive, so no two may start at one address
+    addresses = [row.__array_interface__["data"][0] for each in taken for row in each]
+    assert len(set(addresses)) == len(addresses) == 4 * 100
 
 
 def test_unknown_kind_rejected():
