@@ -17,10 +17,14 @@ instance holds a map slot, one per (class, rotation, reflection, seed): the
 first read of ``feature_map`` renders the slot's read-only map and keeps it.
 A re-pose that keeps the rotation and reflection keeps the map too, so it
 shares its source's slot with a new box, and the two render at most once.
-``generate_dataset`` and ``apply_transform`` render nothing; a reader of
-many maps renders all it will read in one ``render_maps`` batch first,
-which shares the renders out over every CPU by ``render_batch``, with the
-same bits as one render after another.
+``generate_dataset`` and ``apply_transform`` render nothing.  A map renders
+at one of two moments: a reader of many maps renders all it will read in
+one ``render_maps`` batch first, and any other read renders on the spot.
+A read on the spot renders the slot alone, unless the slot belongs to a
+deferred render group (``defer_maps``, which ``train.split_dataset`` makes
+of its train split): then the first such read renders every member still
+unrendered in one batch.  A batch shares the renders out over every CPU by
+``render_batch``, with the same bits as one render after another.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -110,13 +115,19 @@ Job = tuple[RenderContext, int, Pose, int]  # (ctx, label, pose, seed) of one re
 
 class _MapSlot:
     """The map of one (class, rotation, reflection, seed), held by every
-    instance that shares it: None until the first read renders ``job``."""
+    instance that shares it: None until ``job`` is rendered.  ``group`` is
+    the deferred render group the slot belongs to (``defer_maps``), or None."""
 
-    __slots__ = ("job", "map")
+    __slots__ = ("job", "map", "group", "__weakref__")
 
     def __init__(self, job: Job, fmap: Array | None = None):
         self.job = job
         self.map = fmap
+        self.group: list[weakref.ref] | None = None
+
+
+# taken when a deferred group is emptied, so that only one reader renders it
+_group_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +142,22 @@ class SyntheticInstance:
     @property
     def feature_map(self) -> Array:
         """The (C, H, W) read-only map, rendered on the first read of any
-        instance sharing its slot.  Rendering is pure, so two threads that
-        race on a first read keep the same bits."""
+        instance sharing its slot.  A slot outside any group renders alone.
+        A slot of a deferred group (``defer_maps``) empties the group on its
+        first read and renders every live member still unrendered, itself
+        included, in one ``render_batch``.  Rendering is pure, so two
+        threads that race on a first read keep the same bits; a reader that
+        finds its group already taken renders its own slot alone."""
         slot = self.slot
         if slot.map is None:
-            slot.map = _render(*slot.job, apply_stem)
+            if slot.group:
+                with _group_lock:
+                    refs = slot.group[:]
+                    slot.group.clear()
+                live = (ref() for ref in refs)
+                _render_slots([s for s in live if s is not None and s.map is None])
+            if slot.map is None:
+                slot.map = _render(*slot.job, apply_stem)
         return slot.map
 
 
@@ -306,13 +328,32 @@ def render_batch(jobs: Sequence[Job]) -> list[Array]:
     return out
 
 
-def render_maps(instances: Sequence[SyntheticInstance]) -> None:
-    """Render every map of ``instances`` not rendered yet, each shared slot
-    once, in one ``render_batch``; with nothing to render, no batch."""
-    slots = list(dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None))
+def _render_slots(slots: list[_MapSlot]) -> None:
+    """Render ``slots`` in one ``render_batch`` and keep each map; with no
+    slot, no batch."""
     if slots:
         for slot, fmap in zip(slots, render_batch([slot.job for slot in slots])):
             slot.map = fmap
+
+
+def render_maps(instances: Sequence[SyntheticInstance]) -> None:
+    """Render every map of ``instances`` not rendered yet, each shared slot
+    once, in one ``render_batch`` now; with nothing to render, no batch.
+    Deferred groups are left as they are: their other members render on a
+    later first read."""
+    _render_slots(list(dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None)))
+
+
+def defer_maps(instances: Sequence[SyntheticInstance]) -> None:
+    """Make the unrendered maps of ``instances`` one deferred render group:
+    the first lone ``feature_map`` read of any member renders every member
+    still unrendered in one ``render_batch``.  Nothing renders here.  The
+    group holds its slots weakly, so an instance kept after the rest are
+    dropped does not keep their slots alive."""
+    group = []
+    for slot in dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None):
+        slot.group = group
+        group.append(weakref.ref(slot))
 
 
 def _cosine_ok(v: Array, others: list[Array]) -> bool:

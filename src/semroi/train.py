@@ -43,7 +43,9 @@ from .evaluate import (
 )
 from .numerics import Array, ConfigError, LinearParams, init_linear, require_count
 from .reporting import derive_seed, stream_rng
-from .synthetic import SyntheticInstance, apply_transform, generate_dataset, render_maps
+from .synthetic import (
+    SyntheticInstance, apply_transform, defer_maps, generate_dataset, render_maps,
+)
 
 # the harness recipe; N_CLASSES class signatures can be drawn at CHANNELS
 # channels at every data seed that the tests try
@@ -221,9 +223,12 @@ def split_dataset(
     dataset: list[SyntheticInstance], seed: int
 ) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
     """Stratified split, deterministic per seed: ``TEST_FRACTION`` of each
-    class, and at least one instance, goes to the test split.  The train
-    split's maps are rendered here, in one ``render_maps`` batch, so no
-    training step renders; the test split's render only when read."""
+    class, and at least one instance, goes to the test split.  Nothing
+    renders here.  The train split's unrendered maps become one deferred
+    group (``synthetic.defer_maps``): the first training step's read
+    renders them all in one batch, while a caller that renders only its
+    picks with ``render_maps`` renders no other.  The test split's maps
+    render only when read."""
     rng = stream_rng(seed, "split")
     by_label: dict[int, list[int]] = {}
     for i, inst in enumerate(dataset):
@@ -237,7 +242,7 @@ def split_dataset(
         test_idx.extend(idx[:n_test].tolist())
         train_idx.extend(idx[n_test:].tolist())
     train_set = [dataset[i] for i in sorted(train_idx)]
-    render_maps(train_set)
+    defer_maps(train_set)
     return train_set, [dataset[i] for i in sorted(test_idx)]
 
 
@@ -256,8 +261,9 @@ def harness_splits(
     """The train split of ``dataset`` and its rotation-augmented test split:
     what ``train_toy`` trains on and ``accuracy`` then scores at this seed.
     Every kind and variant trained at the seed shares the one rendered test
-    split, whose re-poses are rendered from their poses and seeds: the test
-    split's own maps are not rendered."""
+    split, whose re-poses are rendered here from their poses and seeds: the
+    test split's own maps are not rendered.  The train split renders in one
+    batch on its first read, the first training step (``split_dataset``)."""
     train_set, test_set = split_dataset(dataset, seed)
     return train_set, augment_rotation(test_set, seed)
 
@@ -279,7 +285,7 @@ def train_toy(
     if not train_set:
         raise ConfigError("train_toy needs at least one training instance")
     channels = train_set[0].ctx.channels
-    n_classes = max(inst.label for inst in train_set) + 1
+    n_classes = len(train_set[0].ctx.classes)
     state = init_train_state(kind, config, channels, n_classes, seed)
     shuffle_rng = stream_rng(seed, "shuffle")
     history: list[dict] = []

@@ -1,5 +1,6 @@
 import gc
 import mmap
+import sys
 import threading
 import time
 import weakref
@@ -27,7 +28,7 @@ from semroi.train import (
     train_step,
     train_toy,
 )
-from semroi.synthetic import Pose, apply_transform, compose_pose, generate_dataset
+from semroi.synthetic import Pose, apply_transform, compose_pose, generate_dataset, render_maps
 
 CFG = SraConfig(n_masks=4, budget=16, descriptor_dim=6, embed_channels=3, hidden=5)
 
@@ -156,13 +157,29 @@ def jobs(instances):
 
 
 def test_split_dataset_renders_the_train_split_in_one_batch(renders, batches):
+    # nothing renders at the split; the first training step renders the
+    # whole train split in one batch, and no later step renders
     ds = dataset(12, seed=5)
     train_set, _ = split_dataset(ds, 5)
+    assert renders == [] and batches == []
+    state = init_train_state("roi_align", CFG, 16, 4, seed=0)
+    for inst in train_set:
+        train_step(state, inst, lr=0.01, momentum=0.9)
+    assert batches == [len(train_set)]
+    assert Counter(renders) == Counter(jobs(train_set))
+
+
+def test_one_lone_read_renders_the_train_split_and_no_test_original(renders, batches):
+    ds = dataset(12, seed=5)
+    train_set, test_set = split_dataset(ds, 5)
+    assert renders == [] and batches == []
+    train_set[3].feature_map
     assert batches == [len(train_set)]
     assert Counter(renders) == Counter(jobs(train_set))
     for inst in train_set:
         inst.feature_map
-    assert len(renders) == len(train_set)
+    assert batches == [len(train_set)]
+    assert not set(jobs(test_set)) & set(renders)
 
 
 def test_harness_splits_renders_no_test_split_original(renders):
@@ -171,9 +188,90 @@ def test_harness_splits_renders_no_test_split_original(renders):
     kept = {id(inst) for inst in train_set}
     originals = [inst for inst in ds if id(inst) not in kept]
     assert len(originals) == len(test_set)
-    # the train split and the rotated re-poses, each once
+    # the rotated re-poses only; the train split waits for its first read
+    assert Counter(renders) == Counter(jobs(test_set))
+    train_set[0].feature_map
     assert Counter(renders) == Counter(jobs(train_set) + jobs(test_set))
     assert not set(jobs(originals)) & set(renders)
+
+
+def test_render_maps_on_a_subset_renders_it_alone_then_a_read_renders_the_rest(renders, batches):
+    train_set, _ = split_dataset(dataset(12, seed=5), 5)
+    picks = train_set[2:5]
+    render_maps(picks)
+    assert batches == [len(picks)]
+    assert Counter(renders) == Counter(jobs(picks))
+    train_set[-1].feature_map
+    assert batches == [len(picks), len(train_set) - len(picks)]
+    assert Counter(renders) == Counter(jobs(train_set))
+
+
+def test_a_kept_train_instance_does_not_keep_its_split_mates(renders, batches):
+    ds = dataset(12, seed=5)
+    train_set, test_set = split_dataset(ds, 5)
+    kept = train_set[4]
+    mates = [weakref.ref(inst.slot) for inst in train_set if inst is not kept]
+    del ds, train_set, test_set
+    gc.collect()
+    assert all(ref() is None for ref in mates)
+    kept.feature_map
+    assert renders == jobs([kept])
+    assert batches == [1]
+
+
+def test_two_threads_reading_different_members_get_the_same_bits(n_threads, monkeypatch):
+    # the second reader may find the group taken and render its own map,
+    # or read the one the first reader's batch kept: the bits are the same
+    want = {inst.seed: inst.feature_map for inst in dataset(12, seed=5)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            train_set, _ = split_dataset(dataset(12, seed=5), 5)
+            got = {}
+            start = threading.Barrier(2)
+
+            def read(inst):
+                start.wait()
+                got[inst.seed] = inst.feature_map
+
+            pair = (train_set[0], train_set[-1])
+            readers = [threading.Thread(target=read, args=(inst,)) for inst in pair]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join()
+            assert len(got) == 2
+            for inst in train_set:
+                np.testing.assert_array_equal(inst.feature_map, want[inst.seed])
+            for seed, fmap in got.items():
+                np.testing.assert_array_equal(fmap, want[seed])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_eval_pass_renders_only_the_maps_it_reads(renders):
+    # split, augment the test split, then the protocol's picks: of the
+    # dataset's own maps, only the picked ones render
+    n, seed, n_invariance, n_diversity = 40, 7, 6, 4
+    ds = dataset(n, seed=seed)
+    train_set, test_set = split_dataset(ds, seed)
+    test_set = augment_rotation(test_set, seed)
+    params = init_train_state("sra", CFG, 16, 4, seed=0).params
+    invariance_eval(make_feature_fn("roi_align"), ds, "rotation", n_invariance,
+                    np.random.default_rng(1))
+    mask_diversity(params, CFG, ds, n_diversity, np.random.default_rng(2))
+    inv_rng = np.random.default_rng(1)
+    inv_picks = inv_rng.integers(0, n, size=n_invariance).tolist()
+    deltas = [random_delta("rotation", inv_rng) for _ in inv_picks]
+    div_picks = np.random.default_rng(2).integers(0, n, size=n_diversity).tolist()
+    picked = {ds[k].seed for k in inv_picks + div_picks}
+    unread = [inst for inst in train_set if inst.seed not in picked]
+    assert unread  # the seed leaves some of the train split unread
+    want = Counter(jobs(test_set) + jobs(ds[k] for k in sorted(set(inv_picks + div_picks))))
+    want.update((ds[k].label, compose_pose(ds[k].pose, d), ds[k].seed)
+                for k, d in zip(inv_picks, deltas))
+    assert Counter(renders) == want
 
 
 def test_augment_rotation_changes_content_keeps_labels():
@@ -184,6 +282,14 @@ def test_augment_rotation_changes_content_keeps_labels():
         not np.array_equal(a.feature_map, b.feature_map) for a, b in zip(ds, rotated)
     ]
     assert any(changed)
+
+
+def test_train_toy_head_has_an_output_per_class_of_the_context():
+    # a train set without the top class still gets a logit for it
+    ds = dataset(16, seed=5)
+    state, _ = train_toy("roi_align", CFG, [inst for inst in ds if inst.label != 3], epochs=1)
+    assert state.classifier.weight.shape[0] == state.classifier.bias.shape[0]
+    assert state.classifier.bias.shape[0] == len(ds[0].ctx.classes) == 4
 
 
 def test_loss_decreases_over_first_epochs_smoke():
@@ -386,9 +492,10 @@ def test_a_variants_entry_is_the_same_alone_or_beside_others(monkeypatch):
         assert alone["summary"].items() <= beside["summary"].items()
 
 
-def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
+def test_compare_extractors_renders_the_test_split_once_per_seed(renders, monkeypatch):
     # both kinds score the one rotation-augmented test split: one re-render
-    # per test instance and seed, not one per kind
+    # per test instance and seed, not one per kind; the train split renders
+    # once per seed, at the first kind's first step
     from semroi import train
 
     seeds = [3, 4]
@@ -403,8 +510,11 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(monkeypatch):
     monkeypatch.setattr(train, "render_maps", render_counted)
     shrink_protocol(monkeypatch, 2, 2)
     train.compare_extractors(TWO_KINDS, seeds=seeds, n_per_class=4, epochs=1)
-    # per seed: the train split's batch, then augment_rotation's of the test split
-    assert batches == [[inst.seed for inst in split] for pair in splits for split in pair]
+    # per seed: augment_rotation's batch of the test split, the one batch
+    # render_maps makes in train
+    assert batches == [[inst.seed for inst in test_set] for _, test_set in splits]
+    rendered = Counter(renders)
+    assert all(rendered[job] == 1 for train_set, _ in splits for job in jobs(train_set))
 
 
 def test_compare_extractors_renders_a_test_original_only_when_a_pick_reads_it(renders,
