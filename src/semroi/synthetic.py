@@ -17,14 +17,12 @@ instance holds a map slot, one per (class, rotation, reflection, seed): the
 first read of ``feature_map`` renders the slot's read-only map and keeps it.
 A re-pose that keeps the rotation and reflection keeps the map too, so it
 shares its source's slot with a new box, and the two render at most once.
-``generate_dataset`` and ``apply_transform`` render nothing.  A map renders
-at one of two moments: a reader of many maps renders all it will read in
-one ``render_maps`` batch first, and any other read renders on the spot.
-A read on the spot renders the slot alone, unless the slot belongs to a
-deferred render group (``defer_maps``, which ``train.split_dataset`` makes
-of its train split): then the first such read renders every member still
-unrendered in one batch.  A batch shares the renders out over every CPU by
-``render_batch``, with the same bits as one render after another.
+``generate_dataset`` and ``apply_transform`` render nothing.  Every render
+is a batch render: ``render_maps`` renders the unrendered slots of the
+instances it is given in one ``render_batch``, which shares the renders out
+over every CPU with the same bits as one render after another.  A reader of
+many maps renders all it will read in one batch first; a lone read, and
+``render_instance``, is a batch of one.
 """
 
 from __future__ import annotations
@@ -32,10 +30,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -115,19 +111,13 @@ Job = tuple[RenderContext, int, Pose, int]  # (ctx, label, pose, seed) of one re
 
 class _MapSlot:
     """The map of one (class, rotation, reflection, seed), held by every
-    instance that shares it: None until ``job`` is rendered.  ``group`` is
-    the deferred render group the slot belongs to (``defer_maps``), or None."""
+    instance that shares it: None until ``job`` is rendered."""
 
-    __slots__ = ("job", "map", "group", "__weakref__")
+    __slots__ = ("job", "map")
 
-    def __init__(self, job: Job, fmap: Array | None = None):
+    def __init__(self, job: Job):
         self.job = job
-        self.map = fmap
-        self.group: list[weakref.ref] | None = None
-
-
-# taken when a deferred group is emptied, so that only one reader renders it
-_group_lock = threading.Lock()
+        self.map: Array | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,32 +132,19 @@ class SyntheticInstance:
     @property
     def feature_map(self) -> Array:
         """The (C, H, W) read-only map, rendered on the first read of any
-        instance sharing its slot.  A slot outside any group renders alone.
-        A slot of a deferred group (``defer_maps``) empties the group on its
-        first read and renders every live member still unrendered, itself
-        included, in one ``render_batch``.  Rendering is pure, so two
-        threads that race on a first read keep the same bits; a reader that
-        finds its group already taken renders its own slot alone."""
-        slot = self.slot
-        if slot.map is None:
-            if slot.group:
-                with _group_lock:
-                    refs = slot.group[:]
-                    slot.group.clear()
-                live = (ref() for ref in refs)
-                _render_slots([s for s in live if s is not None and s.map is None])
-            if slot.map is None:
-                slot.map = _render(*slot.job, apply_stem)
-        return slot.map
+        instance sharing its slot, alone: ``render_maps([self])``, a batch
+        of one.  Rendering is pure, so two threads that race on a first
+        read keep the same bits."""
+        if self.slot.map is None:
+            render_maps([self])
+        return self.slot.map
 
 
-def _instance(
-    ctx: RenderContext, label: int, pose: Pose, seed: int, fmap: Array | None = None
-) -> SyntheticInstance:
-    """The instance of one job, with ``fmap`` as its map, or none rendered yet."""
+def _instance(ctx: RenderContext, label: int, pose: Pose, seed: int) -> SyntheticInstance:
+    """The instance of one job, its map not rendered yet."""
     return SyntheticInstance(
         box=_proposal_box(pose), label=label, pose=pose, seed=seed, ctx=ctx,
-        slot=_MapSlot((ctx, label, pose, seed), fmap),
+        slot=_MapSlot((ctx, label, pose, seed)),
     )
 
 
@@ -188,9 +165,9 @@ def apply_stem(fmap: Array, stem: Array) -> Array:
     """3x3 channel-mixing convolution, zero padded, one matmul per tap
     (see ``_apply_stem``).
 
-    The public name is the single-render path; ``render_batch`` calls the
-    body directly, so a tracer that rebinds this name times only the renders
-    made one at a time.
+    Every render calls the body, not this name: a render may run on a
+    worker thread of ``render_batch``, and a tracer that rebinds this name
+    keeps one span stack, which only the calling thread may enter.
     """
     return _apply_stem(fmap, stem)
 
@@ -247,17 +224,15 @@ def _proposal_box(pose: Pose) -> RoIBox:
 def render_instance(
     ctx: RenderContext, label: int, pose: Pose, seed: int
 ) -> SyntheticInstance:
-    """Deterministic render of one instance.  The map is read-only, so
-    re-poses that keep it can share it."""
-    return _instance(ctx, label, pose, seed, _render(ctx, label, pose, seed, apply_stem))
+    """Deterministic render of one instance, in a ``render_maps`` batch of
+    one.  The map is read-only, so re-poses that keep it can share it."""
+    inst = _instance(ctx, label, pose, seed)
+    render_maps([inst])
+    return inst
 
 
-def _render(
-    ctx: RenderContext, label: int, pose: Pose, seed: int, stem_fn: Callable[[Array, Array], Array]
-) -> Array:
-    """The read-only map of one render, with the stem applied by
-    ``stem_fn``: the public ``apply_stem`` for a single render, its body for
-    a batch."""
+def _render(ctx: RenderContext, label: int, pose: Pose, seed: int) -> Array:
+    """The read-only map of one render job; only ``render_batch`` calls it."""
     rng = np.random.default_rng(seed)
     # the bits of rng.normal(0.0, NOISE_AMP, shape), which computes
     # 0.0 + NOISE_AMP * z, in less time
@@ -271,7 +246,7 @@ def _render(
     ex = np.exp(-((pix - centers[:, 1:]) ** 2) / two_var)  # (n, W)
     blobs = (ey[:, :, None] * ex[:, None, :]).reshape(len(centers), MAP_SIZE * MAP_SIZE)
     fmap += (signatures.T @ blobs).reshape(fmap.shape)
-    fmap = stem_fn(fmap, ctx.stem)
+    fmap = _apply_stem(fmap, ctx.stem)
     fmap.setflags(write=False)
     return fmap
 
@@ -285,8 +260,8 @@ def _cpu_count() -> int:
 
 
 def render_batch(jobs: Sequence[Job]) -> list[Array]:
-    """``[render_instance(*job).feature_map for job in jobs]``, bit for bit,
-    on every CPU.
+    """The maps of ``jobs``, in order, rendered on every CPU with the bits of
+    one render after another.
 
     Job k is rendered by thread k mod W, where W is the number of CPUs this
     process may run on, capped at the number of jobs; thread 0 is the
@@ -300,7 +275,8 @@ def render_batch(jobs: Sequence[Job]) -> list[Array]:
     have stopped the exception of the lowest failing job is raised: the one
     the sequential loop would have raised.  The renders call the private
     bodies, not ``render_instance`` or ``apply_stem``, so a tracer that
-    rebinds those names records no span for them.
+    rebinds those names records no span for them.  One job starts no
+    thread.
     """
     n = len(jobs)
     n_threads = max(1, min(_cpu_count(), n))
@@ -310,7 +286,7 @@ def render_batch(jobs: Sequence[Job]) -> list[Array]:
     def render_share(t: int) -> None:
         for k in range(t, n, n_threads):
             try:
-                out[k] = _render(*jobs[k], _apply_stem)
+                out[k] = _render(*jobs[k])
             except Exception as exc:  # re-raised by the caller, in job order
                 errors[k] = exc
                 return
@@ -328,32 +304,14 @@ def render_batch(jobs: Sequence[Job]) -> list[Array]:
     return out
 
 
-def _render_slots(slots: list[_MapSlot]) -> None:
-    """Render ``slots`` in one ``render_batch`` and keep each map; with no
-    slot, no batch."""
+def render_maps(instances: Sequence[SyntheticInstance]) -> None:
+    """Render every map of ``instances`` not rendered yet, each shared slot
+    once, in one ``render_batch`` now, and keep each map; with nothing to
+    render, no batch.  This is the one render path."""
+    slots = list(dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None))
     if slots:
         for slot, fmap in zip(slots, render_batch([slot.job for slot in slots])):
             slot.map = fmap
-
-
-def render_maps(instances: Sequence[SyntheticInstance]) -> None:
-    """Render every map of ``instances`` not rendered yet, each shared slot
-    once, in one ``render_batch`` now; with nothing to render, no batch.
-    Deferred groups are left as they are: their other members render on a
-    later first read."""
-    _render_slots(list(dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None)))
-
-
-def defer_maps(instances: Sequence[SyntheticInstance]) -> None:
-    """Make the unrendered maps of ``instances`` one deferred render group:
-    the first lone ``feature_map`` read of any member renders every member
-    still unrendered in one ``render_batch``.  Nothing renders here.  The
-    group holds its slots weakly, so an instance kept after the rest are
-    dropped does not keep their slots alive."""
-    group = []
-    for slot in dict.fromkeys(inst.slot for inst in instances if inst.slot.map is None):
-        slot.group = group
-        group.append(weakref.ref(slot))
 
 
 def _cosine_ok(v: Array, others: list[Array]) -> bool:
@@ -436,8 +394,8 @@ def generate_dataset(
     n_classes: int, n_instances: int, seed: int, channels: int = 16
 ) -> list[SyntheticInstance]:
     """Round-robin labelled instances at random poses, deterministic per
-    seed.  No map is rendered: each renders on its first read, or in a
-    ``render_maps`` batch."""
+    seed.  No map is rendered: each renders in a ``render_maps`` batch, or
+    alone on its first read."""
     if not is_int(n_classes) or n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes!r}")
     require_count("n_instances", n_instances, 1)

@@ -7,6 +7,13 @@ at ``CHANNELS`` channels and steps SGD at ``LR`` and ``MOMENTUM``; only the
 class size and the epoch count are arguments, with the defaults
 ``N_PER_CLASS`` and ``EPOCHS``.
 
+``split_dataset`` renders nothing; it records its train split weakly, per
+instance (``_train_splits``).  The first ``train_step`` on any member
+renders every live member still unrendered in one ``render_maps`` batch, so
+a caller that reads only some members, or none, renders no others.  Only
+that step takes the lock; every later step finds the split emptied in one
+dict lookup.
+
 A roi_align step trains only the head, so its feature depends on the
 instance alone: each instance's is pooled once, on its first step, and read
 back after (``_roi_align_feature``).  The memo holds each instance weakly,
@@ -44,7 +51,7 @@ from .evaluate import (
 from .numerics import Array, ConfigError, LinearParams, init_linear, require_count
 from .reporting import derive_seed, stream_rng
 from .synthetic import (
-    SyntheticInstance, apply_transform, defer_maps, generate_dataset, render_maps,
+    SyntheticInstance, apply_transform, generate_dataset, render_maps,
 )
 
 # the harness recipe; N_CLASSES class signatures can be drawn at CHANNELS
@@ -128,6 +135,12 @@ _open_blocks: dict[int, tuple[Array, int]] = {}
 _block_lock = threading.Lock()
 _BLOCK_ROWS = 256
 
+# the deferred train splits (module docstring): instance -> the weak
+# references of its split's members, one list per split, emptied by the
+# split's first step; the lock lets only one of two racing first steps take it
+_train_splits: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_split_lock = threading.Lock()
+
 
 def _roi_align_feature(inst: SyntheticInstance) -> Array:
     """The raveled roi_align feature of ``inst``: pooled through this
@@ -162,12 +175,19 @@ def train_step(
 ) -> tuple[float, int]:
     """One SGD step on one instance; returns (loss, predicted label).
 
-    An sra step extracts and back-propagates on every call; a roi_align
-    step reads its instance's feature, pooled once and kept off the malloc
-    heap (module docstring).
+    The first step on any member of a ``split_dataset`` train split renders
+    the split in one batch.  An sra step extracts and back-propagates on
+    every call; a roi_align step reads its instance's feature, pooled once
+    and kept off the malloc heap (module docstring).
 
     Raises ``TrainingDiverged`` on a non-finite loss or gradient, before
     any parameter or momentum changes."""
+    split = _train_splits.get(inst)
+    if split:
+        with _split_lock:
+            members = [ref() for ref in split]
+            split.clear()
+        render_maps([member for member in members if member is not None])
     if state.kind == "sra":
         result, tape = sra_extract_recorded(
             inst.feature_map, inst.box, state.params, state.config
@@ -224,11 +244,10 @@ def split_dataset(
 ) -> tuple[list[SyntheticInstance], list[SyntheticInstance]]:
     """Stratified split, deterministic per seed: ``TEST_FRACTION`` of each
     class, and at least one instance, goes to the test split.  Nothing
-    renders here.  The train split's unrendered maps become one deferred
-    group (``synthetic.defer_maps``): the first training step's read
-    renders them all in one batch, while a caller that renders only its
-    picks with ``render_maps`` renders no other.  The test split's maps
-    render only when read."""
+    renders here.  The train split is recorded weakly, per instance: the
+    first ``train_step`` on any member renders every live member still
+    unrendered in one batch, and a lone read of a member renders that map
+    alone.  The test split's maps render only when read."""
     rng = stream_rng(seed, "split")
     by_label: dict[int, list[int]] = {}
     for i, inst in enumerate(dataset):
@@ -242,7 +261,9 @@ def split_dataset(
         test_idx.extend(idx[:n_test].tolist())
         train_idx.extend(idx[n_test:].tolist())
     train_set = [dataset[i] for i in sorted(train_idx)]
-    defer_maps(train_set)
+    split = [weakref.ref(inst) for inst in train_set]
+    for inst in train_set:
+        _train_splits[inst] = split
     return train_set, [dataset[i] for i in sorted(test_idx)]
 
 
@@ -263,7 +284,7 @@ def harness_splits(
     Every kind and variant trained at the seed shares the one rendered test
     split, whose re-poses are rendered here from their poses and seeds: the
     test split's own maps are not rendered.  The train split renders in one
-    batch on its first read, the first training step (``split_dataset``)."""
+    batch at its first training step (``split_dataset``)."""
     train_set, test_set = split_dataset(dataset, seed)
     return train_set, augment_rotation(test_set, seed)
 

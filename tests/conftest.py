@@ -44,14 +44,14 @@ def n_threads(request, monkeypatch):
 
 @pytest.fixture
 def renders(monkeypatch):
-    """The (label, pose, seed) of every render from here on, batched or
-    not; a batch's renders land in no fixed order."""
+    """The (label, pose, seed) of every render from here on; a batch's
+    renders land in no fixed order."""
     jobs = []
     body = synthetic._render
 
-    def recorded(ctx, label, pose, seed, stem_fn):
+    def recorded(ctx, label, pose, seed):
         jobs.append((label, pose, seed))
-        return body(ctx, label, pose, seed, stem_fn)
+        return body(ctx, label, pose, seed)
 
     monkeypatch.setattr(synthetic, "_render", recorded)
     return jobs

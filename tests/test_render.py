@@ -118,9 +118,9 @@ def test_job_k_is_rendered_by_thread_k_mod_w(n_threads, monkeypatch):
     body = synthetic._render
     threads = {}
 
-    def recorded(ctx, label, pose, seed, stem_fn):
+    def recorded(ctx, label, pose, seed):
         threads[seed] = threading.get_ident()
-        return body(ctx, label, pose, seed, stem_fn)
+        return body(ctx, label, pose, seed)
 
     monkeypatch.setattr(synthetic, "_render", recorded)
     ctx = make_render_context(2, seed=1)
@@ -138,10 +138,10 @@ def test_the_lowest_failing_job_raises_as_in_the_loop(n_threads, monkeypatch):
     # a loop would stop at job 1, so its exception is the one raised
     body = synthetic._render
 
-    def failing(ctx, label, pose, seed, stem_fn):
+    def failing(ctx, label, pose, seed):
         if seed in (1, 2):
             raise RuntimeError(f"job {seed} failed")
-        return body(ctx, label, pose, seed, stem_fn)
+        return body(ctx, label, pose, seed)
 
     monkeypatch.setattr(synthetic, "_render", failing)
     ctx = make_render_context(2, seed=1)
@@ -176,12 +176,27 @@ def test_batch_survives_frequent_thread_switches(monkeypatch):
         assert_same_instance(out, want)
 
 
+def test_a_batch_of_one_starts_no_thread(monkeypatch):
+    # a lone read, render_instance and render_maps of one map, with two CPUs
+    monkeypatch.setattr(synthetic, "_cpu_count", lambda: 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a batch of one started a thread")
+
+    ds = generate_dataset(3, 4, seed=5)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert ds[0].feature_map is not None
+    assert render_instance(ds[0].ctx, 1, Pose(), 7).feature_map is not None
+    synthetic.render_maps(ds[1:2])
+    assert ds[1].slot.map is not None
+
+
 def test_empty_batch():
     assert render_batch([]) == []
 
 
 # the batch runs on two threads whatever the host has; the loop renders the
-# same instances one at a time through the public single-render path
+# same instances one at a time, each ``render_instance`` a batch of one
 DIGEST_SCRIPT = """
 import hashlib
 from semroi import synthetic

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semroi import train
+from semroi import synthetic, train
 from semroi.baselines import roi_align
 from semroi.core import SraConfig, param_leaves, sra_backward, sra_extract_recorded
 from semroi.evaluate import (
@@ -169,17 +169,38 @@ def test_split_dataset_renders_the_train_split_in_one_batch(renders, batches):
     assert Counter(renders) == Counter(jobs(train_set))
 
 
-def test_one_lone_read_renders_the_train_split_and_no_test_original(renders, batches):
+def test_lone_reads_render_only_their_own_maps_and_no_test_original(renders, batches):
+    # a read outside training renders the one map it reads, in a batch of
+    # one; the split waits for a training step
     ds = dataset(12, seed=5)
     train_set, test_set = split_dataset(ds, 5)
     assert renders == [] and batches == []
     train_set[3].feature_map
-    assert batches == [len(train_set)]
-    assert Counter(renders) == Counter(jobs(train_set))
+    assert batches == [1]
+    assert renders == jobs([train_set[3]])
     for inst in train_set:
         inst.feature_map
-    assert batches == [len(train_set)]
+    assert batches == [1] * len(train_set)
+    assert Counter(renders) == Counter(jobs(train_set))
     assert not set(jobs(test_set)) & set(renders)
+
+
+def test_a_lone_read_renders_one_map_and_the_next_step_the_rest(renders, batches):
+    # a check that reads one unrendered train map must not render its
+    # split-mates; the first training step renders them in one batch
+    ds = dataset(12, seed=5)
+    train_set, _ = split_dataset(ds, 5)
+    train_set[3].feature_map
+    assert batches == [1]
+    assert renders == jobs([train_set[3]])
+    state = init_train_state("roi_align", CFG, 16, 4, seed=0)
+    train_step(state, train_set[0], lr=0.01, momentum=0.9)
+    assert batches == [1, len(train_set) - 1]
+    assert Counter(renders) == Counter(jobs(train_set))
+    for inst in train_set + train_set:
+        train_step(state, inst, lr=0.01, momentum=0.9)
+    assert batches == [1, len(train_set) - 1]
+    assert len(renders) == len(train_set)
 
 
 def test_harness_splits_renders_no_test_split_original(renders):
@@ -188,20 +209,22 @@ def test_harness_splits_renders_no_test_split_original(renders):
     kept = {id(inst) for inst in train_set}
     originals = [inst for inst in ds if id(inst) not in kept]
     assert len(originals) == len(test_set)
-    # the rotated re-poses only; the train split waits for its first read
+    # the rotated re-poses only; the train split waits for its first step
     assert Counter(renders) == Counter(jobs(test_set))
-    train_set[0].feature_map
+    state = init_train_state("roi_align", CFG, 16, 4, seed=0)
+    train_step(state, train_set[0], lr=0.01, momentum=0.9)
     assert Counter(renders) == Counter(jobs(train_set) + jobs(test_set))
     assert not set(jobs(originals)) & set(renders)
 
 
-def test_render_maps_on_a_subset_renders_it_alone_then_a_read_renders_the_rest(renders, batches):
+def test_render_maps_on_a_subset_renders_it_alone_then_a_step_renders_the_rest(renders, batches):
     train_set, _ = split_dataset(dataset(12, seed=5), 5)
     picks = train_set[2:5]
     render_maps(picks)
     assert batches == [len(picks)]
     assert Counter(renders) == Counter(jobs(picks))
-    train_set[-1].feature_map
+    state = init_train_state("roi_align", CFG, 16, 4, seed=0)
+    train_step(state, train_set[-1], lr=0.01, momentum=0.9)
     assert batches == [len(picks), len(train_set) - len(picks)]
     assert Counter(renders) == Counter(jobs(train_set))
 
@@ -210,42 +233,78 @@ def test_a_kept_train_instance_does_not_keep_its_split_mates(renders, batches):
     ds = dataset(12, seed=5)
     train_set, test_set = split_dataset(ds, 5)
     kept = train_set[4]
-    mates = [weakref.ref(inst.slot) for inst in train_set if inst is not kept]
+    mates = [weakref.ref(inst) for inst in train_set if inst is not kept]
     del ds, train_set, test_set
     gc.collect()
     assert all(ref() is None for ref in mates)
-    kept.feature_map
+    state = init_train_state("roi_align", CFG, 16, 4, seed=0)
+    train_step(state, kept, lr=0.01, momentum=0.9)
     assert renders == jobs([kept])
     assert batches == [1]
 
 
-def test_two_threads_reading_different_members_get_the_same_bits(n_threads, monkeypatch):
-    # the second reader may find the group taken and render its own map,
-    # or read the one the first reader's batch kept: the bits are the same
+def test_every_render_runs_inside_a_batch(n_threads, monkeypatch):
+    # a lone read, render_instance, render_maps and a split's first step
+    # all render through render_batch
+    body = synthetic._render
+    batch = synthetic.render_batch
+    open_batches = []
+    rendered = []
+
+    def render_checked(*job):
+        rendered.append(bool(open_batches))
+        return body(*job)
+
+    def batch_recorded(jobs):
+        open_batches.append(len(jobs))
+        try:
+            return batch(jobs)
+        finally:
+            open_batches.pop()
+
+    monkeypatch.setattr(synthetic, "_render", render_checked)
+    monkeypatch.setattr(synthetic, "render_batch", batch_recorded)
+    ds = dataset(12, seed=5)
+    train_set, _ = split_dataset(ds, 5)
+    ds[0].feature_map
+    posed = synthetic.render_instance(ds[1].ctx, 1, Pose(rotation_deg=10.0), 99)
+    render_maps(train_set[:3])
+    train_step(init_train_state("roi_align", CFG, 16, 4, seed=0), train_set[-1], 0.01, 0.9)
+    assert posed.slot.map is not None
+    assert all(inst.slot.map is not None for inst in train_set)
+    # the re-posed render, the lone read, and the train split's maps
+    assert len(rendered) == 1 + len({inst.seed for inst in train_set} | {ds[0].seed})
+    assert all(rendered)
+
+
+def test_two_threads_reading_different_members_get_the_same_bits(n_threads, batches):
+    # one thread takes the split and renders it in one batch; the other may
+    # find it taken and render its own map alone, or read the one the batch
+    # kept: the bits are the same
     want = {inst.seed: inst.feature_map for inst in dataset(12, seed=5)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(4):
             train_set, _ = split_dataset(dataset(12, seed=5), 5)
-            got = {}
+            n = len(train_set)
+            batches.clear()
             start = threading.Barrier(2)
 
-            def read(inst):
+            def step(inst):
+                state = init_train_state("roi_align", CFG, 16, 4, seed=0)
                 start.wait()
-                got[inst.seed] = inst.feature_map
+                train_step(state, inst, lr=0.01, momentum=0.9)
 
             pair = (train_set[0], train_set[-1])
-            readers = [threading.Thread(target=read, args=(inst,)) for inst in pair]
-            for reader in readers:
-                reader.start()
-            for reader in readers:
-                reader.join()
-            assert len(got) == 2
+            steppers = [threading.Thread(target=step, args=(inst,)) for inst in pair]
+            for stepper in steppers:
+                stepper.start()
+            for stepper in steppers:
+                stepper.join()
+            assert sorted(batches) in ([n], [1, n], [1, n - 1])
             for inst in train_set:
                 np.testing.assert_array_equal(inst.feature_map, want[inst.seed])
-            for seed, fmap in got.items():
-                np.testing.assert_array_equal(fmap, want[seed])
     finally:
         sys.setswitchinterval(interval)
 
@@ -495,7 +554,7 @@ def test_a_variants_entry_is_the_same_alone_or_beside_others(monkeypatch):
 def test_compare_extractors_renders_the_test_split_once_per_seed(renders, monkeypatch):
     # both kinds score the one rotation-augmented test split: one re-render
     # per test instance and seed, not one per kind; the train split renders
-    # once per seed, at the first kind's first step
+    # once per seed, in one batch at the first kind's first step
     from semroi import train
 
     seeds = [3, 4]
@@ -510,9 +569,12 @@ def test_compare_extractors_renders_the_test_split_once_per_seed(renders, monkey
     monkeypatch.setattr(train, "render_maps", render_counted)
     shrink_protocol(monkeypatch, 2, 2)
     train.compare_extractors(TWO_KINDS, seeds=seeds, n_per_class=4, epochs=1)
-    # per seed: augment_rotation's batch of the test split, the one batch
-    # render_maps makes in train
-    assert batches == [[inst.seed for inst in test_set] for _, test_set in splits]
+    # per seed: augment_rotation's batch of the test split, then the train
+    # split's batch at the first step
+    assert batches == [
+        [inst.seed for inst in split] for train_set, test_set in splits
+        for split in (test_set, train_set)
+    ]
     rendered = Counter(renders)
     assert all(rendered[job] == 1 for train_set, _ in splits for job in jobs(train_set))
 
